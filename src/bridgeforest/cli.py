@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification/bound failure or capacity error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ __all__ = ["main"]
 class RunConfig:
     command: str
     options: dict
-    threads: int
+    threads: int = 1  # every run is serial; the field keeps reports unchanged
     version: str = __version__
 
 
@@ -42,22 +41,23 @@ def _emit(payload, output, fmt="json"):
             print(text)
 
 
-def _thread_count(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("BRIDGEFOREST_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    return threads
-
-
 def _config(args, command) -> RunConfig:
     options = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "command", "threads") and v is not None
+        if k not in ("func", "command") and v is not None
     }
-    return RunConfig(command=command, options=options, threads=_thread_count(args))
+    return RunConfig(command=command, options=options)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _resolve_class(name: str, n: int) -> forestlab.ForestClass:
@@ -281,9 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (results never depend on it); "
-                       "default from BRIDGEFOREST_THREADS")
 
     p = sub.add_parser("trees", help="enumeration and automorphism listings")
     p.add_argument("--rooted", action="store_true")
@@ -325,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--class", dest="cls", default="all-forests",
                    help="all-forests, random-closure:<seed>, or file:<path>")
-    p.add_argument("--w", type=int, default=1)
+    p.add_argument("--w", type=_positive_int, default=1)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--t-max", type=int, default=4)
     p.add_argument("--u-max", type=int, default=3)
@@ -341,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=float, default=optimizer.DEFAULT_CAP)

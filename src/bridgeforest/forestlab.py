@@ -44,7 +44,6 @@ from .weights import WeightVector
 __all__ = [
     "LabeledForest",
     "ForestClass",
-    "ForestCountTable",
     "PendantStats",
     "Box",
     "ClassHistogram",
@@ -213,34 +212,6 @@ def labeled_tree_count(n: int) -> int:
 
 _COUNT: dict[tuple, int] = {(0, 0): 1}
 _TOTAL: dict[int, int] = {0: 1}
-
-
-class ForestCountTable:
-    """Exact forest counts warmed up to a fixed n.
-
-    count(n', k) and total(n') answer for any n' <= n and refuse larger
-    arguments, so a table passed around explicitly documents how much has
-    been precomputed (the sampler needs totals for every size below its
-    n).
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
-        forest_total(n)
-        for k in range(1, n + 1):
-            _forest_count(n, k)
-
-    def count(self, n: int, k: int) -> int:
-        if n > self.n:
-            raise ValueError(f"table only covers n <= {self.n}")
-        return forest_count(n, k)
-
-    def total(self, n: int) -> int:
-        if n > self.n:
-            raise ValueError(f"table only covers n <= {self.n}")
-        return forest_total(n)
 
 
 def forest_count(n: int, k: int) -> int:
@@ -416,20 +387,17 @@ def _random_labeled_tree(verts, rng: random.Random):
     return [(verts[a], verts[b]) for a, b in _prufer_to_edges(seq, m)]
 
 
-def sample_forest(n: int, rng=None, seed=None, table: ForestCountTable | None = None) -> LabeledForest:
+def sample_forest(n: int, rng=None, seed=None) -> LabeledForest:
     """Exactly uniform random labeled forest on 1..n; deterministic for a
     given seed.
 
     Draws the component of the smallest remaining vertex (size, then
     companion set, then a uniform labeled tree via a random linear-sequence
     code) and recurses on the rest; every choice is made with exact integer
-    weights, so the output distribution is exactly uniform.  When a count
-    table is supplied it must cover n.
+    weights, so the output distribution is exactly uniform.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if table is not None and table.n < n:
-        raise ValueError(f"count table covers n <= {table.n}, need {n}")
     if rng is None:
         rng = random.Random(seed)
     remaining = list(range(1, n + 1))
@@ -779,6 +747,11 @@ def class_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
     return c.histogram(catalog)
 
 
+def _check_width(w: int) -> None:
+    if w < 1:
+        raise ValueError(f"box width w must be >= 1, got {w}")
+
+
 def _candidate_boxes(hist: ClassHistogram, catalog: Catalog, w: int, q: int):
     """Lower corners of every width-w box holding at least one
     two-component member with small component in u0.  All other boxes
@@ -943,6 +916,7 @@ def verify_local_double_counting(
     two-component mass; all remaining grid boxes have B_box = 0 and pass
     vacuously.  A `split` (EdgeSplit) restricts the check to that split.
     """
+    _check_width(w)
     if not _class_is_bridge_addable(c):
         raise ValueError("class is not bridge-addable")
     if q is None:
@@ -1037,6 +1011,7 @@ def verify_weight_sum_bound(
     is not claimed there).  Boxes without two-component mass have zero
     weights and pass trivially.
     """
+    _check_width(w)
     if not _class_is_bridge_addable(c):
         raise ValueError("class is not bridge-addable")
     if q is None:
@@ -1106,6 +1081,7 @@ def boxing_search(
     degrades to diagonal shifts and reports it.  If no shift reaches the
     target the best one found is returned with ok=False.
     """
+    _check_width(w)
     if not _class_is_bridge_addable(c):
         raise ValueError("class is not bridge-addable")
     if q is None:

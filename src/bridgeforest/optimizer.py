@@ -61,6 +61,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.k < self.catalog.u_max:
             raise ValueError("truncation order k must be >= u_max")
+        if self.budget < 1:
+            raise ValueError("the evaluation budget must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.restarts < 1:

@@ -14,13 +14,16 @@ depth-first preorder of the canonical representative, i.e. the order in
 which the ``"("`` characters appear in the code string.  The representative
 of a code is recovered with `code_to_adjacency`.
 
-All code objects are immutable values and safe to share across threads;
-the enumeration caches below only ever grow and repeated inserts are
-idempotent, so results do not depend on thread count.
+Trees are generated in one place: `_fold_rooted` builds every rooted tree
+as a root plus a multiset of smaller rooted trees, and `fold_unrooted`
+builds every unrooted tree from a centroid the same way.  Folding `_hang`
+over the child codes gives the canonical codes that `enumerate_rooted` and
+`enumerate_unrooted` list.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -49,12 +52,13 @@ __all__ = [
     "SINGLE_VERTEX_CODE",
 ]
 
-# Exhaustive enumeration is meant for desk-scale work; sizes past this
-# bound are refused rather than silently attempted.
+# enumerate_rooted/enumerate_unrooted build a code object per tree and are
+# meant for desk-scale work; sizes past this bound are refused rather than
+# silently attempted.
 DEFAULT_MAX_SIZE = 16
 
-# fold_unrooted builds no codes, so it reaches further: the 205,004 trees
-# with at most 18 vertices take about half a second.
+# fold_unrooted with cheap values reaches further: the 205,004 trees with
+# at most 18 vertices take about half a second.
 FREE_TREE_MAX_SIZE = 18
 
 SINGLE_VERTEX_CODE = "()"
@@ -372,61 +376,42 @@ def canonicalize_unrooted(edges, vertices=()) -> UnrootedTreeCode:
 # ---------------------------------------------------------------------------
 # enumeration
 
-# Size -> sorted list of codes.  Append-only; repeated builds produce the
-# same lists, so concurrent use is safe.
-_ROOTED_BY_SIZE: dict[int, list[RootedTreeCode]] = {}
-_UNROOTED_BY_SIZE: dict[int, list[UnrootedTreeCode]] = {}
+def _hang(parent: str, child: str) -> str:
+    """Rooted code of `parent` with `child` hung below its root: the child's
+    block goes among the root's child blocks in non-increasing order."""
+    depth, start = 0, 1
+    for j in range(1, len(parent) - 1):
+        depth += 1 if parent[j] == "(" else -1
+        if depth == 0:
+            if parent[start : j + 1] < child:
+                break
+            start = j + 1
+    return parent[:start] + child + parent[start:]
 
 
-def _rooted_sizes_up_to(k: int):
-    for s in range(1, k + 1):
-        if s in _ROOTED_BY_SIZE:
-            continue
-        if s == 1:
-            _ROOTED_BY_SIZE[1] = [RootedTreeCode(SINGLE_VERTEX_CODE, 1, 1)]
-            continue
-        found: dict[str, RootedTreeCode] = {}
-        for t in _ROOTED_BY_SIZE[s - 1]:
-            adj = code_to_adjacency(t.code)
-            for v in range(s - 1):
-                grown = [list(nbrs) for nbrs in adj]
-                grown.append([v])
-                grown[v].append(s - 1)
-                code, aut = _encode(grown, 0)
-                if code not in found:
-                    found[code] = RootedTreeCode(code, s, aut)
-        _ROOTED_BY_SIZE[s] = [found[c] for c in sorted(found)]
+def _check_enumeration_size(k: int) -> None:
+    if k < 1:
+        raise ValueError("size bound must be >= 1")
+    if k > DEFAULT_MAX_SIZE:
+        raise CapacityError(f"size bound {k} exceeds exhaustive limit {DEFAULT_MAX_SIZE}")
 
 
-def enumerate_rooted(k: int, max_size: int = DEFAULT_MAX_SIZE):
+def enumerate_rooted(k: int):
     """All rooted unlabeled trees with 1..k vertices, one code per
     isomorphism class, ordered by (size, code)."""
-    if k < 1:
-        raise ValueError("size bound must be >= 1")
-    if k > max_size:
-        raise CapacityError(f"size bound {k} exceeds exhaustive limit {max_size}")
-    _rooted_sizes_up_to(k)
-    return [t for s in range(1, k + 1) for t in _ROOTED_BY_SIZE[s]]
+    _check_enumeration_size(k)
+    sizes, auts, codes = _fold_rooted(k, SINGLE_VERTEX_CODE, _hang)
+    return sorted(RootedTreeCode(c, n, a) for n, a, c in zip(sizes, auts, codes))
 
 
-def enumerate_unrooted(k: int, max_size: int = DEFAULT_MAX_SIZE):
+def enumerate_unrooted(k: int):
     """All unrooted unlabeled trees with 1..k vertices, ordered by
     (size, code)."""
-    if k < 1:
-        raise ValueError("size bound must be >= 1")
-    if k > max_size:
-        raise CapacityError(f"size bound {k} exceeds exhaustive limit {max_size}")
-    _rooted_sizes_up_to(k)
-    for s in range(1, k + 1):
-        if s in _UNROOTED_BY_SIZE:
-            continue
-        found: dict[str, UnrootedTreeCode] = {}
-        for t in _ROOTED_BY_SIZE[s]:
-            u = _unrooted_from_adj(code_to_adjacency(t.code))
-            if u.code not in found:
-                found[u.code] = u
-        _UNROOTED_BY_SIZE[s] = [found[c] for c in sorted(found)]
-    return [u for s in range(1, k + 1) for u in _UNROOTED_BY_SIZE[s]]
+    _check_enumeration_size(k)
+    return sorted(
+        _unrooted_from_adj(code_to_adjacency(code))
+        for _, _, code in fold_unrooted(k, SINGLE_VERTEX_CODE, _hang)
+    )
 
 
 def _child_multisets(sizes, auts, vals, hi, budget, root, attach):
@@ -439,10 +424,9 @@ def _child_multisets(sizes, auts, vals, hi, budget, root, attach):
     stack = [(hi, 0, 0, root, 1, -1, 0)]
     while stack:
         top, total, largest, val, aut, last, run = stack.pop()
-        for i in range(top, -1, -1):
+        # start at the largest member that still fits the budget
+        for i in range(min(top, bisect_right(sizes, budget - total) - 1), -1, -1):
             t = total + sizes[i]
-            if t > budget:
-                continue
             r = run + 1 if i == last else 1
             v = attach(val, vals[i])
             a = aut * auts[i] * r
@@ -660,17 +644,15 @@ def _labeled_tree_count(n: int) -> int:
     return 1 if n == 1 else n ** (n - 2)
 
 
-def cayley_identity_check(n: int, max_size: int = DEFAULT_MAX_SIZE) -> CayleyCheck:
+def cayley_identity_check(n: int) -> CayleyCheck:
     """Check that the enumerated codes account for all labeled trees:
     sum of n!/aut_r over rooted codes of size n equals n^(n-1), and
     sum of n!/aut_u over unrooted codes equals n^(n-2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    enumerate_rooted(n, max_size=max_size)
-    enumerate_unrooted(n, max_size=max_size)
     nf = factorial(n)
-    rooted = sum(Fraction(nf, t.aut_r) for t in _ROOTED_BY_SIZE[n])
-    unrooted = sum(Fraction(nf, u.aut_u) for u in _UNROOTED_BY_SIZE[n])
+    rooted = sum(Fraction(nf, t.aut_r) for t in enumerate_rooted(n) if t.size == n)
+    unrooted = sum(Fraction(nf, u.aut_u) for u in enumerate_unrooted(n) if u.size == n)
     r_exp = n * _labeled_tree_count(n)
     u_exp = _labeled_tree_count(n)
     ok = rooted == r_exp and unrooted == u_exp

@@ -174,80 +174,79 @@ def replay_trace(trace: DecompositionTrace) -> UnrootedTreeCode:
 # ---------------------------------------------------------------------------
 # single-edge removal structure, cached per unrooted code
 
-# Oriented move: removing one edge of W leaves (piece, remainder); the move
-# records canonical codes, canonical attachment indices, and the marked
-# codes used for deduplication of equivalent edges.
+# Oriented move: removing one edge of W leaves (piece, remainder).  A move's
+# value depends only on the two canonical codes, so the DP of MaxWeightTable
+# and the supermultiplicativity check read only those; canonical attachment
+# indices are computed from the recorded edges for the traces that report
+# them.
 _MOVES: dict[str, tuple] = {}
 
-# Code-only variant without attachment bookkeeping: enough for computing
-# values (a move's value depends only on the two codes), much cheaper to
-# build, and used by the DP and the vectorized evaluator.
-_MOVES_FAST: dict[str, tuple] = {}
 
-
-def _unrooted_with_index(adj, vertex):
-    """Canonical unrooted code of adj, plus the canonical index of the
-    orbit representative of `vertex` and its marked code."""
-    u = treekit._unrooted_from_adj(adj)
-    marked = treekit._unrooted_marked_code(adj, vertex)
-    rep = code_to_adjacency(u.code)
-    for i in range(len(rep)):
-        if treekit._unrooted_marked_code(rep, i) == marked:
-            return u, i, marked
-    raise AssertionError(f"orbit representative not found for {u.code}")
+def _sides(adj, parent, v):
+    """The two components left by removing the edge from v to its parent,
+    each as (relabeled adjacency, endpoint of the removed edge): v's side
+    first."""
+    below = treekit._component_vertices(adj, v, blocked=parent[v])
+    rest = set(range(len(adj))) - below
+    sub_a, old_a = treekit._sub_adjacency(adj, below)
+    sub_b, old_b = treekit._sub_adjacency(adj, rest)
+    return (sub_a, old_a.index(v)), (sub_b, old_b.index(parent[v]))
 
 
 def _moves(code: str):
-    """Deduplicated oriented single-edge removals of the unrooted tree
-    `code`: tuples (piece_code, piece_idx, rem_code, rem_idx, piece_size).
-
-    Two edges inducing isomorphic (piece, remainder) pairs with matching
-    attachment orbits yield one move.
-    """
+    """Oriented single-edge removals of the unrooted tree `code`, as sorted
+    tuples (piece_code, rest_code, edges), one per distinct pair of codes.
+    edges lists the (v, below) realizing the pair: removing the edge from
+    vertex v of the canonical representative to its parent leaves the
+    piece on v's side when below is true, on the other side otherwise."""
     cached = _MOVES.get(code)
-    if cached is not None:
-        return cached
+    if cached is None:
+        adj = code_to_adjacency(code)
+        _, parent = treekit._dfs_order(adj, 0)
+        found: dict[tuple, list] = {}
+        for v in range(1, len(adj)):
+            (sub_a, _), (sub_b, _) = _sides(adj, parent, v)
+            ca = treekit._unrooted_from_adj(sub_a).code
+            cb = treekit._unrooted_from_adj(sub_b).code
+            found.setdefault((ca, cb), []).append((v, True))
+            found.setdefault((cb, ca), []).append((v, False))
+        cached = _MOVES[code] = tuple((*key, tuple(found[key])) for key in sorted(found))
+    return cached
+
+
+# unrooted code -> {marked code: canonical index of the first vertex of
+# the canonical representative in that orbit}
+_ORBIT_INDEX: dict[str, dict] = {}
+
+
+def _orbit_index(code: str, side) -> tuple:
+    """Marked code of a side's endpoint and the canonical index of its
+    orbit representative in the tree `code`."""
+    index = _ORBIT_INDEX.get(code)
+    if index is None:
+        rep = code_to_adjacency(code)
+        index = _ORBIT_INDEX[code] = {}
+        for i in range(len(rep)):
+            index.setdefault(treekit._unrooted_marked_code(rep, i), i)
+    marked = treekit._unrooted_marked_code(*side)
+    return marked, index[marked]
+
+
+def _attachments(code: str, moves):
+    """Canonical attachment indices of the given moves of `code`, as tuples
+    (piece_code, piece_idx, rest_code, rest_idx) ordered by the marked
+    codes of the two sides.  Edges that agree with the attachment vertices
+    marked give one tuple."""
     adj = code_to_adjacency(code)
     _, parent = treekit._dfs_order(adj, 0)
     oriented: dict[tuple, tuple] = {}
-    for v in range(1, len(adj)):
-        below = treekit._component_vertices(adj, v, blocked=parent[v])
-        rest = set(range(len(adj))) - below
-        sub_a, old_a = treekit._sub_adjacency(adj, below)
-        sub_b, old_b = treekit._sub_adjacency(adj, rest)
-        ua, ia, ma = _unrooted_with_index(sub_a, old_a.index(v))
-        ub, ib, mb = _unrooted_with_index(sub_b, old_b.index(parent[v]))
-        for (pc, pi, pm, rc, ri, rm, ps) in (
-            (ua.code, ia, ma, ub.code, ib, mb, ua.size),
-            (ub.code, ib, mb, ua.code, ia, ma, ub.size),
-        ):
-            oriented.setdefault((pm, rm), (pc, pi, rc, ri, ps))
-    result = tuple(oriented[k] for k in sorted(oriented))
-    _MOVES[code] = result
-    return result
-
-
-def _moves_fast(code: str):
-    """Oriented single-edge removals as (piece_code, rest_code) pairs,
-    deduplicated by the pair alone."""
-    cached = _MOVES_FAST.get(code)
-    if cached is not None:
-        return cached
-    adj = code_to_adjacency(code)
-    _, parent = treekit._dfs_order(adj, 0)
-    pairs = set()
-    for v in range(1, len(adj)):
-        below = treekit._component_vertices(adj, v, blocked=parent[v])
-        rest = set(range(len(adj))) - below
-        sub_a, _ = treekit._sub_adjacency(adj, below)
-        sub_b, _ = treekit._sub_adjacency(adj, rest)
-        ca = treekit._unrooted_from_adj(sub_a).code
-        cb = treekit._unrooted_from_adj(sub_b).code
-        pairs.add((ca, cb))
-        pairs.add((cb, ca))
-    result = tuple(sorted(pairs))
-    _MOVES_FAST[code] = result
-    return result
+    for piece, rest, edges in moves:
+        for v, below in edges:
+            side_v, side_p = _sides(adj, parent, v)
+            pm, pi = _orbit_index(piece, side_v if below else side_p)
+            rm, ri = _orbit_index(rest, side_p if below else side_v)
+            oriented.setdefault((pm, rm), (piece, pi, rest, ri))
+    return [oriented[key] for key in sorted(oriented)]
 
 
 # rooted code -> unrooted code of the same tree
@@ -270,8 +269,7 @@ class MaxWeightTable:
         value(W) = max({z[W] if W in u0}
                        union {z[piece] * value(rest) over moves with piece in u0})
 
-    Entries are pure functions of (catalog, z, code): repeated inserts are
-    idempotent, so sharing a table between threads is safe.
+    Entries are pure functions of (catalog, z, code).
     """
 
     def __init__(self, catalog: Catalog, z: WeightVector):
@@ -294,14 +292,15 @@ class MaxWeightTable:
             if zv > best:
                 best = zv
                 best_move = ("base",)
-        for piece, rest in _moves_fast(code):
+        for move in _moves(code):
+            piece, rest, _ = move
             if piece not in self.catalog.u0_index:
                 continue
             zp = self.z[piece]
             cand = zp * self.value(rest)
             if cand > best:
                 best = cand
-                best_move = ("step", piece, rest)
+                best_move = ("step", move)
         self._value[code] = best
         self._best[code] = best_move
         return best
@@ -318,20 +317,10 @@ class MaxWeightTable:
             if move[0] == "base":
                 steps.append(DecompositionStep(piece=cur, attach_from=None, attach_to=None))
                 break
-            _, piece, rest = move
-            p_idx, r_idx = self._attachment(cur, piece, rest)
+            piece, p_idx, rest, r_idx = _attachments(cur, [move[1]])[0]
             steps.append(DecompositionStep(piece=piece, attach_from=r_idx, attach_to=p_idx))
             cur = rest
         return DecompositionTrace(steps=tuple(reversed(steps)))
-
-    @staticmethod
-    def _attachment(code: str, piece: str, rest: str):
-        """Canonical attachment indices of one edge realizing the
-        (piece, rest) split of `code`."""
-        for p, p_idx, r, r_idx, _ in _moves(code):
-            if p == piece and r == rest:
-                return p_idx, r_idx
-        raise AssertionError(f"no edge of {code} splits into ({piece}, {rest})")
 
 
 def _as_unrooted_code(t) -> str:
@@ -370,7 +359,7 @@ def enumerate_decompositions(t, catalog: Catalog, max_size: int = 8):
         found = []
         if w in catalog.u0_index:
             found.append((DecompositionStep(piece=w, attach_from=None, attach_to=None),))
-        for piece, p_idx, rest, r_idx, _ in _moves(w):
+        for piece, p_idx, rest, r_idx in _attachments(w, _moves(w)):
             if piece not in catalog.u0_index:
                 continue
             step = DecompositionStep(piece=piece, attach_from=r_idx, attach_to=p_idx)
@@ -417,7 +406,6 @@ class _PieceStates:
         self._ids: dict[frozenset, int] = {}
         self._attached: dict[tuple, int] = {}
         self._piece: dict[str, int | None] = {}
-        self._merged: dict[tuple, str] = {}
         self._profile: dict[int, frozenset] = {}
         self.root = self._intern({SINGLE_VERTEX_CODE: {0}})
 
@@ -436,18 +424,6 @@ class _PieceStates:
             self._piece[part] = self._unit.get(code)
         return self._piece[part]
 
-    def _merge(self, part: str, child: str) -> str:
-        """Rooted code of `part` with `child` hung below its root."""
-        key = (part, child)
-        if key not in self._merged:
-            adj = code_to_adjacency(part)
-            offset = len(adj)
-            adj.extend([w + offset for w in nbrs] for nbrs in code_to_adjacency(child))
-            adj[0].append(offset)
-            adj[offset].append(0)
-            self._merged[key] = treekit._encode(adj, 0)[0]
-        return self._merged[key]
-
     def attach(self, a: int, c: int) -> int:
         key = (a, c)
         sid = self._attached.get(key)
@@ -461,7 +437,7 @@ class _PieceStates:
                     if unit is not None:  # cut the edge: the child's part is done
                         parts.setdefault(part, set()).update(s + unit for s in sums)
                     if child.count("(") <= room:  # keep it: the parts join
-                        parts.setdefault(self._merge(part, child), set()).update(sums)
+                        parts.setdefault(treekit._hang(part, child), set()).update(sums)
             sid = self._attached[key] = self._intern(parts)
         return sid
 
@@ -708,7 +684,7 @@ def verify_supermultiplicativity(u, z: WeightVector, catalog: Catalog) -> Superm
     table = MaxWeightTable(catalog, z)
     whole = table.value(code)
     failures = []
-    for piece, rest in _moves_fast(code):
+    for piece, rest, _ in _moves(code):
         parts = table.value(piece) * table.value(rest)
         if whole < parts:
             failures.append({"piece": piece, "rest": rest, "whole": whole, "parts": parts})

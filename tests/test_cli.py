@@ -186,11 +186,32 @@ class TestOptimize:
         assert err == "error: size bound 19 exceeds free-tree limit 18\n"
 
 
+class TestPositiveArguments:
+    # a zero budget or box width leaves nothing to run or check
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--u-max", "1", "--k", "4", "--budget", "0"],
+            ["verify", "--suite", "boxing", "--n", "4", "--w", "0"],
+            ["verify", "--suite", "local-double-counting", "--n", "4", "--w", "0"],
+        ],
+        ids=["optimize-budget", "boxing-w", "local-double-counting-w"],
+    )
+    def test_zero_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: expected a positive integer, got '0'" in err
+        assert "Traceback" not in err
+
+
 class TestUsageAndDeterminism:
     def test_unknown_flag_exit2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["trees", "--nope"])
-        assert exc.value.code == 2
+        for argv in (["trees", "--nope"], ["trees", "--max-size", "3", "--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
 
     def test_missing_subcommand_exit2(self):
         with pytest.raises(SystemExit) as exc:

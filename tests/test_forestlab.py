@@ -115,27 +115,6 @@ class TestConnectivityProb:
             fl.connectivity_prob(5, mode="float")
 
 
-class TestForestCountTable:
-    def test_covers_requested_range(self):
-        table = fl.ForestCountTable(6)
-        assert table.count(6, 2) == fl.forest_count(6, 2)
-        assert table.total(4) == 38
-
-    def test_refuses_beyond_range(self):
-        table = fl.ForestCountTable(5)
-        with pytest.raises(ValueError):
-            table.count(6, 1)
-        with pytest.raises(ValueError):
-            table.total(6)
-
-    def test_sampler_accepts_matching_table(self):
-        table = fl.ForestCountTable(6)
-        f = fl.sample_forest(6, seed=1, table=table)
-        assert f.n == 6
-        with pytest.raises(ValueError):
-            fl.sample_forest(8, seed=1, table=table)
-
-
 class TestSampler:
     def test_deterministic(self):
         a = fl.sample_forest(8, seed=42)
@@ -364,6 +343,18 @@ class TestSimpleCounting:
         cls = fl.ForestClass(3, [fl.LabeledForest.make(3, [])])
         with pytest.raises(ValueError):
             fl.verify_simple_counting(cls)
+
+
+class TestWidthBound:
+    # a width below 1 leaves no box to check; it is refused rather than
+    # reported as a pass
+    def test_box_checks_refuse_width_zero(self, cat21):
+        c4 = fl.all_forests(4)
+        for check in (fl.verify_local_double_counting, fl.verify_weight_sum_bound):
+            with pytest.raises(ValueError, match="width"):
+                check(c4, cat21, w=0)
+        with pytest.raises(ValueError, match="width"):
+            fl.boxing_search(c4, cat21, w=0, epsilon=0.5)
 
 
 class TestLocalDoubleCounting:

@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             op.OptimizerConfig(catalog=cat1, k=4, y_cap=0.9)
 
+    def test_budget_bound(self, cat1):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget"):
+                op.OptimizerConfig(catalog=cat1, k=4, budget=budget)
+
 
 class TestSingleVarThreshold:
     def test_k1(self):

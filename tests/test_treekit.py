@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +23,28 @@ def unrooted_counts(k):
     for u in tk.enumerate_unrooted(k):
         out[u.size] = out.get(u.size, 0) + 1
     return [out.get(s, 0) for s in range(1, k + 1)]
+
+
+def digest(trees):
+    """sha256 over the repr of each tree's field tuple, in order."""
+    h = hashlib.sha256()
+    for t in trees:
+        h.update(repr(tuple(getattr(t, f) for f in t.__dataclass_fields__)).encode())
+    return h.hexdigest()
+
+
+# Pinned from an independent generator that grew each rooted tree one leaf
+# at a time: the fields, values and order of both enumerations.
+ENUMERATION_DIGESTS = {
+    12: (
+        "142ec132d4ba600b9d8e1a8d13ec3a6f1aee6f5ed0d3c5b52545e50676b6fc45",
+        "a925a68a7d9eaa686417dc8f266cebaa4309d19c065574cc37214ee7aac4278d",
+    ),
+    14: (
+        "06cace38947e92530dafc012c2a90513a420c4b811579483b5e908ece744d003",
+        "b5dae3a944f78bec8ce185b3e1c3644af743a88dc62c81b3071571965adfdd49",
+    ),
+}
 
 
 class TestCanonicalizeRooted:
@@ -108,6 +132,33 @@ class TestEnumeration:
         assert first == second
         sizes = [t.size for t in tk.enumerate_rooted(6)]
         assert sizes == sorted(sizes)
+
+    @pytest.mark.parametrize("k", sorted(ENUMERATION_DIGESTS))
+    def test_pinned_digests(self, k):
+        rooted, unrooted = ENUMERATION_DIGESTS[k]
+        assert digest(tk.enumerate_rooted(k)) == rooted
+        assert digest(tk.enumerate_unrooted(k)) == unrooted
+
+    def test_codes_and_auts_match_labeled_trees(self):
+        # the codes of all labeled trees on n vertices are exactly the
+        # enumerated ones, and by orbit-stabilizer each unrooted code is hit
+        # n!/aut_u times, each rooted code (rooted at vertex 0) (n-1)!/aut_r
+        for n in range(1, 8):
+            rooted: dict[str, int] = {}
+            unrooted: dict[str, int] = {}
+            for edges in oracles.all_labeled_trees(n):
+                adj = oracles.adjacency_from_edges(edges, n)
+                code = tk._encode(adj, 0)[0]
+                rooted[code] = rooted.get(code, 0) + 1
+                code = tk._unrooted_from_adj(adj).code
+                unrooted[code] = unrooted.get(code, 0) + 1
+            nf = math.factorial(n)
+            assert rooted == {
+                t.code: nf // n // t.aut_r for t in tk.enumerate_rooted(n) if t.size == n
+            }
+            assert unrooted == {
+                u.code: nf // u.aut_u for u in tk.enumerate_unrooted(n) if u.size == n
+            }
 
     def test_prufer_roundtrip_random_large(self):
         # seeded samples at sizes where full enumeration is too slow:
