@@ -14,9 +14,11 @@ Exit codes: 0 success, 1 verification/bound failure or capacity error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import __version__, forestlab, optimizer, serialize, treekit, weights
 
@@ -60,23 +62,44 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resolve_class(name: str, n: int) -> forestlab.ForestClass:
-    if name == "all-forests":
-        return forestlab.all_forests(n)
-    if name.startswith("random-closure:"):
-        seed = int(name.split(":", 1)[1])
-        return forestlab.random_closure(n, seed=seed)
-    if name.startswith("file:"):
-        cls = forestlab.load_class(name.split(":", 1)[1])
-        if cls.n != n:
-            raise ValueError(f"class file has n={cls.n}, requested n={n}")
-        return cls
-    raise ValueError(f"unknown class {name!r}")
-
-
 def _parse_range(text: str):
     lo, hi = text.split(":")
     return range(int(lo), int(hi) + 1)
+
+
+def _n_range(text: str) -> str:
+    """An inclusive range lo:hi with lo <= hi.  The text itself is kept, so
+    the report echoes what was given."""
+    try:
+        if _parse_range(text):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a range lo:hi with lo <= hi, got {text!r}")
+
+
+_CLASS_NAME = re.compile(r"all-forests|random-closure:-?\d+|file:.*", re.DOTALL)
+
+
+def _class_name(text: str) -> str:
+    """all-forests, random-closure:<seed> or file:<path>, kept as text."""
+    if not _CLASS_NAME.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"expected all-forests, random-closure:<seed> or file:<path>, got {text!r}"
+        )
+    return text
+
+
+def _resolve_class(name: str, n: int) -> forestlab.ForestClass:
+    kind, _, arg = name.partition(":")
+    if kind == "random-closure":
+        return forestlab.random_closure(n, seed=int(arg))
+    if kind == "file":
+        cls = forestlab.load_class(arg)
+        if cls.n != n:
+            raise ValueError(f"class file has n={cls.n}, requested n={n}")
+        return cls
+    return forestlab.all_forests(n)
 
 
 # ---------------------------------------------------------------------------
@@ -109,42 +132,27 @@ def _cmd_forests(args) -> int:
         value = forestlab.forest_count(args.n, args.k)
         _emit({"config": config, "count": value}, args.output)
         return 0
-    if args.conn_prob:
+    if args.conn_prob or args.ratio:
+        if args.conn_prob:
+            flag, key = "--conn-prob", "probability"
+            value = partial(forestlab.connectivity_prob, mode=mode)
+            write = partial(forestlab.write_connectivity_sweep, mode=mode)
+        else:
+            flag, key = "--ratio", "ratio"
+            value, write = forestlab.two_component_ratio, forestlab.write_ratio_sweep
         if args.n_range:
             ns = _parse_range(args.n_range)
             if args.format == "csv":
                 if not args.output:
                     raise ValueError("csv sweep needs --output")
-                forestlab.write_connectivity_sweep(args.output, ns, mode=mode)
+                write(args.output, ns)
                 return 0
-            rows = [
-                {"n": n, "probability": forestlab.connectivity_prob(n, mode=mode)}
-                for n in ns
-            ]
-            _emit({"config": config, "sweep": rows}, args.output)
-            return 0
-        if args.n is None:
-            raise ValueError("--conn-prob needs --n or --n-range")
-        p = forestlab.connectivity_prob(args.n, mode=mode)
-        _emit({"config": config, "n": args.n, "probability": p}, args.output)
-        return 0
-    if args.ratio:
-        if args.n_range:
-            ns = _parse_range(args.n_range)
-            if args.format == "csv":
-                if not args.output:
-                    raise ValueError("csv sweep needs --output")
-                forestlab.write_ratio_sweep(args.output, ns)
-                return 0
-            rows = [{"n": n, "ratio": forestlab.two_component_ratio(n)} for n in ns]
-            _emit({"config": config, "sweep": rows}, args.output)
-            return 0
-        if args.n is None:
-            raise ValueError("--ratio needs --n or --n-range")
-        _emit(
-            {"config": config, "n": args.n, "ratio": forestlab.two_component_ratio(args.n)},
-            args.output,
-        )
+            payload = {"config": config, "sweep": [{"n": n, key: value(n)} for n in ns]}
+        elif args.n is None:
+            raise ValueError(f"{flag} needs --n or --n-range")
+        else:
+            payload = {"config": config, "n": args.n, key: value(args.n)}
+        _emit(payload, args.output)
         return 0
     if args.sample:
         if args.n is None:
@@ -270,8 +278,15 @@ def _cmd_optimize(args) -> int:
 # argument surface
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bridgeforest",
         description="Tree enumeration, forest statistics, counting-inequality "
         "verification, and partition-function optimization.",
@@ -283,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("trees", help="enumeration and automorphism listings")
-    p.add_argument("--rooted", action="store_true")
-    p.add_argument("--unrooted", action="store_true")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--rooted", action="store_true")
+    kind.add_argument("--unrooted", action="store_true")
     p.add_argument("--max-size", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_trees)
@@ -296,11 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", action="store_true")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--n-range", help="inclusive range lo:hi for sweeps")
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--logfloat", action="store_true")
+    p.add_argument("--n-range", type=_n_range, help="inclusive range lo:hi for sweeps")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--logfloat", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-samples", type=int, default=1)
+    p.add_argument("--num-samples", type=_positive_int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=_cmd_forests)
@@ -320,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-size", type=int, default=9)
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--class", dest="cls", default="all-forests",
+    p.add_argument("--class", dest="cls", type=_class_name, default="all-forests",
                    help="all-forests, random-closure:<seed>, or file:<path>")
     p.add_argument("--w", type=_positive_int, default=1)
     p.add_argument("--epsilon", type=float, default=0.5)

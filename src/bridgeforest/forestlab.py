@@ -20,7 +20,6 @@ the coordinate order of the catalog's rooted family t0.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import heapq
 import itertools
@@ -28,7 +27,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log
+from functools import cache, partial
+from math import log
 
 import numpy as np
 
@@ -98,21 +98,10 @@ class LabeledForest:
     edges: frozenset
 
     def __post_init__(self):
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
             if not (isinstance(u, int) and isinstance(v, int) and 1 <= u < v <= self.n):
                 raise ValueError(f"bad edge {(u, v)} for n={self.n}")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ValueError(f"edges contain a cycle through {(u, v)}")
-            parent[ru] = rv
+        _union_find(self.n, self.edges)
 
     @classmethod
     def make(cls, n: int, edges) -> "LabeledForest":
@@ -121,19 +110,10 @@ class LabeledForest:
 
     def components(self):
         """Vertex sets of the components, ordered by (size desc, min label)."""
-        parent = {v: v for v in range(1, self.n + 1)}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
+        parent = _union_find(self.n, self.edges)
         groups: dict[int, list] = {}
         for v in range(1, self.n + 1):
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(_find(parent, v), []).append(v)
         comps = [frozenset(g) for g in groups.values()]
         comps.sort(key=lambda c: (-len(c), min(c)))
         return tuple(comps)
@@ -154,19 +134,39 @@ class LabeledForest:
         """Smallest component; among equal-size candidates, the one
         containing vertex 1 if present, else the one with the smallest
         vertex."""
-        comps = self.components()
-        small = min(len(c) for c in comps)
-        candidates = [c for c in comps if len(c) == small]
-        for c in candidates:
-            if 1 in c:
-                return c
-        return min(candidates, key=min)
+        return _smallest(self.components())
 
     def component_edges(self, comp):
         return [e for e in self.edges if e[0] in comp]
 
     def sort_key(self):
         return tuple(sorted(self.edges))
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union_find(n: int, edges):
+    """Union-find parents over 0..n after joining the ends of every edge;
+    an edge inside one tree raises ValueError."""
+    parent = list(range(n + 1))
+    for u, v in edges:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru == rv:
+            raise ValueError(f"edges contain a cycle through {(u, v)}")
+        parent[ru] = rv
+    return parent
+
+
+def _smallest(comps):
+    """The smallest of components ordered as by `components()`; equal
+    sizes sit in min-label order, so the first one of the smallest size
+    holds vertex 1 when any of them does."""
+    return next(c for c in comps if len(c) == len(comps[-1]))
 
 
 def enumerate_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N):
@@ -210,8 +210,21 @@ def labeled_tree_count(n: int) -> int:
     return 1 if n == 1 else n ** (n - 2)
 
 
-_COUNT: dict[tuple, int] = {(0, 0): 1}
-_TOTAL: dict[int, int] = {0: 1}
+# labeled_tree_count(m) for m < len(_TREES), and forest_total(n) for
+# n < len(_TOTAL)
+_TREES: list = [1, 1]
+_TOTAL: list = [1]
+
+
+def _anchor_weights(s: int):
+    """(m, C(s-1, m-1) * m^(m-2)) for m = s down to 1: the ways to make the
+    component of the smallest of s vertices a tree on m of them."""
+    for m in range(len(_TREES), s + 1):
+        _TREES.append(m ** (m - 2))
+    companions = 1  # C(s-1, m-1)
+    for m in range(s, 0, -1):
+        yield m, companions * _TREES[m]
+        companions = companions * (m - 1) // (s - m + 1)
 
 
 def forest_count(n: int, k: int) -> int:
@@ -223,36 +236,29 @@ def forest_count(n: int, k: int) -> int:
     """
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    # fill the cache one component count at a time, so that the recursion
+    # below never goes deeper than one level whatever k is
+    for j in range(1, k):
+        for x in range(j, n - k + j + 1):
+            _forest_count(x, j)
     return _forest_count(n, k)
 
 
+@cache
 def _forest_count(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    key = (n, k)
-    cached = _COUNT.get(key)
-    if cached is None:
-        cached = sum(
-            comb(n - 1, m - 1) * labeled_tree_count(m) * _forest_count(n - m, k - 1)
-            for m in range(1, n - k + 2)
-        )
-        _COUNT[key] = cached
-    return cached
+    if n == 0 or k == 0:
+        return int(n == k)
+    return sum(
+        w * _forest_count(n - m, k - 1) for m, w in _anchor_weights(n) if n - m >= k - 1
+    )
 
 
 def forest_total(n: int) -> int:
     """Number of labeled forests on n vertices (any component count)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n not in _TOTAL:
-        for j in range(1, n + 1):
-            if j not in _TOTAL:
-                _TOTAL[j] = sum(
-                    comb(j - 1, m - 1) * labeled_tree_count(m) * _TOTAL[j - m]
-                    for m in range(1, j + 1)
-                )
+    for j in range(len(_TOTAL), n + 1):
+        _TOTAL.append(sum(w * _TOTAL[j - m] for m, w in _anchor_weights(j)))
     return _TOTAL[n]
 
 
@@ -315,28 +321,18 @@ def two_component_ratio(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # uniform sampling (recursive method on the counting recurrence)
 
-_CUMWEIGHTS: dict[int, list] = {}
-
-
-def _anchor_cumweights(s: int):
-    """Cumulative weights of the size m of the component containing the
-    smallest remaining vertex, for a uniform forest on s vertices."""
-    cached = _CUMWEIGHTS.get(s)
-    if cached is None:
-        cum = []
-        acc = 0
-        for m in range(1, s + 1):
-            acc += comb(s - 1, m - 1) * labeled_tree_count(m) * forest_total(s - m)
-            cum.append(acc)
-        assert acc == forest_total(s)
-        cached = cum
-        _CUMWEIGHTS[s] = cached
-    return cached
-
-
 def _draw_anchor_size(s: int, rng: random.Random) -> int:
-    cum = _anchor_cumweights(s)
-    return bisect.bisect_right(cum, rng.randrange(cum[-1])) + 1
+    """Size of the component of the smallest of s vertices in a uniform
+    forest.  For the draw r, the chosen m is the one whose cumulative
+    weight over sizes 1..m first exceeds r; walking down from the giant
+    component m = s, that is the first m whose suffix weight reaches
+    forest_total(s) - r."""
+    total = forest_total(s)
+    left = total - rng.randrange(total)
+    for m, w in _anchor_weights(s):
+        left -= w * _TOTAL[s - m]
+        if left <= 0:
+            return m
 
 
 def sample_component_sizes(n: int, rng=None, seed=None):
@@ -569,21 +565,24 @@ class BridgeAddableCheck:
     witness_edge: tuple | None
 
 
+def _bridges(f: LabeledForest):
+    """Every edge joining two components of f: component pairs in
+    `components()` order, then endpoints in increasing label order."""
+    comps = [sorted(c) for c in f.components()]
+    for i, first in enumerate(comps):
+        for second in comps[i + 1 :]:
+            for u in first:
+                for v in second:
+                    yield (u, v) if u < v else (v, u)
+
+
 def is_bridge_addable(c: ForestClass) -> BridgeAddableCheck:
     """True iff adding any edge between two components of a member lands in
     the class; otherwise a witness (member, missing edge) is returned."""
     for f in c.sorted_members():
-        comps = f.components()
-        if len(comps) == 1:
-            continue
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                for u in sorted(comps[i]):
-                    for v in sorted(comps[j]):
-                        e = (u, v) if u < v else (v, u)
-                        grown = LabeledForest(n=f.n, edges=f.edges | {e})
-                        if grown not in c.members:
-                            return BridgeAddableCheck(False, f, e)
+        for e in _bridges(f):
+            if LabeledForest(n=f.n, edges=f.edges | {e}) not in c.members:
+                return BridgeAddableCheck(False, f, e)
     return BridgeAddableCheck(True, None, None)
 
 
@@ -605,16 +604,11 @@ def bridge_addable_closure(seeds) -> ForestClass:
     queue = list(seeds)
     while queue:
         f = queue.pop()
-        comps = f.components()
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                for u in comps[i]:
-                    for v in comps[j]:
-                        e = (u, v) if u < v else (v, u)
-                        grown = LabeledForest(n=n, edges=f.edges | {e})
-                        if grown not in seen:
-                            seen.add(grown)
-                            queue.append(grown)
+        for e in _bridges(f):
+            grown = LabeledForest(n=n, edges=f.edges | {e})
+            if grown not in seen:
+                seen.add(grown)
+                queue.append(grown)
     cls = ForestClass(n, seen, provenance="closure")
     cls._bridge_addable = True
     return cls
@@ -705,11 +699,10 @@ def _forest_profile(f: LabeledForest, catalog: Catalog, cache: dict):
         return prof
     comps = f.components()
     ncomp = len(comps)
-    big = f.largest_component()
-    alpha = _component_alpha(big, f.component_edges(big), catalog)
+    alpha = _component_alpha(comps[0], f.component_edges(comps[0]), catalog)
     ucode = None
     if ncomp == 2:
-        small = f.smallest_component()
+        small = _smallest(comps)
         ucode = treekit.canonicalize_unrooted(
             f.component_edges(small), vertices=small
         ).code
@@ -747,9 +740,14 @@ def class_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
     return c.histogram(catalog)
 
 
-def _check_width(w: int) -> None:
+def _box_setup(c: ForestClass, catalog: Catalog, w: int, q: int | None):
+    """Refuse a width below 1 or a class that is not bridge-addable; give q
+    (catalog.q_star by default) and the class histogram."""
     if w < 1:
         raise ValueError(f"box width w must be >= 1, got {w}")
+    if not _class_is_bridge_addable(c):
+        raise ValueError("class is not bridge-addable")
+    return catalog.q_star if q is None else q, c.histogram(catalog)
 
 
 def _candidate_boxes(hist: ClassHistogram, catalog: Catalog, w: int, q: int):
@@ -916,12 +914,7 @@ def verify_local_double_counting(
     two-component mass; all remaining grid boxes have B_box = 0 and pass
     vacuously.  A `split` (EdgeSplit) restricts the check to that split.
     """
-    _check_width(w)
-    if not _class_is_bridge_addable(c):
-        raise ValueError("class is not bridge-addable")
-    if q is None:
-        q = catalog.q_star
-    hist = c.histogram(catalog)
+    q, hist = _box_setup(c, catalog, w, q)
     boxes = [box] if box is not None else _candidate_boxes(hist, catalog, w, q)
     rows = _admissible_splits(catalog)
     if split is not None:
@@ -1011,12 +1004,7 @@ def verify_weight_sum_bound(
     is not claimed there).  Boxes without two-component mass have zero
     weights and pass trivially.
     """
-    _check_width(w)
-    if not _class_is_bridge_addable(c):
-        raise ValueError("class is not bridge-addable")
-    if q is None:
-        q = catalog.q_star
-    hist = c.histogram(catalog)
+    q, hist = _box_setup(c, catalog, w, q)
     boxes = [box] if box is not None else _candidate_boxes(hist, catalog, w, q)
     t_max = catalog.t_max
     const = (w + q) * (2 * t_max) ** (t_max - 1) * len(catalog.t0)
@@ -1081,14 +1069,9 @@ def boxing_search(
     degrades to diagonal shifts and reports it.  If no shift reaches the
     target the best one found is returned with ok=False.
     """
-    _check_width(w)
-    if not _class_is_bridge_addable(c):
-        raise ValueError("class is not bridge-addable")
-    if q is None:
-        q = catalog.q_star
+    q, hist = _box_setup(c, catalog, w, q)
     period = w + 2 * q
     d = len(catalog.t0)
-    hist = c.histogram(catalog)
     totals = {
         u.code: hist.b_totals.get(u.code, 0) for u in catalog.u0
     }
@@ -1196,26 +1179,23 @@ def load_class(path) -> ForestClass:
     return ForestClass(n, members, provenance=f"file:{path}")
 
 
-def write_connectivity_sweep(path, n_values, mode: str = "exact") -> None:
-    """CSV of connectivity probabilities over a range of n."""
+def _write_sweep(path, column, n_values, value, exact: bool = True) -> None:
+    """CSV of value(n) over a range of n; exact values also get their
+    numerator and denominator."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "exact":
-            writer.writerow(["n", "probability", "num", "den"])
-            for n in n_values:
-                p = connectivity_prob(n, mode="exact")
-                writer.writerow([n, float(p), p.numerator, p.denominator])
-        else:
-            writer.writerow(["n", "probability"])
-            for n in n_values:
-                writer.writerow([n, connectivity_prob(n, mode=mode)])
+        writer.writerow(["n", column, "num", "den"] if exact else ["n", column])
+        for n in n_values:
+            x = value(n)
+            writer.writerow([n, float(x), x.numerator, x.denominator] if exact else [n, x])
+
+
+def write_connectivity_sweep(path, n_values, mode: str = "exact") -> None:
+    """CSV of connectivity probabilities over a range of n."""
+    value = partial(connectivity_prob, mode=mode)
+    _write_sweep(path, "probability", n_values, value, exact=mode == "exact")
 
 
 def write_ratio_sweep(path, n_values) -> None:
     """CSV of two-component/connected ratios over a range of n."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "ratio", "num", "den"])
-        for n in n_values:
-            r = two_component_ratio(n)
-            writer.writerow([n, float(r), r.numerator, r.denominator])
+    _write_sweep(path, "ratio", n_values, two_component_ratio)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
 import numpy as np
@@ -232,7 +233,8 @@ def _orbit_index(code: str, side) -> tuple:
     return marked, index[marked]
 
 
-def _attachments(code: str, moves):
+@cache
+def _attachments(code: str, moves: tuple):
     """Canonical attachment indices of the given moves of `code`, as tuples
     (piece_code, piece_idx, rest_code, rest_idx) ordered by the marked
     codes of the two sides.  Edges that agree with the attachment vertices
@@ -246,7 +248,7 @@ def _attachments(code: str, moves):
             pm, pi = _orbit_index(piece, side_v if below else side_p)
             rm, ri = _orbit_index(rest, side_p if below else side_v)
             oriented.setdefault((pm, rm), (piece, pi, rest, ri))
-    return [oriented[key] for key in sorted(oriented)]
+    return tuple(oriented[key] for key in sorted(oriented))
 
 
 # rooted code -> unrooted code of the same tree
@@ -317,7 +319,7 @@ class MaxWeightTable:
             if move[0] == "base":
                 steps.append(DecompositionStep(piece=cur, attach_from=None, attach_to=None))
                 break
-            piece, p_idx, rest, r_idx = _attachments(cur, [move[1]])[0]
+            piece, p_idx, rest, r_idx = _attachments(cur, (move[1],))[0]
             steps.append(DecompositionStep(piece=piece, attach_from=r_idx, attach_to=p_idx))
             cur = rest
         return DecompositionTrace(steps=tuple(reversed(steps)))

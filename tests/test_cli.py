@@ -206,6 +206,39 @@ class TestPositiveArguments:
         assert "Traceback" not in err
 
 
+class TestUsageErrors:
+    # each bad command line stops in argument parsing: exit 2 and one line
+    # on stderr naming the argument
+    @pytest.mark.parametrize(
+        "argv,argument",
+        [
+            (["forests", "--conn-prob", "--n-range", "5"], "--n-range"),
+            (["forests", "--conn-prob", "--n-range", "5:3"], "--n-range"),
+            (["verify", "--suite", "simple-counting", "--class", "random-closure:x"], "--class"),
+            (["forests", "--sample", "--n", "5", "--num-samples", "-2"], "--num-samples"),
+            (["trees", "--rooted", "--unrooted", "--max-size", "3"], "--unrooted"),
+            (["forests", "--conn-prob", "--n", "5", "--exact", "--logfloat"], "--logfloat"),
+        ],
+        ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
+             "rooted-unrooted", "exact-logfloat"],
+    )
+    def test_exit2_one_line(self, capsys, argv, argument):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"error: argument {argument}: " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_n_range_echoed_as_given(self, capsys):
+        code, doc = run_json(capsys, "forests", "--ratio", "--n-range", "3:5")
+        assert code == 0
+        assert doc["config"]["options"]["n_range"] == "3:5"
+        assert [row["n"] for row in doc["sweep"]] == [3, 4, 5]
+
+
 class TestUsageAndDeterminism:
     def test_unknown_flag_exit2(self):
         for argv in (["trees", "--nope"], ["trees", "--max-size", "3", "--threads", "2"]):

@@ -1,5 +1,6 @@
-"""Smoke test: the demos that walk through tree enumeration and the
-decomposition APIs run to completion."""
+"""Smoke test: the demos that walk through tree enumeration, the
+counting inequalities on forest classes and the decomposition APIs run to
+completion."""
 
 import os
 import subprocess
@@ -12,7 +13,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_trees_and_automorphisms.py", "04_partition_functions.py"]
+    "demo",
+    [
+        "01_trees_and_automorphisms.py",
+        "03_counting_inequalities.py",
+        "04_partition_functions.py",
+    ],
 )
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

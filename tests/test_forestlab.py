@@ -1,3 +1,6 @@
+import bisect
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -92,6 +95,23 @@ class TestCounts:
             chk = tk.cayley_identity_check(n)
             assert chk.unrooted_sum == fl.forest_count(n, 1)
 
+    def test_many_components_no_deep_recursion(self):
+        # k = 500 components would recurse 500 levels deep on vertex 1's
+        # component without the level-by-level fill
+        assert fl.forest_count(500, 500) == 1
+        assert fl.forest_count(500, 499) == math.comb(500, 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counts_vs_subset_filter_oracle(self, n):
+        # a forest with e edges on n vertices has n - e components
+        by_k = {}
+        for edges in oracles.acyclic_edge_subsets(n):
+            by_k[n - len(edges)] = by_k.get(n - len(edges), 0) + 1
+        assert [fl.forest_count(n, k) for k in range(1, n + 1)] == [
+            by_k.get(k, 0) for k in range(1, n + 1)
+        ]
+        assert fl.forest_total(n) == sum(by_k.values())
+
 
 class TestConnectivityProb:
     def test_examples(self):
@@ -128,10 +148,35 @@ class TestSampler:
             assert f.n == 12  # construction validates acyclicity
 
     def test_component_sizes_match_forest_stage(self):
-        # the size stage and the full sampler consume the stream
-        # identically at the size level
-        sizes = fl.sample_component_sizes(9, seed=5)
-        assert sum(sizes) == 9
+        # Both samplers draw the size of vertex 1's component first, so on
+        # the same seed that size agrees.  Later sizes need not agree:
+        # sample_forest draws companions and a tree between size draws.
+        for seed in range(20):
+            sizes = fl.sample_component_sizes(9, seed=seed)
+            assert sum(sizes) == 9 and all(m >= 1 for m in sizes)
+            forest = fl.sample_forest(9, seed=seed)
+            anchor = next(c for c in forest.components() if 1 in c)
+            assert sizes[0] == len(anchor)
+
+    def test_anchor_draw_matches_cumulative_bisection(self):
+        # walking the suffix sums down from m = s picks the m that
+        # bisect_right over the increasing cumulative weights would
+        class Fixed:
+            def randrange(self, stop):
+                return self.r
+
+        rng = Fixed()
+        for s in range(1, 8):
+            cum = list(
+                itertools.accumulate(
+                    math.comb(s - 1, m - 1) * fl.labeled_tree_count(m) * fl.forest_total(s - m)
+                    for m in range(1, s + 1)
+                )
+            )
+            assert cum[-1] == fl.forest_total(s)
+            for r in range(cum[-1]):
+                rng.r = r
+                assert fl._draw_anchor_size(s, rng) == bisect.bisect_right(cum, r) + 1
 
     def test_small_n_distribution(self):
         # n=2: the two forests are equally likely
@@ -149,6 +194,52 @@ class TestSampler:
         assert len(counts) == 7
         for c in counts.values():
             assert abs(c - trials / 7) < 5 * math.sqrt(trials / 7)
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    # sha256 of repr(...) of fixed-seed samples, counts and a closure; a
+    # change here changes every seeded report built from these paths
+
+    def test_sample_forest_stream(self):
+        rng = random.Random(1)
+        value = [sorted(fl.sample_forest(300, rng=rng).edges) for _ in range(400)]
+        assert _digest(value) == "ee238843025ddfa9ba86e44c6490271bc28206dc701522bf300c4279643fb4e7"
+
+    def test_component_size_stream(self):
+        rng = random.Random(7)
+        value = [fl.sample_component_sizes(200, rng=rng) for _ in range(1000)]
+        assert _digest(value) == "738b61a9245516e61e78b9ed8f65f4d281291f044e0f6e8921f75791cb29590a"
+
+    def test_forest_counts(self):
+        value = [fl.forest_count(n, k) for n in range(1, 41) for k in range(1, n + 1)]
+        assert _digest(value) == "440accb860d31a436938f5641ce419eb2b08bf28ced2e1bfd3392bdd90e191d0"
+
+    def test_forest_totals(self):
+        value = [fl.forest_total(n) for n in range(0, 301)]
+        assert _digest(value) == "6a39a69932b797d07da72acecf1bd367ab4cef182eb86465c32032b89c283c6a"
+
+    def test_random_closure(self):
+        cls = fl.random_closure(6, seed=3)
+        assert len(cls) == 999
+        value = sorted(f.sort_key() for f in cls.members)
+        assert _digest(value) == "41707dc5cc1eeb065b26e658770277434eac59112258720753687ea0a0866fc1"
+
+    def test_bridge_addable_witness(self):
+        # with the 4-edge forests through (1, 2) gone, the first member in
+        # sort order with a bridge out of the class is the star on 1..4 at
+        # vertex 1, and its first bridge is (1, 5)
+        members = [
+            f for f in fl.all_forests(5).members
+            if not (len(f.edges) == 4 and (1, 2) in f.edges)
+        ]
+        chk = fl.is_bridge_addable(fl.ForestClass(5, members))
+        assert not chk.ok
+        assert sorted(chk.witness_forest.edges) == [(1, 2), (1, 3), (1, 4)]
+        assert chk.witness_edge == (1, 5)
 
 
 class TestPendantTree:
