@@ -52,6 +52,11 @@ def _config(args, command) -> RunConfig:
     return RunConfig(command=command, options=options)
 
 
+class _UsageError(Exception):
+    """A command line that parses but asks for nothing runnable; `main`
+    reports it like an argparse error."""
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -128,7 +133,8 @@ def _cmd_forests(args) -> int:
     mode = "logfloat" if args.logfloat else "exact"
     if args.count:
         if args.n is None or args.k is None:
-            raise ValueError("--count needs --n and --k")
+            missing = "--n" if args.n is None else "--k"
+            raise _UsageError(f"argument {missing}: --count needs --n and --k")
         value = forestlab.forest_count(args.n, args.k)
         _emit({"config": config, "count": value}, args.output)
         return 0
@@ -144,19 +150,19 @@ def _cmd_forests(args) -> int:
             ns = _parse_range(args.n_range)
             if args.format == "csv":
                 if not args.output:
-                    raise ValueError("csv sweep needs --output")
+                    raise _UsageError("argument --output: a csv sweep needs --output")
                 write(args.output, ns)
                 return 0
             payload = {"config": config, "sweep": [{"n": n, key: value(n)} for n in ns]}
         elif args.n is None:
-            raise ValueError(f"{flag} needs --n or --n-range")
+            raise _UsageError(f"argument --n: {flag} needs --n or --n-range")
         else:
             payload = {"config": config, "n": args.n, key: value(args.n)}
         _emit(payload, args.output)
         return 0
     if args.sample:
         if args.n is None:
-            raise ValueError("--sample needs --n")
+            raise _UsageError("argument --n: --sample needs --n")
         import random
 
         rng = random.Random(args.seed)
@@ -169,7 +175,7 @@ def _cmd_forests(args) -> int:
             args.output,
         )
         return 0
-    raise ValueError("choose one of --count, --conn-prob, --ratio, --sample")
+    raise _UsageError("choose one of --count, --conn-prob, --ratio, --sample")
 
 
 def _cmd_verify(args) -> int:
@@ -301,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--rooted", action="store_true")
     kind.add_argument("--unrooted", action="store_true")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     common(p)
     p.set_defaults(func=_cmd_trees)
 
@@ -335,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "boxing",
         ),
     )
-    p.add_argument("--max-size", type=int, default=9)
+    p.add_argument("--max-size", type=_positive_int, default=9)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--class", dest="cls", type=_class_name, default="all-forests",
                    help="all-forests, random-closure:<seed>, or file:<path>")
@@ -369,6 +375,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     except (treekit.CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ import heapq
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -37,7 +38,6 @@ from .treekit import (
     CapacityError,
     Catalog,
     RootedTreeCode,
-    UnrootedTreeCode,
 )
 from .weights import WeightVector
 
@@ -134,10 +134,10 @@ class LabeledForest:
         """Smallest component; among equal-size candidates, the one
         containing vertex 1 if present, else the one with the smallest
         vertex."""
-        return _smallest(self.components())
-
-    def component_edges(self, comp):
-        return [e for e in self.edges if e[0] in comp]
+        # equal sizes sit in min-label order, so the first one of the
+        # smallest size holds vertex 1 when any of them does
+        comps = self.components()
+        return next(c for c in comps if len(c) == len(comps[-1]))
 
     def sort_key(self):
         return tuple(sorted(self.edges))
@@ -162,20 +162,98 @@ def _union_find(n: int, edges):
     return parent
 
 
-def _smallest(comps):
-    """The smallest of components ordered as by `components()`; equal
-    sizes sit in min-label order, so the first one of the smallest size
-    holds vertex 1 when any of them does."""
-    return next(c for c in comps if len(c) == len(comps[-1]))
+# ---------------------------------------------------------------------------
+# edge masks
+#
+# A class stores each forest as an int edge mask: bit i stands for the i-th
+# pair (u, v), u < v, of 1..n in lexicographic order, which is the order in
+# which enumerate_forests decides edges.  A vertex set is an int with bit v
+# for vertex v.  Sorted edge lists compare as the increasing lists of their
+# bit indices, so `_sort_key` orders masks as `LabeledForest.sort_key`
+# orders forests.
 
 
-def enumerate_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N):
-    """Every labeled forest on vertices 1..n, exactly once."""
+@cache
+def _pairs(n: int):
+    return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+
+
+@cache
+def _pair_bits(n: int):
+    return {e: 1 << i for i, e in enumerate(_pairs(n))}
+
+
+def _mask_of(f: LabeledForest, n: int) -> int:
+    if f.n != n:
+        raise ValueError(f"member with n={f.n} in class with n={n}")
+    bits = _pair_bits(n)
+    return sum(bits[e] for e in f.edges)
+
+
+def _bit_indices(mask: int) -> list:
+    """Indices of the set bits of mask, highest first."""
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    return out
+
+
+def _sort_key(mask: int) -> list:
+    return _bit_indices(mask)[::-1]
+
+
+def _forest_of(n: int, mask: int) -> LabeledForest:
+    pairs = _pairs(n)
+    return LabeledForest(n=n, edges=frozenset(pairs[i] for i in _bit_indices(mask)))
+
+
+def _components(n: int, mask: int):
+    """Neighbour masks (entry v has bit u for each neighbour u of v) and
+    the vertex masks of the components, in order of their smallest vertex."""
+    pairs = _pairs(n)
+    nbr = [0] * (n + 1)
+    for i in _bit_indices(mask):
+        u, v = pairs[i]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    comps = []
+    left = (1 << (n + 1)) - 2
+    for _ in range(n - mask.bit_count() - 1):  # the last one is what is left
+        comp = reach = left & -left
+        while reach:
+            for v in _bit_indices(reach):
+                reach |= nbr[v]
+            reach &= ~comp
+            comp |= reach
+        comps.append(comp)
+        left ^= comp
+    comps.append(left)
+    return nbr, comps
+
+
+@cache
+def _pairs_inside(n: int, verts: int) -> int:
+    """Edge mask of every pair of vertices in the vertex set `verts`."""
+    return sum(1 << i for i, (u, v) in enumerate(_pairs(n)) if verts >> u & verts >> v & 1)
+
+
+def _bridge_bits(n: int, mask: int):
+    """Bit indices of the pairs joining two components of the forest `mask`."""
+    inside = 0
+    for comp in _components(n, mask)[1]:
+        inside |= _pairs_inside(n, comp)
+    return _bit_indices(((1 << len(_pairs(n))) - 1) ^ inside)
+
+
+def _forest_masks(n: int, max_n: int):
+    """The edge mask of every labeled forest on vertices 1..n, once each."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:
         raise CapacityError(f"exhaustive enumeration capped at n={max_n}")
-    all_edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    pairs = _pairs(n)
     out = []
     parent = list(range(n + 1))
 
@@ -184,22 +262,25 @@ def enumerate_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N):
             x = parent[x]
         return x
 
-    def rec(i, chosen):
-        if i == len(all_edges):
-            out.append(LabeledForest(n=n, edges=frozenset(chosen)))
+    def rec(i, mask):
+        if i == len(pairs):
+            out.append(mask)
             return
-        rec(i + 1, chosen)
-        u, v = all_edges[i]
+        rec(i + 1, mask)
+        u, v = pairs[i]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            chosen.append((u, v))
-            rec(i + 1, chosen)
-            chosen.pop()
+            rec(i + 1, mask | 1 << i)
             parent[ru] = ru
 
-    rec(0, [])
+    rec(0, 0)
     return out
+
+
+def enumerate_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N):
+    """Every labeled forest on vertices 1..n, exactly once."""
+    return [_forest_of(n, m) for m in _forest_masks(n, max_n)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,37 +505,9 @@ def pendant_tree(g: LabeledForest, e) -> RootedTreeCode:
     u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
     if (u, v) not in g.edges:
         raise ValueError(f"edge {(u, v)} is not in the tree")
-    verts = set(range(1, g.n + 1))
-    side_code, root = _pendant_side(verts, g.edges, (u, v), min(verts))
-    return treekit.canonicalize_rooted(side_code, root)
-
-
-def _pendant_side(vertices, edges, cut, anchor):
-    """Edge list and root of the pendant side of `cut` inside the tree on
-    `vertices`; `anchor` is the tie-breaking vertex."""
-    u, v = cut
-    adj: dict[int, list] = {x: [] for x in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    side_u = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if (x, y) in ((u, v), (v, u)):
-                continue
-            if y not in side_u:
-                side_u.add(y)
-                stack.append(y)
-    side_v = set(vertices) - side_u
-    if len(side_u) < len(side_v):
-        pend, root = side_u, u
-    elif len(side_v) < len(side_u):
-        pend, root = side_v, v
-    else:
-        pend, root = (side_u, u) if anchor in side_u else (side_v, v)
-    return [e for e in edges if e[0] in pend and e[1] in pend], root
+    side = LabeledForest(n=g.n, edges=g.edges - {(u, v)}).smallest_component()
+    inside = [(a, b) for a, b in g.edges if a in side and b in side]
+    return treekit.canonicalize_rooted(inside, u if u in side else v)
 
 
 @dataclass(frozen=True)
@@ -471,45 +524,77 @@ class PendantStats:
         return sum(self.vector)
 
 
-# (marked component code, catalog key) -> alpha tuple.  The pendant profile
-# of a tree depends only on its shape together with the location of its
-# smallest vertex (which settles equal-split ties), which is exactly what
-# the marked code captures.
-_ALPHA_CACHE: dict[tuple, tuple] = {}
+def _rooted_code(nbr, v: int, away: int) -> str:
+    """Canonical rooted code of the side of v away from its neighbour
+    `away` (0 for the whole tree), rooted at v."""
+    codes = [_rooted_code(nbr, x, v) for x in _bit_indices(nbr[v] & ~(1 << away))]
+    return "(" + "".join(sorted(codes, reverse=True)) + ")"
 
 
-def _component_alpha(comp, edges, catalog: Catalog) -> tuple:
-    anchor = min(comp)
-    order = sorted(comp)
-    index = {x: i for i, x in enumerate(order)}
-    adj = [[] for _ in order]
-    for a, b in edges:
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    marked = treekit._unrooted_marked_code(adj, index[anchor])
-    key = (marked, catalog.key)
-    cached = _ALPHA_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _pendant_alpha(nbr, comp: int, catalog: Catalog) -> tuple:
+    """Pendant-copy counts over t0 of the tree on the vertex set `comp`.
+
+    Rooted at its smallest vertex, the tree has one edge above each other
+    vertex x.  That edge's pendant side is x's subtree when that is the
+    smaller side, and otherwise (the rest is smaller, or the sides tie and
+    the rest holds the smallest vertex) the rest rooted at x's parent.
+    Codes are built bottom-up, and only for sides of at most t_max
+    vertices, since larger ones are not in t0.
+    """
+    t_max, t0_index = catalog.t_max, catalog.t0_index
+    total, root = comp.bit_count(), (comp & -comp).bit_length() - 1
+    order, parent = [root], [0] * len(nbr)
+    for v in order:
+        kids = nbr[v] & ~(1 << parent[v])
+        while kids:
+            x = kids.bit_length() - 1
+            parent[x] = v
+            order.append(x)
+            kids ^= 1 << x
+    size, kid_codes = [1] * len(nbr), [[] for _ in nbr]
     counts = [0] * len(catalog.t0)
-    for cut in edges:
-        side_edges, root = _pendant_side(comp, edges, cut, anchor)
-        code = treekit.canonicalize_rooted(side_edges, root)
-        slot = catalog.t0_index.get(code.code)
+    for x in reversed(order[1:]):
+        s, p = size[x], parent[x]
+        code = "(" + "".join(sorted(kid_codes[x], reverse=True)) + ")" if s <= t_max else ""
+        size[p] += s
+        kid_codes[p].append(code)
+        if total - s <= s:
+            code = _rooted_code(nbr, p, x) if total - s <= t_max else ""
+        slot = t0_index.get(code)
         if slot is not None:
             counts[slot] += 1
-    result = tuple(counts)
-    _ALPHA_CACHE[key] = result
-    return result
+    return tuple(counts)
+
+
+@cache
+def _unrooted_code(rooted_code: str) -> str:
+    return treekit._unrooted_from_adj(treekit.code_to_adjacency(rooted_code)).code
+
+
+def _profile(n: int, mask: int, catalog: Catalog):
+    """(component count, pendant statistics of the reference component,
+    unrooted code of the small component or None) of the forest `mask`;
+    the code is given for two-component forests only."""
+    nbr, comps = _components(n, mask)
+    # comps are in min-vertex order, so max and min keep the first of
+    # equal sizes: the conventions' ties to the smallest vertex
+    alpha = _pendant_alpha(nbr, max(comps, key=int.bit_count), catalog)
+    if len(comps) != 2:
+        return len(comps), alpha, None
+    small = min(comps, key=int.bit_count)
+    return 2, alpha, _unrooted_code(_rooted_code(nbr, (small & -small).bit_length() - 1, 0))
 
 
 def pendant_stats(g: LabeledForest, catalog: Catalog) -> PendantStats:
     """Pendant-copy counts of the forest's reference (largest) component,
     restricted to the catalog's t0.  The coordinate sum never exceeds n-1.
     """
-    comp = g.largest_component()
-    edges = g.component_edges(comp)
-    vec = _component_alpha(comp, edges, catalog)
+    nbr = [0] * (g.n + 1)
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    ref = sum(1 << v for v in g.largest_component())
+    vec = _pendant_alpha(nbr, ref, catalog)
     assert sum(vec) <= g.n - 1
     return PendantStats(vector=vec)
 
@@ -519,43 +604,47 @@ def pendant_stats(g: LabeledForest, catalog: Catalog) -> PendantStats:
 
 
 class ForestClass:
-    """An explicit set of labeled forests on a common vertex count."""
+    """An explicit set of labeled forests on a common vertex count.
+
+    Members are stored as edge masks (see `_pairs`); `members`, iteration
+    and `sorted_members` give `LabeledForest` views, built on each call.
+    The constructor takes LabeledForests or edge masks.
+    """
 
     def __init__(self, n: int, members, provenance: str = "explicit"):
         self.n = n
-        self.members = frozenset(members)
+        self.masks = frozenset(f if isinstance(f, int) else _mask_of(f, n) for f in members)
         self.provenance = provenance
-        for f in self.members:
-            if f.n != n:
-                raise ValueError(f"member with n={f.n} in class with n={n}")
         self._bridge_addable = None
         self._hists: dict = {}
 
+    @property
+    def members(self):
+        return frozenset(self)
+
     def __len__(self):
-        return len(self.members)
+        return len(self.masks)
 
     def __iter__(self):
-        return iter(self.members)
+        return (_forest_of(self.n, m) for m in self.masks)
 
     def __contains__(self, f):
-        return f in self.members
+        return f.n == self.n and _mask_of(f, self.n) in self.masks
 
     def sorted_members(self):
-        return sorted(self.members, key=LabeledForest.sort_key)
+        return [_forest_of(self.n, m) for m in sorted(self.masks, key=_sort_key)]
 
     def histogram(self, catalog: Catalog) -> "ClassHistogram":
-        hist = self._hists.get(catalog.key)
-        if hist is None:
-            hist = _build_histogram(self, catalog)
-            self._hists[catalog.key] = hist
-        return hist
+        if catalog.key not in self._hists:
+            self._hists[catalog.key] = _build_histogram(self, catalog)
+        return self._hists[catalog.key]
 
     def __repr__(self):
-        return f"ForestClass(n={self.n}, members={len(self.members)}, provenance={self.provenance!r})"
+        return f"ForestClass(n={self.n}, members={len(self)}, provenance={self.provenance!r})"
 
 
 def all_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N) -> ForestClass:
-    return ForestClass(n, enumerate_forests(n, max_n=max_n), provenance="all-forests")
+    return ForestClass(n, _forest_masks(n, max_n), provenance="all-forests")
 
 
 @dataclass(frozen=True)
@@ -578,12 +667,21 @@ def _bridges(f: LabeledForest):
 
 def is_bridge_addable(c: ForestClass) -> BridgeAddableCheck:
     """True iff adding any edge between two components of a member lands in
-    the class; otherwise a witness (member, missing edge) is returned."""
-    for f in c.sorted_members():
-        for e in _bridges(f):
-            if LabeledForest(n=f.n, edges=f.edges | {e}) not in c.members:
-                return BridgeAddableCheck(False, f, e)
-    return BridgeAddableCheck(True, None, None)
+    the class; otherwise a witness (member, missing edge) is returned: the
+    first member in sort order with a bridge out of the class, and its
+    first such bridge in `_bridges` order."""
+    n, masks = c.n, c.masks
+    failing = [  # a connected member has no bridge
+        m for m in masks
+        if m.bit_count() < n - 1 and any(m | 1 << i not in masks for i in _bridge_bits(n, m))
+    ]
+    c._bridge_addable = not failing
+    if not failing:
+        return BridgeAddableCheck(True, None, None)
+    mask = min(failing, key=_sort_key)
+    f, bits = _forest_of(n, mask), _pair_bits(n)
+    edge = next(e for e in _bridges(f) if mask | bits[e] not in masks)
+    return BridgeAddableCheck(False, f, edge)
 
 
 def _class_is_bridge_addable(c: ForestClass) -> bool:
@@ -600,15 +698,14 @@ def bridge_addable_closure(seeds) -> ForestClass:
     n = seeds[0].n
     if any(f.n != n for f in seeds):
         raise ValueError("seed forests have mixed n")
-    seen = set(seeds)
-    queue = list(seeds)
+    seen = {_mask_of(f, n) for f in seeds}
+    queue = list(seen)
     while queue:
-        f = queue.pop()
-        for e in _bridges(f):
-            grown = LabeledForest(n=n, edges=f.edges | {e})
-            if grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
+        mask = queue.pop()
+        for i in _bridge_bits(n, mask):
+            if mask | 1 << i not in seen:
+                seen.add(mask | 1 << i)
+                queue.append(mask | 1 << i)
     cls = ForestClass(n, seen, provenance="closure")
     cls._bridge_addable = True
     return cls
@@ -689,46 +786,22 @@ class ClassHistogram:
         return sum(c for a, c in amap.items() if box.contains(a))
 
 
-# (n, catalog key) -> {edge frozenset -> (ncomp, alpha, small code or None)}
-_PROFILE_CACHE: dict = {}
-
-
-def _forest_profile(f: LabeledForest, catalog: Catalog, cache: dict):
-    prof = cache.get(f.edges)
-    if prof is not None:
-        return prof
-    comps = f.components()
-    ncomp = len(comps)
-    alpha = _component_alpha(comps[0], f.component_edges(comps[0]), catalog)
-    ucode = None
-    if ncomp == 2:
-        small = _smallest(comps)
-        ucode = treekit.canonicalize_unrooted(
-            f.component_edges(small), vertices=small
-        ).code
-    prof = (ncomp, alpha, ucode)
-    cache[f.edges] = prof
-    return prof
-
-
 def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
-    cache = _PROFILE_CACHE.setdefault((c.n, catalog.key), {})
-    component_counts: dict[int, int] = {}
-    a_alpha: dict[tuple, int] = {}
-    b_alpha: dict[str, dict] = {}
-    b_totals: dict[str, int] = {}
-    for f in c.members:
-        ncomp, alpha, ucode = _forest_profile(f, catalog, cache)
-        component_counts[ncomp] = component_counts.get(ncomp, 0) + 1
+    component_counts, a_alpha, b_alpha, b_totals = Counter(), Counter(), {}, Counter()
+    for mask in c.masks:
+        ncomp = c.n - mask.bit_count()
+        component_counts[ncomp] += 1
+        if ncomp > 2:
+            continue  # neither connected nor two-component: no profile needed
+        _, alpha, ucode = _profile(c.n, mask, catalog)
         if ncomp == 1:
-            a_alpha[alpha] = a_alpha.get(alpha, 0) + 1
-        elif ncomp == 2:
-            b_alpha.setdefault(ucode, {})
-            b_alpha[ucode][alpha] = b_alpha[ucode].get(alpha, 0) + 1
-            b_totals[ucode] = b_totals.get(ucode, 0) + 1
+            a_alpha[alpha] += 1
+        else:
+            b_alpha.setdefault(ucode, Counter())[alpha] += 1
+            b_totals[ucode] += 1
     return ClassHistogram(
         n=c.n,
-        size=len(c.members),
+        size=len(c),
         component_counts=component_counts,
         a_alpha=a_alpha,
         b_alpha=b_alpha,
@@ -818,22 +891,10 @@ def verify_simple_counting(c: ForestClass) -> SimpleCountingReport:
     guarantees for bridge-addable classes."""
     if not _class_is_bridge_addable(c):
         raise ValueError("class is not bridge-addable")
-    hist_counts: dict[int, int] = {}
-    for f in c.members:
-        k = f.component_count
-        hist_counts[k] = hist_counts.get(k, 0) + 1
-    ok = True
-    comparisons = []
-    ratios = []
-    for i in range(1, c.n):
-        lhs = i * hist_counts.get(i + 1, 0)
-        rhs = hist_counts.get(i, 0)
-        comparisons.append((i, lhs, rhs))
-        ratios.append(
-            Fraction(hist_counts.get(i + 1, 0), rhs) if rhs else None
-        )
-        if lhs > rhs:
-            ok = False
+    counts = Counter(c.n - mask.bit_count() for mask in c.masks)
+    comparisons = [(i, i * counts[i + 1], counts[i]) for i in range(1, c.n)]
+    ratios = [Fraction(counts[i + 1], counts[i]) if counts[i] else None for i in range(1, c.n)]
+    ok = all(lhs <= rhs for _, lhs, rhs in comparisons)
     return SimpleCountingReport(ok=ok, n=c.n, comparisons=comparisons, ratios=ratios)
 
 
@@ -853,30 +914,14 @@ def _admissible_splits(catalog: Catalog):
     for t in catalog.t0:
         if t.size >= 2:
             for s in treekit.splits(t):
-                if (
-                    s.t_minus.code in catalog.t0_index
-                    and s.u_plus.code in catalog.u0_index
-                ):
-                    rows.append(
-                        (
-                            "split",
-                            t.code,
-                            s.t_minus.code,
-                            s.u_plus.code,
-                            s.m_edge,
-                            s.m_vminus,
-                            s.n_vplus,
-                        )
-                    )
+                if s.t_minus.code in catalog.t0_index and s.u_plus.code in catalog.u0_index:
+                    rows.append(("split", t.code, s.t_minus.code, s.u_plus.code,
+                                 s.m_edge, s.m_vminus, s.n_vplus))
         adj = treekit.code_to_adjacency(t.code)
         u = treekit._unrooted_from_adj(adj)
         if u.code in catalog.u0_index:
             root_key = treekit._unrooted_marked_code(adj, 0)
-            n_root = sum(
-                1
-                for v in range(len(adj))
-                if treekit._unrooted_marked_code(adj, v) == root_key
-            )
+            n_root = sum(treekit._unrooted_marked_code(adj, v) == root_key for v in range(len(adj)))
             rows.append(("degenerate", t.code, None, u.code, 1, None, n_root))
     cached = tuple(rows)
     _SPLIT_DESCRIPTORS[catalog.key] = cached
@@ -918,14 +963,8 @@ def verify_local_double_counting(
     boxes = [box] if box is not None else _candidate_boxes(hist, catalog, w, q)
     rows = _admissible_splits(catalog)
     if split is not None:
-        rows = [
-            r
-            for r in rows
-            if r[0] == "split"
-            and r[1] == split.parent.code
-            and r[2] == split.t_minus.code
-            and r[3] == split.u_plus.code
-        ]
+        key = ("split", split.parent.code, split.t_minus.code, split.u_plus.code)
+        rows = [r for r in rows if r[:4] == key]
         if not rows:
             raise ValueError("split is not admissible for this catalog")
     t0_at = catalog.t0_index
@@ -935,34 +974,20 @@ def verify_local_double_counting(
         if bx.width != w:
             raise ValueError("box width disagrees with w")
         a_count = hist.count_a(bx, enlarged=True)
-        b_counts = {
-            u.code: hist.count_b(u.code, bx) for u in catalog.u0
-        }
+        b_counts = {u.code: hist.count_b(u.code, bx) for u in catalog.u0}
         alpha = bx.lower
-        for row in rows:
-            kind, parent_code, tminus_code, uplus_code = row[0], row[1], row[2], row[3]
-            b_count = b_counts[uplus_code]
+        # a degenerate row has m_edge = 1, and n_root where a split has n_vplus
+        for kind, parent, t_minus, u_plus, m_edge, m_vminus, n_vplus in rows:
             checks += 1
+            lhs = m_edge * (alpha[t0_at[parent]] + w + q) * a_count
             if kind == "split":
-                m_edge, m_vminus, n_vplus = row[4], row[5], row[6]
-                lhs = m_edge * (alpha[t0_at[parent_code]] + w + q) * a_count
-                rhs = n_vplus * m_vminus * alpha[t0_at[tminus_code]] * b_count
+                rhs = n_vplus * m_vminus * alpha[t0_at[t_minus]] * b_counts[u_plus]
             else:
-                n_root = row[6]
-                size_t = parent_code.count("(")
-                lhs = (alpha[t0_at[parent_code]] + w + q) * a_count
-                rhs = n_root * (c.n - size_t) * b_count
+                rhs = n_vplus * (c.n - parent.count("(")) * b_counts[u_plus]
             if lhs < rhs:
                 failures.append(
-                    {
-                        "box": bx,
-                        "kind": kind,
-                        "parent": parent_code,
-                        "t_minus": tminus_code,
-                        "u_plus": uplus_code,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
+                    {"box": bx, "kind": kind, "parent": parent, "t_minus": t_minus,
+                     "u_plus": u_plus, "lhs": lhs, "rhs": rhs}
                 )
     return LocalCountingReport(
         ok=not failures,
@@ -1072,9 +1097,7 @@ def boxing_search(
     q, hist = _box_setup(c, catalog, w, q)
     period = w + 2 * q
     d = len(catalog.t0)
-    totals = {
-        u.code: hist.b_totals.get(u.code, 0) for u in catalog.u0
-    }
+    totals = {u.code: hist.b_totals.get(u.code, 0) for u in catalog.u0}
     relevant = {code: amap for code, amap in hist.b_alpha.items() if code in catalog.u0_index}
 
     if period**d <= 200_000:
@@ -1084,54 +1107,30 @@ def boxing_search(
         shift_space = ((t,) * d for t in range(period))
         search_mode = "diagonal"
 
-    def captured_by(shift):
-        out = {}
-        for code, amap in relevant.items():
-            got = 0
-            for alpha, cnt in amap.items():
-                good = True
-                for a, b in zip(alpha, shift):
-                    r = a - b
-                    if r < 0 or r % period >= w:
-                        good = False
-                        break
-                if good:
-                    got += cnt
-            out[code] = got
-        return out
+    def good(alpha, shift):
+        """alpha lies in a box of the grid shifted by `shift`."""
+        return all(a >= b and (a - b) % period < w for a, b in zip(alpha, shift))
 
-    best_shift = None
-    best_capture = None
-    best_min = -1.0
-    ok = False
+    best_min, ok = -1.0, False
     for shift in shift_space:
-        cap = captured_by(shift)
-        fracs = [
-            cap[code] / totals[code] for code in cap if totals[code] > 0
-        ]
+        cap = {
+            code: sum(cnt for alpha, cnt in amap.items() if good(alpha, shift))
+            for code, amap in relevant.items()
+        }
+        fracs = [cap[code] / totals[code] for code in cap if totals[code] > 0]
         min_frac = min(fracs) if fracs else 1.0
         if min_frac > best_min:
-            best_min = min_frac
-            best_shift = tuple(shift)
-            best_capture = cap
+            best_min, best_shift, best_capture = min_frac, tuple(shift), cap
         if min_frac >= 1.0 - epsilon:
             ok = True
-            best_shift = tuple(shift)
-            best_capture = cap
-            best_min = min_frac
             break
 
-    boxes = set()
-    if best_shift is not None:
-        for code, amap in relevant.items():
-            for alpha in amap:
-                offsets = [a - b for a, b in zip(alpha, best_shift)]
-                if any(r < 0 or r % period >= w for r in offsets):
-                    continue
-                lower = tuple(
-                    b + period * (r // period) for b, r in zip(best_shift, offsets)
-                )
-                boxes.add(lower)
+    boxes = {
+        tuple(b + period * ((a - b) // period) for a, b in zip(alpha, best_shift))
+        for amap in relevant.values()
+        for alpha in amap
+        if good(alpha, best_shift)
+    }
     box_list = [Box(lower=l, width=w, q=q) for l in sorted(boxes)]
 
     n = c.n

@@ -4,7 +4,10 @@ Everything here is deliberately written from scratch rather than imported
 from the package: labeled-tree enumeration decodes linear sequence codes
 with a plain scan, unlabeled-tree counts come from the classical counting
 recurrences (OEIS A000081 / A000055), and automorphism counts come from
-explicit permutation checking.
+explicit permutation checking.  The forest-class references (profiles,
+histograms, bridge-addability, closures) work on edge frozensets and walk
+every edge one by one; only the profiles borrow treekit's canonical codes,
+which the treekit tests check on their own.
 """
 
 from __future__ import annotations
@@ -126,3 +129,124 @@ def acyclic_edge_subsets(n):
             if ok:
                 out.append(frozenset(subset))
     return out
+
+
+def forest_components(n, edges):
+    """Vertex sets of the components of the forest on 1..n, ordered by
+    (size descending, smallest vertex)."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, comps = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return sorted(comps, key=lambda c: (-len(c), min(c)))
+
+
+def pendant_side(vertices, edges, cut, anchor):
+    """Edge list and root of the pendant side of `cut` inside the tree on
+    `vertices`: the smaller side of the tree minus `cut`, ties to the side
+    holding `anchor`, rooted at its endpoint of `cut`."""
+    u, v = cut
+    adj = {x: [] for x in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    side_u, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if (x, y) not in ((u, v), (v, u)) and y not in side_u:
+                side_u.add(y)
+                stack.append(y)
+    side_v = set(vertices) - side_u
+    if len(side_u) < len(side_v):
+        pend, root = side_u, u
+    elif len(side_v) < len(side_u):
+        pend, root = side_v, v
+    else:
+        pend, root = (side_u, u) if anchor in side_u else (side_v, v)
+    return [e for e in edges if e[0] in pend and e[1] in pend], root
+
+
+def forest_profile(n, edges, catalog):
+    """(component count, pendant-copy counts over the catalog's t0 of the
+    largest component, unrooted code of the smallest component or None) of
+    the forest on 1..n: one side walk and one canonical code per edge."""
+    from bridgeforest import treekit
+
+    comps = forest_components(n, edges)
+    ref = comps[0]
+    ref_edges = [e for e in edges if e[0] in ref]
+    counts = [0] * len(catalog.t0)
+    for cut in ref_edges:
+        side, root = pendant_side(ref, ref_edges, cut, min(ref))
+        slot = catalog.t0_index.get(treekit.canonicalize_rooted(side, root).code)
+        if slot is not None:
+            counts[slot] += 1
+    ucode = None
+    if len(comps) == 2:
+        small = next(c for c in comps if len(c) == len(comps[-1]))
+        small_edges = [e for e in edges if e[0] in small]
+        ucode = treekit.canonicalize_unrooted(small_edges, vertices=small).code
+    return len(comps), tuple(counts), ucode
+
+
+def class_histogram(profiles):
+    """(component counts, connected alpha counts, two-component alpha counts
+    by small code, two-component totals by small code) over profiles."""
+    comps, a_alpha, b_alpha, b_totals = {}, {}, {}, {}
+    for ncomp, alpha, ucode in profiles:
+        comps[ncomp] = comps.get(ncomp, 0) + 1
+        if ncomp == 1:
+            a_alpha[alpha] = a_alpha.get(alpha, 0) + 1
+        elif ncomp == 2:
+            amap = b_alpha.setdefault(ucode, {})
+            amap[alpha] = amap.get(alpha, 0) + 1
+            b_totals[ucode] = b_totals.get(ucode, 0) + 1
+    return comps, a_alpha, b_alpha, b_totals
+
+
+def bridges(n, edges):
+    """Every pair joining two components: component pairs in
+    `forest_components` order, then endpoints in increasing label order."""
+    comps = [sorted(c) for c in forest_components(n, edges)]
+    for i, first in enumerate(comps):
+        for second in comps[i + 1 :]:
+            for u in first:
+                for v in second:
+                    yield (min(u, v), max(u, v))
+
+
+def bridge_addable_witness(n, members):
+    """None if every member plus any bridge is a member, else the first
+    (member, bridge) that is not, members in sorted-edge-list order."""
+    members = set(members)
+    for edges in sorted(members, key=sorted):
+        for e in bridges(n, edges):
+            if edges | {e} not in members:
+                return edges, e
+    return None
+
+
+def bridge_addable_closure(n, seeds):
+    """Smallest set of edge frozensets holding the seeds and closed under
+    adding bridges."""
+    seen, queue = set(seeds), list(seeds)
+    while queue:
+        edges = queue.pop()
+        for e in bridges(n, edges):
+            if edges | {e} not in seen:
+                seen.add(edges | {e})
+                queue.append(edges | {e})
+    return seen

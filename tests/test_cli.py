@@ -207,8 +207,8 @@ class TestPositiveArguments:
 
 
 class TestUsageErrors:
-    # each bad command line stops in argument parsing: exit 2 and one line
-    # on stderr naming the argument
+    # each bad command line is a usage error, found in argument parsing or
+    # in the command: exit 2 and one line on stderr naming the argument
     @pytest.mark.parametrize(
         "argv,argument",
         [
@@ -218,9 +218,17 @@ class TestUsageErrors:
             (["forests", "--sample", "--n", "5", "--num-samples", "-2"], "--num-samples"),
             (["trees", "--rooted", "--unrooted", "--max-size", "3"], "--unrooted"),
             (["forests", "--conn-prob", "--n", "5", "--exact", "--logfloat"], "--logfloat"),
+            (["forests", "--ratio", "--n-range", "2:4", "--format", "csv"], "--output"),
+            (["forests", "--count", "--n", "5"], "--k"),
+            (["forests", "--count", "--k", "2"], "--n"),
+            (["forests", "--conn-prob"], "--n"),
+            (["forests", "--sample"], "--n"),
+            (["trees", "--max-size", "0"], "--max-size"),
+            (["verify", "--suite", "aut-identity", "--max-size", "0"], "--max-size"),
         ],
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
-             "rooted-unrooted", "exact-logfloat"],
+             "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
+             "count-n", "conn-prob-n", "sample-n", "trees-max-size", "verify-max-size"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +239,13 @@ class TestUsageErrors:
         assert captured.err.count("\n") == 1
         assert f"error: argument {argument}: " in captured.err
         assert "Traceback" not in captured.err
+
+    def test_no_request_exit2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["forests", "--n", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == "bridgeforest forests: error: choose one of --count, --conn-prob, --ratio, --sample\n"
 
     def test_n_range_echoed_as_given(self, capsys):
         code, doc = run_json(capsys, "forests", "--ratio", "--n-range", "3:5")
