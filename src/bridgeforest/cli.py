@@ -181,8 +181,11 @@ def _cmd_forests(args) -> int:
 def _cmd_verify(args) -> int:
     config = _config(args, "verify")
     suite = args.suite
+    if suite == "dissymmetry" and args.k < 2:
+        raise _UsageError("argument --k: the dissymmetry suite needs --k >= 2")
     catalog = treekit.Catalog.standard(args.t_max, args.u_max)
     report: object
+    checked = None  # the number of checks made, for the suites that count them
     if suite == "aut-identity":
         failures = []
         checked = 0
@@ -199,15 +202,15 @@ def _cmd_verify(args) -> int:
     elif suite == "simple-counting":
         cls = _resolve_class(args.cls, args.n)
         rep = forestlab.verify_simple_counting(cls)
-        report, ok = rep, rep.ok
+        report, ok, checked = rep, rep.ok, len(rep.comparisons)
     elif suite == "local-double-counting":
         cls = _resolve_class(args.cls, args.n)
         rep = forestlab.verify_local_double_counting(cls, catalog, w=args.w)
-        report, ok = rep, rep.ok
+        report, ok, checked = rep, rep.ok, rep.checks
     elif suite == "sum-bound":
         cls = _resolve_class(args.cls, args.n)
         rep = forestlab.verify_weight_sum_bound(cls, catalog, w=args.w)
-        report, ok = rep, rep.ok
+        report, ok, checked = rep, rep.ok, rep.boxes_checked
     elif suite == "dissymmetry":
         import random
 
@@ -242,6 +245,8 @@ def _cmd_verify(args) -> int:
         report = rep
     else:
         raise ValueError(f"unknown suite {suite!r}")
+    if checked == 0:  # a suite that checked nothing has not passed
+        raise ValueError(f"verify --suite {suite} checked nothing")
     _emit({"config": config, "suite": suite, "report": report}, args.output)
     return 0 if ok else 1
 
@@ -316,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conn-prob", action="store_true")
     p.add_argument("--ratio", action="store_true")
     p.add_argument("--sample", action="store_true")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--k", type=_positive_int)
     p.add_argument("--n-range", type=_n_range, help="inclusive range lo:hi for sweeps")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
@@ -342,14 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--max-size", type=_positive_int, default=9)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_positive_int, default=5)
     p.add_argument("--class", dest="cls", type=_class_name, default="all-forests",
                    help="all-forests, random-closure:<seed>, or file:<path>")
     p.add_argument("--w", type=_positive_int, default=1)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--t-max", type=int, default=4)
     p.add_argument("--u-max", type=int, default=3)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -358,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="constrained maximization")
     p.add_argument("--u-max", type=int, default=3)
     p.add_argument("--t-max", type=int, default=1)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--budget", type=_positive_int, default=10_000)

@@ -566,11 +566,6 @@ def _pendant_alpha(nbr, comp: int, catalog: Catalog) -> tuple:
     return tuple(counts)
 
 
-@cache
-def _unrooted_code(rooted_code: str) -> str:
-    return treekit._unrooted_from_adj(treekit.code_to_adjacency(rooted_code)).code
-
-
 def _profile(n: int, mask: int, catalog: Catalog):
     """(component count, pendant statistics of the reference component,
     unrooted code of the small component or None) of the forest `mask`;
@@ -582,7 +577,7 @@ def _profile(n: int, mask: int, catalog: Catalog):
     if len(comps) != 2:
         return len(comps), alpha, None
     small = min(comps, key=int.bit_count)
-    return 2, alpha, _unrooted_code(_rooted_code(nbr, (small & -small).bit_length() - 1, 0))
+    return 2, alpha, treekit._unrooted_code(_rooted_code(nbr, (small & -small).bit_length() - 1, 0))
 
 
 def pendant_stats(g: LabeledForest, catalog: Catalog) -> PendantStats:
@@ -917,12 +912,10 @@ def _admissible_splits(catalog: Catalog):
                 if s.t_minus.code in catalog.t0_index and s.u_plus.code in catalog.u0_index:
                     rows.append(("split", t.code, s.t_minus.code, s.u_plus.code,
                                  s.m_edge, s.m_vminus, s.n_vplus))
-        adj = treekit.code_to_adjacency(t.code)
-        u = treekit._unrooted_from_adj(adj)
-        if u.code in catalog.u0_index:
-            root_key = treekit._unrooted_marked_code(adj, 0)
-            n_root = sum(treekit._unrooted_marked_code(adj, v) == root_key for v in range(len(adj)))
-            rows.append(("degenerate", t.code, None, u.code, 1, None, n_root))
+        u_code = treekit._unrooted_code(t.code)
+        if u_code in catalog.u0_index:
+            keys = treekit._unrooted_orbit_keys(treekit.code_to_adjacency(t.code))
+            rows.append(("degenerate", t.code, None, u_code, 1, None, keys.count(keys[0])))
     cached = tuple(rows)
     _SPLIT_DESCRIPTORS[catalog.key] = cached
     return cached

@@ -14,6 +14,12 @@ depth-first preorder of the canonical representative, i.e. the order in
 which the ``"("`` characters appear in the code string.  The representative
 of a code is recovered with `code_to_adjacency`.
 
+Vertex orbits come from the same codes, with no re-encoding per vertex.
+Under root-fixing automorphisms a vertex's orbit key is the subtree codes
+along its path from the root, joined; under all automorphisms it is the
+code of the tree rooted at that vertex.  Two vertices share an orbit iff
+their keys are equal.
+
 Trees are generated in one place: `_fold_rooted` builds every rooted tree
 as a root plus a multiset of smaller rooted trees, and `fold_unrooted`
 builds every unrooted tree from a centroid the same way.  Folding `_hang`
@@ -26,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 __all__ = [
@@ -180,53 +187,59 @@ def _build_adjacency(edges, extra_vertices=()):
     return adj, labels
 
 
-def _dfs_order(adj, root):
-    """Preorder and parent array of the tree reached from root.
+def _dfs_order(adj, root, away=-1):
+    """Preorder and parent array of the tree reached from root without
+    crossing to its neighbour `away`; parent[root] is `away` (-1 for none).
 
-    Raises NonTreeError if the traversal does not reach every vertex.
+    Raises NonTreeError if the traversal of the whole tree misses a vertex.
     """
     n = len(adj)
     parent = [-2] * n
-    parent[root] = -1
+    parent[root] = away
     order = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
         for u in adj[v]:
-            if parent[u] == -2:
+            if parent[u] == -2 and u != away:
                 parent[u] = v
                 stack.append(u)
-    if len(order) != n:
+    if away < 0 and len(order) != n:
         raise NonTreeError("edge list is disconnected")
     return order, parent
 
 
-def _encode(adj, root, marked=-1):
-    """Canonical code and root-fixing automorphism count, bottom-up.
-
-    If `marked >= 0`, that vertex's block carries a ``*`` just after its
-    opening parenthesis; codes of marked trees are canonical for the
-    marked isomorphism class, and the automorphism count then refers to
-    automorphisms preserving the mark.
-    """
-    order, parent = _dfs_order(adj, root)
+def _subtree_codes(adj, root, away=-1):
+    """Preorder, parent array, and the rooted code and root-fixing
+    automorphism count of every vertex's subtree, bottom-up, for the tree
+    rooted at root (only the side of root away from `away`, if given)."""
+    order, parent = _dfs_order(adj, root, away)
     codes = [""] * len(adj)
     auts = [1] * len(adj)
     for v in reversed(order):
-        kids = [u for u in adj[v] if u != parent[v]]
-        pairs = sorted(((codes[u], auts[u]) for u in kids), reverse=True)
+        p = parent[v]
+        pairs = [(codes[u], auts[u]) for u in adj[v] if u != p]
+        if not pairs:  # a leaf
+            codes[v] = "()"
+            continue
+        pairs.sort(reverse=True)
         aut = 1
         run = 0
         prev = None
         for code, kid_aut in pairs:
-            aut *= kid_aut
             run = run + 1 if code == prev else 1
-            aut *= run
+            aut *= kid_aut * run
             prev = code
-        head = "(*" if v == marked else "("
-        codes[v] = head + "".join(p[0] for p in pairs) + ")"
+        codes[v] = "(" + "".join([code for code, _ in pairs]) + ")"
         auts[v] = aut
+    return order, parent, codes, auts
+
+
+def _encode(adj, root, away=-1):
+    """Canonical code and root-fixing automorphism count of the tree rooted
+    at root, or of the side of root away from its neighbour `away`."""
+    _, _, codes, auts = _subtree_codes(adj, root, away)
     return codes[root], auts[root]
 
 
@@ -234,7 +247,7 @@ def code_to_adjacency(code: str):
     """Adjacency list of the canonical representative of a code string.
 
     Vertices are numbered 0..size-1 in depth-first preorder, the canonical
-    vertex indexing used throughout this module.  Accepts marked codes.
+    vertex indexing used throughout this module.
     """
     adj = []
     stack = []
@@ -250,30 +263,11 @@ def code_to_adjacency(code: str):
             if not stack:
                 raise ValueError(f"unbalanced code {code!r}")
             stack.pop()
-        elif ch != "*":
+        else:
             raise ValueError(f"unexpected character {ch!r} in code {code!r}")
     if stack or not adj:
         raise ValueError(f"unbalanced code {code!r}")
     return adj
-
-
-def _centroids(adj):
-    """The one or two weight centroids (vertices minimizing the largest
-    component left by their removal)."""
-    n = len(adj)
-    if n == 1:
-        return [0]
-    order, parent = _dfs_order(adj, 0)
-    size = [1] * n
-    weight = [0] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-            weight[parent[v]] = max(weight[parent[v]], size[v])
-    for v in range(n):
-        weight[v] = max(weight[v], n - size[v])
-    best = min(weight)
-    return [v for v in range(n) if weight[v] == best]
 
 
 def _rooted_from_adj(adj, root) -> RootedTreeCode:
@@ -282,68 +276,83 @@ def _rooted_from_adj(adj, root) -> RootedTreeCode:
 
 
 def _unrooted_from_adj(adj) -> UnrootedTreeCode:
-    cents = _centroids(adj)
-    if len(cents) == 1:
-        code, aut = _encode(adj, cents[0])
-        return UnrootedTreeCode(
-            code=code, size=len(adj), aut_u=aut, centroid_kind="one-centroid"
-        )
-    c1, c2 = cents
-    code1, _ = _encode(adj, c1)
-    code2, _ = _encode(adj, c2)
-    # Halves rooted at the endpoints of the central edge.
-    half_adj = [[u for u in nbrs] for nbrs in adj]
-    half_adj[c1].remove(c2)
-    half_adj[c2].remove(c1)
-    h1 = _encode_component(half_adj, c1)
-    h2 = _encode_component(half_adj, c2)
-    swap = 2 if h1[0] == h2[0] else 1
+    """Canonical unrooted code and aut_u from one size pass and one encode.
+
+    The vertices with more than half of the tree below them (rooted at 0)
+    form a path down from 0, and the deepest of them, the last in preorder,
+    is a centroid.  A child with exactly half below it is the other one;
+    then the two halves are encoded away from each other and joined, and
+    aut_u is the product of their aut_r, doubled when they are equal.
+    """
+    n = len(adj)
+    order, parent = _dfs_order(adj, 0)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    c = [v for v in order if 2 * size[v] > n][-1]
+    other = [v for v in order if 2 * size[v] == n]
+    if not other:
+        code, aut = _encode(adj, c)
+        return UnrootedTreeCode(code=code, size=n, aut_u=aut, centroid_kind="one-centroid")
+    (d,) = other
+    h1, a1 = _encode(adj, c, away=d)
+    h2, a2 = _encode(adj, d, away=c)
     return UnrootedTreeCode(
-        code=min(code1, code2),
-        size=len(adj),
-        aut_u=h1[1] * h2[1] * swap,
+        code=min(_hang(h1, h2), _hang(h2, h1)),
+        size=n,
+        aut_u=a1 * a2 * (2 if h1 == h2 else 1),
         centroid_kind="two-centroid",
     )
 
 
-def _component_vertices(adj, start, blocked=-1):
-    """Vertices reachable from start without crossing vertex `blocked`."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u != blocked and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+@cache
+def _unrooted_code(rooted_code: str) -> str:
+    """Unrooted code of the tree with this rooted code."""
+    return _unrooted_from_adj(code_to_adjacency(rooted_code)).code
 
 
-def _sub_adjacency(adj, vertices):
-    """Relabeled adjacency of the induced subtree; returns (adj, old_of_new)."""
-    old = sorted(vertices)
-    index = {v: i for i, v in enumerate(old)}
-    sub = [[index[u] for u in adj[v] if u in vertices] for v in old]
-    return sub, old
-
-
-def _encode_component(adj, root):
-    """Encode the component of `root` in a possibly disconnected adjacency."""
-    verts = _component_vertices(adj, root)
-    sub, old = _sub_adjacency(adj, verts)
-    return _encode(sub, old.index(root))
-
-
-def _unrooted_marked_code(adj, vertex):
-    """Canonical code of the unrooted tree with one marked vertex."""
-    cents = _centroids(adj)
-    return min(_encode(adj, c, marked=vertex)[0] for c in cents)
+def _split_edge(adj, parent, v):
+    """The two trees left by removing the edge from v to parent[v], each as
+    (relabeled adjacency, index of its endpoint of the removed edge): v's
+    side first.  Relabeling keeps vertex order, so vertex 0, when on the
+    parent's side, stays vertex 0 there."""
+    below = set(_dfs_order(adj, v, away=parent[v])[0])
+    sides = []
+    for part, end in ((below, v), (set(range(len(adj))) - below, parent[v])):
+        index = {x: i for i, x in enumerate(sorted(part))}
+        sides.append(([[index[u] for u in adj[x] if u in part] for x in index], index[end]))
+    return tuple(sides)
 
 
 def _rooted_vertex_orbit_keys(adj, root):
-    """Marked code of every vertex; equal keys mean same orbit under
-    root-fixing automorphisms."""
-    return [_encode(adj, root, marked=v)[0] for v in range(len(adj))]
+    """Orbit key of every vertex under root-fixing automorphisms: the
+    subtree codes along its path from the root, joined.  Equal keys mean
+    the same orbit."""
+    order, parent, codes, _ = _subtree_codes(adj, root)
+    keys = [""] * len(adj)
+    keys[root] = codes[root]
+    for v in order[1:]:
+        keys[v] = keys[parent[v]] + codes[v]
+    return keys
+
+
+def _unrooted_orbit_keys(adj):
+    """Orbit key of every vertex under all automorphisms: the canonical code
+    of the tree rooted at that vertex.  One pass down from vertex 0 gives
+    the subtree codes; one pass back down reroots, passing each child the
+    code of the rest of the tree hung at its parent."""
+    order, parent, down, _ = _subtree_codes(adj, 0)
+    up = [""] * len(adj)  # up[v]: the side of parent[v] away from v
+    keys = [""] * len(adj)
+    for v in order:
+        kids = [u for u in adj[v] if u != parent[v]]
+        blocks = sorted([down[u] for u in kids] + [up[v]] * (v != 0), reverse=True)
+        keys[v] = "(" + "".join(blocks) + ")"
+        for u in kids:
+            rest = list(blocks)
+            rest.remove(down[u])
+            up[u] = "(" + "".join(rest) + ")"
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -507,28 +516,19 @@ def splits(t: RootedTreeCode):
     for v in range(1, len(adj)):
         orbits.setdefault(keys[v], []).append(v)
     out = []
-    for members in sorted(orbits.values(), key=min):
-        v = min(members)
-        below = _component_vertices(adj, v, blocked=parent[v])
-        sub_u, old_u = _sub_adjacency(adj, below)
-        u_plus = _unrooted_from_adj(sub_u)
-        v_in_u = old_u.index(v)
-        u_keys = [_unrooted_marked_code(sub_u, w) for w in range(len(sub_u))]
-        n_vplus = u_keys.count(u_keys[v_in_u])
-        rest = set(range(len(adj))) - below
-        sub_t, old_t = _sub_adjacency(adj, rest)
-        t_minus = _rooted_from_adj(sub_t, old_t.index(0))
-        p_in_t = old_t.index(parent[v])
-        t_keys = _rooted_vertex_orbit_keys(sub_t, old_t.index(0))
-        m_vminus = t_keys.count(t_keys[p_in_t])
+    for members in orbits.values():  # in order of their first vertex
+        v = members[0]
+        (sub_u, v_in_u), (sub_t, p_in_t) = _split_edge(adj, parent, v)
+        u_keys = _unrooted_orbit_keys(sub_u)
+        t_keys = _rooted_vertex_orbit_keys(sub_t, 0)
         out.append(
             EdgeSplit(
                 parent=t,
-                t_minus=t_minus,
-                u_plus=u_plus,
+                t_minus=_rooted_from_adj(sub_t, 0),
+                u_plus=_unrooted_from_adj(sub_u),
                 m_edge=len(members),
-                m_vminus=m_vminus,
-                n_vplus=n_vplus,
+                m_vminus=t_keys.count(t_keys[p_in_t]),
+                n_vplus=u_keys.count(u_keys[v_in_u]),
             )
         )
     return out
@@ -577,11 +577,10 @@ def check_inclusion_closed(rooted_family) -> None:
         if t.size == 1:
             continue
         adj = code_to_adjacency(t.code)
+        _, parent = _dfs_order(adj, 0)
         for v in range(1, len(adj)):
             if len(adj[v]) == 1:
-                rest = set(range(len(adj))) - {v}
-                sub, old = _sub_adjacency(adj, rest)
-                code, _ = _encode(sub, old.index(0))
+                code, _ = _encode(_split_edge(adj, parent, v)[1][0], 0)
                 if code not in codes:
                     raise CatalogError(
                         f"family is not closed under rooted inclusion: removing a "

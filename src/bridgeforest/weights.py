@@ -168,7 +168,7 @@ def replay_trace(trace: DecompositionTrace) -> UnrootedTreeCode:
         base = treekit._rooted_from_adj(base_adj, 0)
         piece = treekit._unrooted_from_adj(code_to_adjacency(step.piece))
         grown = treekit.attach(base, step.attach_from, piece, step.attach_to)
-        cur = treekit._unrooted_from_adj(code_to_adjacency(grown.code)).code
+        cur = treekit._unrooted_code(grown.code)
     return treekit._unrooted_from_adj(code_to_adjacency(cur))
 
 
@@ -183,17 +183,6 @@ def replay_trace(trace: DecompositionTrace) -> UnrootedTreeCode:
 _MOVES: dict[str, tuple] = {}
 
 
-def _sides(adj, parent, v):
-    """The two components left by removing the edge from v to its parent,
-    each as (relabeled adjacency, endpoint of the removed edge): v's side
-    first."""
-    below = treekit._component_vertices(adj, v, blocked=parent[v])
-    rest = set(range(len(adj))) - below
-    sub_a, old_a = treekit._sub_adjacency(adj, below)
-    sub_b, old_b = treekit._sub_adjacency(adj, rest)
-    return (sub_a, old_a.index(v)), (sub_b, old_b.index(parent[v]))
-
-
 def _moves(code: str):
     """Oriented single-edge removals of the unrooted tree `code`, as sorted
     tuples (piece_code, rest_code, edges), one per distinct pair of codes.
@@ -206,7 +195,7 @@ def _moves(code: str):
         _, parent = treekit._dfs_order(adj, 0)
         found: dict[tuple, list] = {}
         for v in range(1, len(adj)):
-            (sub_a, _), (sub_b, _) = _sides(adj, parent, v)
+            (sub_a, _), (sub_b, _) = treekit._split_edge(adj, parent, v)
             ca = treekit._unrooted_from_adj(sub_a).code
             cb = treekit._unrooted_from_adj(sub_b).code
             found.setdefault((ca, cb), []).append((v, True))
@@ -215,52 +204,39 @@ def _moves(code: str):
     return cached
 
 
-# unrooted code -> {marked code: canonical index of the first vertex of
-# the canonical representative in that orbit}
+# unrooted code -> {orbit key: canonical index of the first vertex of the
+# canonical representative in that orbit}
 _ORBIT_INDEX: dict[str, dict] = {}
 
 
 def _orbit_index(code: str, side) -> tuple:
-    """Marked code of a side's endpoint and the canonical index of its
-    orbit representative in the tree `code`."""
+    """Orbit key of a side's endpoint (the side's code rooted there) and
+    the canonical index of its orbit representative in the tree `code`."""
     index = _ORBIT_INDEX.get(code)
     if index is None:
-        rep = code_to_adjacency(code)
         index = _ORBIT_INDEX[code] = {}
-        for i in range(len(rep)):
-            index.setdefault(treekit._unrooted_marked_code(rep, i), i)
-    marked = treekit._unrooted_marked_code(*side)
-    return marked, index[marked]
+        for i, key in enumerate(treekit._unrooted_orbit_keys(code_to_adjacency(code))):
+            index.setdefault(key, i)
+    key = treekit._encode(*side)[0]
+    return key, index[key]
 
 
 @cache
 def _attachments(code: str, moves: tuple):
     """Canonical attachment indices of the given moves of `code`, as tuples
-    (piece_code, piece_idx, rest_code, rest_idx) ordered by the marked
-    codes of the two sides.  Edges that agree with the attachment vertices
-    marked give one tuple."""
+    (piece_code, piece_idx, rest_code, rest_idx) ordered by the orbit keys
+    of the two attachment vertices.  Edges whose attachment vertices share
+    both orbits give one tuple."""
     adj = code_to_adjacency(code)
     _, parent = treekit._dfs_order(adj, 0)
     oriented: dict[tuple, tuple] = {}
     for piece, rest, edges in moves:
         for v, below in edges:
-            side_v, side_p = _sides(adj, parent, v)
+            side_v, side_p = treekit._split_edge(adj, parent, v)
             pm, pi = _orbit_index(piece, side_v if below else side_p)
             rm, ri = _orbit_index(rest, side_p if below else side_v)
             oriented.setdefault((pm, rm), (piece, pi, rest, ri))
     return tuple(oriented[key] for key in sorted(oriented))
-
-
-# rooted code -> unrooted code of the same tree
-_UNROOTED_OF_ROOTED: dict[str, str] = {}
-
-
-def _unrooted_code_of(rooted_code: str) -> str:
-    cached = _UNROOTED_OF_ROOTED.get(rooted_code)
-    if cached is None:
-        cached = treekit._unrooted_from_adj(code_to_adjacency(rooted_code)).code
-        _UNROOTED_OF_ROOTED[rooted_code] = cached
-    return cached
 
 
 class MaxWeightTable:
@@ -329,9 +305,9 @@ def _as_unrooted_code(t) -> str:
     if isinstance(t, UnrootedTreeCode):
         return t.code
     if isinstance(t, RootedTreeCode):
-        return _unrooted_code_of(t.code)
+        return treekit._unrooted_code(t.code)
     if isinstance(t, str):
-        return _unrooted_code_of(t)
+        return treekit._unrooted_code(t)
     raise TypeError(f"expected a tree code, got {type(t).__name__}")
 
 
@@ -407,7 +383,6 @@ class _PieceStates:
         self._states: list[frozenset] = []
         self._ids: dict[frozenset, int] = {}
         self._attached: dict[tuple, int] = {}
-        self._piece: dict[str, int | None] = {}
         self._profile: dict[int, frozenset] = {}
         self.root = self._intern({SINGLE_VERTEX_CODE: {0}})
 
@@ -421,10 +396,7 @@ class _PieceStates:
 
     def _piece_unit(self, part: str):
         """Packed unit vector of the rooted part's u0 piece, or None."""
-        if part not in self._piece:
-            code = treekit._unrooted_from_adj(code_to_adjacency(part)).code
-            self._piece[part] = self._unit.get(code)
-        return self._piece[part]
+        return self._unit.get(treekit._unrooted_code(part))
 
     def attach(self, a: int, c: int) -> int:
         key = (a, c)
@@ -571,7 +543,7 @@ def rooted_series_family(z: WeightVector, family, catalog: Catalog):
     table = MaxWeightTable(catalog, z)
     total = Fraction(0) if z.exact else 0.0
     for t in family:
-        total += table.value(_unrooted_code_of(t.code)) / t.aut_r
+        total += table.value(treekit._unrooted_code(t.code)) / t.aut_r
     return total
 
 

@@ -4,16 +4,20 @@ Everything here is deliberately written from scratch rather than imported
 from the package: labeled-tree enumeration decodes linear sequence codes
 with a plain scan, unlabeled-tree counts come from the classical counting
 recurrences (OEIS A000081 / A000055), and automorphism counts come from
-explicit permutation checking.  The forest-class references (profiles,
-histograms, bridge-addability, closures) work on edge frozensets and walk
-every edge one by one; only the profiles borrow treekit's canonical codes,
-which the treekit tests check on their own.
+explicit permutation checking.  The canonical-code references (`encode`,
+`unrooted_code` and the marked codes) keep the package's first coding
+scheme: one full re-encode per centroid and per marked vertex.  The
+forest-class references (profiles, histograms, bridge-addability,
+closures) work on edge frozensets and walk every edge one by one; only the
+profiles borrow treekit's canonical codes, which the treekit tests check on
+their own.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial
 
 
 def prufer_edges(seq, n):
@@ -102,6 +106,69 @@ def brute_force_aut_unrooted(adj) -> int:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges):
             count += 1
     return count
+
+
+def encode(adj, root, marked=-1, blocked=-1):
+    """Canonical code and root-fixing automorphism count of the tree rooted
+    at `root`, recursively, without crossing to vertex `blocked`.  The block
+    of the `marked` vertex opens with "(*", so marked codes are canonical
+    for trees with one marked vertex."""
+
+    def rec(v, parent):
+        pairs = sorted((rec(u, v) for u in adj[v] if u not in (parent, blocked)), reverse=True)
+        aut = 1
+        for _, kid_aut in pairs:
+            aut *= kid_aut
+        for code in set(p[0] for p in pairs):
+            aut *= factorial(sum(1 for p in pairs if p[0] == code))
+        head = "(*" if v == marked else "("
+        return head + "".join(p[0] for p in pairs) + ")", aut
+
+    return rec(root, -1)
+
+
+def centroids(adj):
+    """The vertices minimizing the largest component left by removing them."""
+    n = len(adj)
+
+    def side(start, cut):
+        seen, stack = {start, cut}, [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) - 1
+
+    weight = [max((side(u, v) for u in adj[v]), default=0) for v in range(n)]
+    return [v for v in range(n) if weight[v] == min(weight)]
+
+
+def unrooted_code(adj):
+    """(code, aut_u, centroid kind) the way the package first computed them:
+    encode at each centroid and keep the smaller code; for a central edge,
+    aut_u is the product of the halves' aut_r, doubled for equal halves."""
+    cents = centroids(adj)
+    if len(cents) == 1:
+        code, aut = encode(adj, cents[0])
+        return code, aut, "one-centroid"
+    c1, c2 = cents
+    h1, a1 = encode(adj, c1, blocked=c2)
+    h2, a2 = encode(adj, c2, blocked=c1)
+    code = min(encode(adj, c1)[0], encode(adj, c2)[0])
+    return code, a1 * a2 * (2 if h1 == h2 else 1), "two-centroid"
+
+
+def unrooted_marked_code(adj, v):
+    """Canonical code of the unrooted tree with vertex v marked: equal codes
+    mean the same orbit under all automorphisms."""
+    return min(encode(adj, c, marked=v)[0] for c in centroids(adj))
+
+
+def rooted_marked_code(adj, root, v):
+    """Code of the tree rooted at `root` with vertex v marked: equal codes
+    mean the same orbit under root-fixing automorphisms."""
+    return encode(adj, root, marked=v)[0]
 
 
 def acyclic_edge_subsets(n):

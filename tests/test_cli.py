@@ -206,6 +206,26 @@ class TestPositiveArguments:
         assert "Traceback" not in err
 
 
+class TestNothingChecked:
+    # a suite run that examined nothing is a failure, not a vacuous pass
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "aut-identity", "--max-size", "1"],
+            ["verify", "--suite", "local-double-counting", "--n", "1"],
+            ["verify", "--suite", "sum-bound", "--n", "1"],
+            ["verify", "--suite", "simple-counting", "--n", "1"],
+        ],
+        ids=["aut-identity", "local-double-counting", "sum-bound", "simple-counting"],
+    )
+    def test_exit1_one_line(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: verify --suite {argv[2]} checked nothing\n"
+
+
 class TestUsageErrors:
     # each bad command line is a usage error, found in argument parsing or
     # in the command: exit 2 and one line on stderr naming the argument
@@ -225,10 +245,15 @@ class TestUsageErrors:
             (["forests", "--sample"], "--n"),
             (["trees", "--max-size", "0"], "--max-size"),
             (["verify", "--suite", "aut-identity", "--max-size", "0"], "--max-size"),
+            (["verify", "--suite", "simple-counting", "--n", "0"], "--n"),
+            (["forests", "--count", "--n", "0", "--k", "1"], "--n"),
+            (["verify", "--suite", "dissymmetry", "--k", "0"], "--k"),
+            (["verify", "--suite", "dissymmetry", "--k", "1"], "--k"),
         ],
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
              "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
-             "count-n", "conn-prob-n", "sample-n", "trees-max-size", "verify-max-size"],
+             "count-n", "conn-prob-n", "sample-n", "trees-max-size", "verify-max-size",
+             "verify-n-zero", "count-n-zero", "dissymmetry-k-zero", "dissymmetry-k-one"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):
         with pytest.raises(SystemExit) as exc:

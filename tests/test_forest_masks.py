@@ -86,3 +86,19 @@ def test_masks_round_trip():
     assert sorted(f.sort_key() for f in cls) == [f.sort_key() for f in cls.sorted_members()]
     assert fl.LabeledForest.make(4, [(1, 2)]) in cls
     assert fl.LabeledForest.make(5, [(1, 2)]) not in cls
+
+
+def test_equal_sizes_reference_and_small_component_coincide():
+    # at equal sizes the reference component and the distinguished small
+    # component are one and the same: the component holding vertex 1
+    f = fl.LabeledForest.make(6, [(1, 2), (2, 3), (4, 5), (4, 6)])
+    assert f.largest_component() == f.smallest_component() == {1, 2, 3}
+    # with non-isomorphic halves the profile shows which one it read: the
+    # path on 1..4, not the star on 5..8
+    path = [(1, 2), (2, 3), (3, 4)]
+    f = fl.LabeledForest.make(8, path + [(5, 6), (5, 7), (5, 8)])
+    catalog = CATALOGS[4, 3]
+    alone = fl.LabeledForest.make(4, path)
+    assert fl._profile(8, fl._mask_of(f, 8), catalog) == (
+        2, fl.pendant_stats(alone, catalog).vector, tk.canonicalize_unrooted(path).code
+    )

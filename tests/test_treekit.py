@@ -355,25 +355,118 @@ class TestCatalog:
         assert cat.t_max == 3
 
 
+def _brute_force_orbits(adj, root=None):
+    """Orbit of every vertex under the automorphisms (fixing `root`, if
+    given), by checking every permutation."""
+    n = len(adj)
+    edge_set = {(min(u, v), max(u, v)) for u in range(n) for v in adj[u]}
+    orbit_of = {v: set() for v in range(n)}
+    for perm in itertools.permutations(range(n)):
+        if root is not None and perm[root] != root:
+            continue
+        if all((min(perm[a], perm[b]), max(perm[a], perm[b])) in edge_set for a, b in edge_set):
+            for v in range(n):
+                orbit_of[v].add(perm[v])
+    return orbit_of
+
+
+def _random_tree(rng, n):
+    return [(u + 1, v + 1) for u, v in oracles.prufer_edges(
+        [rng.randrange(n) for _ in range(max(0, n - 2))], n)]
+
+
 class TestMarkedOrbits:
     def test_random_trees_orbit_counts_match_brute_force(self):
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randrange(2, 8)
-            edges = [(u + 1, v + 1) for u, v in oracles.prufer_edges(
-                [rng.randrange(n) for _ in range(max(0, n - 2))], n)]
-            adj, _ = tk._build_adjacency(edges)
+            adj, _ = tk._build_adjacency(_random_tree(rng, n))
             keys = tk._rooted_vertex_orbit_keys(adj, 0)
-            # orbit of v under root-fixing automorphisms, brute force
-            others = [v for v in range(n) if v != 0]
-            edge_set = {(min(u, v), max(u, v)) for u in range(n) for v in adj[u]}
-            orbit_of = {v: set() for v in range(n)}
-            for perm in itertools.permutations(others):
-                mapping = {0: 0}
-                mapping.update(zip(others, perm))
-                if all((min(mapping[a], mapping[b]), max(mapping[a], mapping[b])) in edge_set
-                       for a, b in edge_set):
-                    for v in range(n):
-                        orbit_of[v].add(mapping[v])
+            orbit_of = _brute_force_orbits(adj, root=0)
             for v in range(n):
                 assert keys.count(keys[v]) == len(orbit_of[v])
+
+    def test_unrooted_orbit_keys_match_brute_force(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            n = rng.randrange(1, 8)
+            adj, _ = tk._build_adjacency(_random_tree(rng, n), extra_vertices=[1])
+            keys = tk._unrooted_orbit_keys(adj)
+            orbit_of = _brute_force_orbits(adj)
+            for v in range(n):
+                assert {u for u in range(n) if keys[u] == keys[v]} == orbit_of[v]
+
+    def test_keys_partition_like_marked_codes(self):
+        # the orbit keys split the vertices exactly as the marked codes of
+        # the first coding scheme do, on every labeled tree with n <= 6
+        for n in range(1, 7):
+            for edges in oracles.all_labeled_trees(n):
+                adj = oracles.adjacency_from_edges(edges, n)
+                for keys, marked in (
+                    (tk._rooted_vertex_orbit_keys(adj, 0),
+                     [oracles.rooted_marked_code(adj, 0, v) for v in range(n)]),
+                    (tk._unrooted_orbit_keys(adj),
+                     [oracles.unrooted_marked_code(adj, v) for v in range(n)]),
+                ):
+                    assert [keys.index(k) for k in keys] == [marked.index(m) for m in marked]
+
+
+class TestAgainstFirstCodingScheme:
+    def test_unrooted_from_adj_equals_reference(self):
+        # every labeled tree with n <= 7, two-centroid trees included
+        for n in range(1, 8):
+            for edges in oracles.all_labeled_trees(n):
+                adj = oracles.adjacency_from_edges(edges, n)
+                u = tk._unrooted_from_adj(adj)
+                assert (u.code, u.aut_u, u.centroid_kind) == oracles.unrooted_code(adj), edges
+
+
+class TestProperties:
+    def test_codes_equal_iff_isomorphic(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        nx = pytest.importorskip("networkx")
+        st = hypothesis.strategies
+        sizes = st.integers(min_value=1, max_value=12)
+
+        @st.composite
+        def labeled_trees(draw):
+            n = draw(sizes)
+            seq = draw(st.lists(st.integers(0, n - 1), min_size=max(0, n - 2), max_size=max(0, n - 2)))
+            return n, oracles.prufer_edges(seq, n)
+
+        @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(labeled_trees(), labeled_trees(), st.randoms(use_true_random=False))
+        def check(a, b, rng):
+            (na, ea), (nb, eb) = a, b
+            perm = list(range(na))
+            rng.shuffle(perm)
+            relabeled = [(perm[u], perm[v]) for u, v in ea]
+            code_a = tk.canonicalize_unrooted(ea, vertices=range(na))
+            assert tk.canonicalize_unrooted(relabeled, vertices=range(na)) == code_a
+            code_b = tk.canonicalize_unrooted(eb, vertices=range(nb))
+            ga, gb = nx.empty_graph(na), nx.empty_graph(nb)
+            ga.add_edges_from(ea)
+            gb.add_edges_from(eb)
+            assert (code_a.code == code_b.code) == nx.is_isomorphic(ga, gb)
+
+        check()
+
+    def test_aut_counts_match_brute_force(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, n - 1), min_size=max(0, n - 2), max_size=max(0, n - 2)),
+            st.integers(0, n - 1),
+        )))
+        def check(drawn):
+            n, seq, root = drawn
+            edges = oracles.prufer_edges(seq, n)
+            adj = oracles.adjacency_from_edges(edges, n)
+            assert tk.canonicalize_rooted(edges, root).aut_r == oracles.brute_force_aut_rooted(adj, root)
+            u = tk.canonicalize_unrooted(edges, vertices=range(n))
+            assert u.aut_u == oracles.brute_force_aut_unrooted(adj)
+
+        check()
