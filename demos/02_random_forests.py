@@ -3,8 +3,10 @@ forest, and the convergence of both toward their limits.
 
 The connectivity probability climbs toward exp(-1/2) ~ 0.60653 from below
 (after a dip at tiny n), and the ratio of two-component forests to trees
-falls toward 1/2 from above.  A uniform sampler built on the counting
-recurrence reproduces the exact probabilities.
+falls toward 1/2 from above.  Counts come from closed forms (Rényi's
+formula by component number, a Hermite-polynomial value for the total),
+and a uniform sampler drawing component sizes from them reproduces the
+exact probabilities.
 """
 
 import math
@@ -25,7 +27,7 @@ def main():
         p = fl.connectivity_prob(n)
         print(f"  n={n:>4d}: {float(p):.6f}   (gap {target - float(p):+.6f})")
     p2000 = fl.connectivity_prob(2000, mode="logfloat")
-    print(f"  n=2000: {p2000:.6f}   (log-space mode, gap {target - p2000:+.6f})")
+    print(f"  n=2000: {p2000:.6f}   (float mode, gap {target - p2000:+.6f})")
 
     print("\n== two-component / connected ratio vs 1/2 ==")
     for n in (3, 5, 10, 50, 300):

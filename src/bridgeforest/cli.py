@@ -57,14 +57,23 @@ class _UsageError(Exception):
     reports it like an argparse error."""
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type for integers >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _parse_range(text: str):
@@ -242,7 +251,7 @@ def _cmd_verify(args) -> int:
         # A missed capture target is only a failure when the averaging
         # guarantee applied; otherwise the report is best-effort.
         ok = rep.ok or not rep.guarantee_applies
-        report = rep
+        report, checked = rep, sum(total for _, total in rep.capture.values())
     else:
         raise ValueError(f"unknown suite {suite!r}")
     if checked == 0:  # a suite that checked nothing has not passed
@@ -253,7 +262,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_optimize(args) -> int:
     config = _config(args, "optimize")
-    catalog = treekit.Catalog.standard(max(1, args.t_max), args.u_max)
+    catalog = treekit.Catalog.standard(args.t_max, args.u_max)
     cfg = optimizer.OptimizerConfig(
         catalog=catalog,
         k=args.k,
@@ -352,20 +361,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="all-forests, random-closure:<seed>, or file:<path>")
     p.add_argument("--w", type=_positive_int, default=1)
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--t-max", type=int, default=4)
-    p.add_argument("--u-max", type=int, default=3)
+    p.add_argument("--t-max", type=_positive_int, default=4)
+    p.add_argument("--u-max", type=_positive_int, default=3)
     p.add_argument("--k", type=_positive_int, default=10)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_nonnegative_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("optimize", help="constrained maximization")
-    p.add_argument("--u-max", type=int, default=3)
-    p.add_argument("--t-max", type=int, default=1)
+    p.add_argument("--u-max", type=_positive_int, default=3)
+    p.add_argument("--t-max", type=_positive_int, default=1)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_positive_int, default=32)
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)

@@ -29,15 +29,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import log
-
-import numpy as np
+from math import comb, perm
 
 from . import treekit, weights
 from .treekit import (
     CapacityError,
     Catalog,
     RootedTreeCode,
+    labeled_tree_count,
 )
 from .weights import WeightVector
 
@@ -77,7 +76,12 @@ __all__ = [
 # Exhaustive forest enumeration stops here; beyond it the lemma checks are
 # out of desk range anyway.
 DEFAULT_EXHAUSTIVE_N = 8
-EXACT_PROB_MAX_N = 600
+# Exact probabilities are reported as digit strings, and Python refuses
+# str() of an int with more than 4,300 digits (sys.get_int_max_str_digits).
+# From n = 1,373 on, the reduced probability has a numerator or denominator
+# that long, so JSON reports and CSV sweeps would fail; the cap stays a
+# round margin below that.
+EXACT_PROB_MAX_N = 1_000
 LOGFLOAT_MAX_N = 100_000
 
 
@@ -287,92 +291,48 @@ def enumerate_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N):
 # exact counts
 
 
-def labeled_tree_count(n: int) -> int:
-    return 1 if n == 1 else n ** (n - 2)
-
-
-# labeled_tree_count(m) for m < len(_TREES), and forest_total(n) for
-# n < len(_TOTAL)
-_TREES: list = [1, 1]
-_TOTAL: list = [1]
-
-
-def _anchor_weights(s: int):
-    """(m, C(s-1, m-1) * m^(m-2)) for m = s down to 1: the ways to make the
-    component of the smallest of s vertices a tree on m of them."""
-    for m in range(len(_TREES), s + 1):
-        _TREES.append(m ** (m - 2))
-    companions = 1  # C(s-1, m-1)
-    for m in range(s, 0, -1):
-        yield m, companions * _TREES[m]
-        companions = companions * (m - 1) // (s - m + 1)
-
-
 def forest_count(n: int, k: int) -> int:
     """Number of labeled forests on n vertices with exactly k components.
 
-    Recurrence on the component containing vertex 1: if it has m vertices
-    there are C(n-1, m-1) ways to pick its companions, m^(m-2) trees on it,
-    and forest_count(n-m, k-1) ways to finish.
+    Rényi's formula: f(n, k) = (n!/k!) * sum over j <= min(k, n-k) of
+    (-1/2)^j C(k, j) (k+j) n^(n-k-j-1) / (n-k-j)!.  Since
+    n!/(k! (n-k-j)!) = C(n, k) (n-k)!/(n-k-j)!, the sum is taken in
+    integers over the common denominator n 2^min(k, n-k).
     """
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    # fill the cache one component count at a time, so that the recursion
-    # below never goes deeper than one level whatever k is
-    for j in range(1, k):
-        for x in range(j, n - k + j + 1):
-            _forest_count(x, j)
-    return _forest_count(n, k)
+    top = min(k, n - k)
+    scaled = sum(
+        (-1) ** j * comb(k, j) * (k + j) * perm(n - k, j) * n ** (n - k - j) * 2 ** (top - j)
+        for j in range(top + 1)
+    )
+    return comb(n, k) * scaled // (n * 2**top)
 
 
 @cache
-def _forest_count(n: int, k: int) -> int:
-    if n == 0 or k == 0:
-        return int(n == k)
-    return sum(
-        w * _forest_count(n - m, k - 1) for m, w in _anchor_weights(n) if n - m >= k - 1
-    )
-
-
 def forest_total(n: int) -> int:
-    """Number of labeled forests on n vertices (any component count)."""
+    """Number of labeled forests on n vertices (any component count).
+
+    Lagrange inversion of the forest EGF exp(T - T^2/2), where T = x e^T
+    counts rooted trees, gives f(n) = He_{n-1}(n+1) - (n-1) He_{n-2}(n+1)
+    in the probabilists' Hermite polynomials, with He_{-1} = 0
+    (OEIS A001858: 1, 1, 2, 7, 38, ...).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    for j in range(len(_TOTAL), n + 1):
-        _TOTAL.append(sum(w * _TOTAL[j - m] for m, w in _anchor_weights(j)))
-    return _TOTAL[n]
-
-
-_LOG_TOTAL: list = [0.0]
-
-
-def _log_forest_total(n: int) -> float:
-    """log of forest_total(n) in float arithmetic (log-sum-exp recurrence;
-    relative error well below 1e-9 per term at supported sizes)."""
-    if n < len(_LOG_TOTAL):
-        return _LOG_TOTAL[n]
-    have = len(_LOG_TOTAL) - 1
-    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    m_all = np.arange(0, n + 1)
-    lt = np.zeros(n + 1)
-    lt[2:] = (m_all[2:] - 2) * np.log(m_all[2:])
-    lf = np.empty(n + 1)
-    lf[: have + 1] = _LOG_TOTAL
-    for j in range(have + 1, n + 1):
-        m = m_all[1 : j + 1]
-        terms = logfact[j - 1] - logfact[m - 1] - logfact[j - m] + lt[m] + lf[j - m]
-        mx = terms.max()
-        lf[j] = mx + log(np.exp(terms - mx).sum())
-    _LOG_TOTAL[:] = list(lf)
-    return _LOG_TOTAL[n]
+    x = n + 1
+    prev, cur = 0, 1  # He_{d-1}(x), He_d(x) at d = 0
+    for d in range(n - 1):
+        prev, cur = cur, x * cur - d * prev
+    return cur - (n - 1) * prev
 
 
 def connectivity_prob(n: int, mode: str = "exact"):
     """Probability that a uniform random forest on n vertices is connected.
 
-    exact mode returns a Fraction; logfloat mode returns a float computed
-    entirely in log space (the recurrence is quadratic in n, so large n
-    takes a while but stays accurate).
+    exact mode returns a Fraction; logfloat mode returns the float nearest
+    to it (the exact integer quotient, correctly rounded), for n past the
+    exact cap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -383,12 +343,7 @@ def connectivity_prob(n: int, mode: str = "exact"):
     if mode == "logfloat":
         if n > LOGFLOAT_MAX_N:
             raise CapacityError(f"logfloat mode capped at n={LOGFLOAT_MAX_N}")
-        if n == 1:
-            return 1.0
-        value = np.exp((n - 2) * log(n) - _log_forest_total(n))
-        if not np.isfinite(value):
-            raise RuntimeError(f"logfloat connectivity overflowed at n={n}")
-        return float(value)
+        return labeled_tree_count(n) / forest_total(n)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -400,20 +355,23 @@ def two_component_ratio(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# uniform sampling (recursive method on the counting recurrence)
+# uniform sampling (recursive method on the exact counts)
 
 def _draw_anchor_size(s: int, rng: random.Random) -> int:
     """Size of the component of the smallest of s vertices in a uniform
-    forest.  For the draw r, the chosen m is the one whose cumulative
-    weight over sizes 1..m first exceeds r; walking down from the giant
-    component m = s, that is the first m whose suffix weight reaches
-    forest_total(s) - r."""
+    forest.  It is a tree on m of the s vertices in C(s-1, m-1) * m^(m-2)
+    ways, and forest_total(s-m) forests finish the rest.  For the draw r,
+    the chosen m is the one whose cumulative weight over sizes 1..m first
+    exceeds r; walking down from the giant component m = s, that is the
+    first m whose suffix weight reaches forest_total(s) - r."""
     total = forest_total(s)
     left = total - rng.randrange(total)
-    for m, w in _anchor_weights(s):
-        left -= w * _TOTAL[s - m]
+    companions = 1  # C(s-1, m-1)
+    for m in range(s, 0, -1):
+        left -= companions * labeled_tree_count(m) * forest_total(s - m)
         if left <= 0:
             return m
+        companions = companions * (m - 1) // (s - m + 1)
 
 
 def sample_component_sizes(n: int, rng=None, seed=None):

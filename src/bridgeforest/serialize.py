@@ -28,8 +28,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "verify_aut_identity",
     "attach",
     "cayley_identity_check",
+    "labeled_tree_count",
     "code_to_adjacency",
     "SINGLE_VERTEX_CODE",
 ]
@@ -639,7 +640,9 @@ class Catalog:
 # classical identities
 
 
-def _labeled_tree_count(n: int) -> int:
+@cache
+def labeled_tree_count(n: int) -> int:
+    """Cayley's n^(n-2) labeled trees on n vertices."""
     return 1 if n == 1 else n ** (n - 2)
 
 
@@ -652,8 +655,8 @@ def cayley_identity_check(n: int) -> CayleyCheck:
     nf = factorial(n)
     rooted = sum(Fraction(nf, t.aut_r) for t in enumerate_rooted(n) if t.size == n)
     unrooted = sum(Fraction(nf, u.aut_u) for u in enumerate_unrooted(n) if u.size == n)
-    r_exp = n * _labeled_tree_count(n)
-    u_exp = _labeled_tree_count(n)
+    r_exp = n * labeled_tree_count(n)
+    u_exp = labeled_tree_count(n)
     ok = rooted == r_exp and unrooted == u_exp
     return CayleyCheck(
         ok=ok,

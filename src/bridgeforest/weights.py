@@ -671,15 +671,11 @@ def verify_supermultiplicativity(u, z: WeightVector, catalog: Catalog) -> Superm
 
 def _rooted_coefficient(n: int) -> Fraction:
     """n^(n-1)/n!, the rooted labeled tree count over n!."""
-    from math import factorial
-
     return Fraction(n ** (n - 1), factorial(n))
 
 
 def _unrooted_coefficient(n: int) -> Fraction:
-    from math import factorial
-
-    return Fraction(1 if n == 1 else n ** (n - 2), factorial(n))
+    return Fraction(treekit.labeled_tree_count(n), factorial(n))
 
 
 def single_variable_series(x, k: int):

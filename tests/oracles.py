@@ -10,14 +10,18 @@ scheme: one full re-encode per centroid and per marked vertex.  The
 forest-class references (profiles, histograms, bridge-addability,
 closures) work on edge frozensets and walk every edge one by one; only the
 profiles borrow treekit's canonical codes, which the treekit tests check on
-their own.
+their own.  The forest-count references keep the package's first counting
+scheme: the quadratic recurrence on the component of vertex 1, in integers
+and in log-space floats.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
+
+import numpy as np
 
 
 def prufer_edges(seq, n):
@@ -169,6 +173,46 @@ def rooted_marked_code(adj, root, v):
     """Code of the tree rooted at `root` with vertex v marked: equal codes
     mean the same orbit under root-fixing automorphisms."""
     return encode(adj, root, marked=v)[0]
+
+
+def _anchor_weights(s):
+    """(m, C(s-1, m-1) m^(m-2)) for m = 1..s: the ways to make the component
+    of the smallest of s vertices a tree on m of them."""
+    return [(m, comb(s - 1, m - 1) * (1 if m == 1 else m ** (m - 2))) for m in range(1, s + 1)]
+
+
+@lru_cache(maxsize=None)
+def forest_count(n, k):
+    """Labeled forests on n vertices with k components: pick the component
+    of vertex 1, then k - 1 components on the rest."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return sum(w * forest_count(n - m, k - 1) for m, w in _anchor_weights(n) if n - m >= k - 1)
+
+
+def forest_totals(n):
+    """[f(0), ..., f(n)], labeled forests on j vertices, by the same
+    recurrence summed over the component count."""
+    totals = [1]
+    for j in range(1, n + 1):
+        totals.append(sum(w * totals[j - m] for m, w in _anchor_weights(j)))
+    return totals
+
+
+def log_forest_totals(n):
+    """The natural logs of forest_totals(n), by the same recurrence in
+    floats with a log-sum-exp over each row."""
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    m_all = np.arange(0, n + 1)
+    log_trees = np.zeros(n + 1)
+    log_trees[2:] = (m_all[2:] - 2) * np.log(m_all[2:])
+    lf = np.zeros(n + 1)
+    for j in range(1, n + 1):
+        m = m_all[1 : j + 1]
+        terms = logfact[j - 1] - logfact[m - 1] - logfact[j - m] + log_trees[m] + lf[j - m]
+        top = terms.max()
+        lf[j] = top + np.log(np.exp(terms - top).sum())
+    return lf
 
 
 def acyclic_edge_subsets(n):

@@ -84,6 +84,14 @@ class TestForests:
         err = capsys.readouterr().err
         assert code == 1 and "error" in err
 
+    def test_exact_cap_is_1000(self, capsys):
+        code, doc = run_json(capsys, "forests", "--conn-prob", "--n", "1000")
+        assert code == 0 and doc["n"] == 1000
+        code = cli.main(["forests", "--conn-prob", "--n", "1001"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: exact mode capped at n=1000\n"
+
 
 class TestVerify:
     def test_simple_counting(self, capsys):
@@ -119,6 +127,15 @@ class TestVerify:
             "--k", "8", "--samples", "5", "--t-max", "3", "--u-max", "2",
         )
         assert code == 0 and doc["report"]["ok"]
+
+    def test_dissymmetry_zero_samples(self, capsys):
+        # with no random samples the single-variable check still runs
+        code, doc = run_json(
+            capsys, "verify", "--suite", "dissymmetry",
+            "--k", "6", "--samples", "0", "--t-max", "2", "--u-max", "1",
+        )
+        assert code == 0 and doc["report"]["samples"] == 0
+        assert doc["report"]["single_variable_check"]["ok"] is True
 
     def test_boxing(self, capsys):
         code, doc = run_json(
@@ -215,8 +232,9 @@ class TestNothingChecked:
             ["verify", "--suite", "local-double-counting", "--n", "1"],
             ["verify", "--suite", "sum-bound", "--n", "1"],
             ["verify", "--suite", "simple-counting", "--n", "1"],
+            ["verify", "--suite", "boxing", "--n", "1"],
         ],
-        ids=["aut-identity", "local-double-counting", "sum-bound", "simple-counting"],
+        ids=["aut-identity", "local-double-counting", "sum-bound", "simple-counting", "boxing"],
     )
     def test_exit1_one_line(self, capsys, argv):
         code = cli.main(argv)
@@ -249,11 +267,19 @@ class TestUsageErrors:
             (["forests", "--count", "--n", "0", "--k", "1"], "--n"),
             (["verify", "--suite", "dissymmetry", "--k", "0"], "--k"),
             (["verify", "--suite", "dissymmetry", "--k", "1"], "--k"),
+            (["verify", "--suite", "aut-identity", "--t-max", "0"], "--t-max"),
+            (["verify", "--suite", "sum-bound", "--u-max", "0"], "--u-max"),
+            (["optimize", "--k", "4", "--u-max", "0"], "--u-max"),
+            (["optimize", "--k", "4", "--t-max", "0"], "--t-max"),
+            (["optimize", "--k", "4", "--restarts", "0"], "--restarts"),
+            (["verify", "--suite", "dissymmetry", "--samples", "-3"], "--samples"),
         ],
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
              "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
              "count-n", "conn-prob-n", "sample-n", "trees-max-size", "verify-max-size",
-             "verify-n-zero", "count-n-zero", "dissymmetry-k-zero", "dissymmetry-k-one"],
+             "verify-n-zero", "count-n-zero", "dissymmetry-k-zero", "dissymmetry-k-one",
+             "verify-t-max-zero", "verify-u-max-zero", "optimize-u-max-zero",
+             "optimize-t-max-zero", "optimize-restarts-zero", "dissymmetry-samples-negative"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):
         with pytest.raises(SystemExit) as exc:

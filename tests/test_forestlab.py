@@ -96,8 +96,8 @@ class TestCounts:
             assert chk.unrooted_sum == fl.forest_count(n, 1)
 
     def test_many_components_no_deep_recursion(self):
-        # k = 500 components would recurse 500 levels deep on vertex 1's
-        # component without the level-by-level fill
+        # a recurrence on vertex 1's component would go k = 500 levels deep;
+        # the closed form must not recurse at all
         assert fl.forest_count(500, 500) == 1
         assert fl.forest_count(500, 499) == math.comb(500, 2)
 
@@ -111,6 +111,28 @@ class TestCounts:
             by_k.get(k, 0) for k in range(1, n + 1)
         ]
         assert fl.forest_total(n) == sum(by_k.values())
+
+
+class TestClosedFormsAgainstRecurrences:
+    # the closed forms against the quadratic recurrences they replaced
+
+    def test_totals(self):
+        assert [fl.forest_total(n) for n in range(601)] == oracles.forest_totals(600)
+
+    def test_counts(self):
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                assert fl.forest_count(n, k) == oracles.forest_count(n, k), (n, k)
+
+    def test_logfloat_is_the_rounded_exact_value(self):
+        for n in range(1, 1001):
+            assert fl.connectivity_prob(n, mode="logfloat") == float(fl.connectivity_prob(n)), n
+
+    def test_log_space_recurrence_at_2000(self):
+        n = 2000
+        log_space = math.exp((n - 2) * math.log(n) - oracles.log_forest_totals(n)[n])
+        value = fl.connectivity_prob(n, mode="logfloat")
+        assert abs(value - log_space) <= 1e-9 * value
 
 
 class TestConnectivityProb:
