@@ -57,8 +57,9 @@ def main():
     print("\n== single-variable limits at x = 1/e ==")
     x = math.exp(-1)
     for k in (5, 10, 20, 30):
-        y = wt.single_variable_series(x, k)
-        yu = wt.single_variable_series_unrooted(x, k)
+        terms = wt.single_variable_layers(x, k)
+        y = sum(terms)
+        yu = sum(c / n for n, c in enumerate(terms) if n)  # n^(n-2) x^n / n!
         print(f"  k={k:>2d}: rooted {y:.6f} (-> 1), unrooted {yu:.6f} (-> 1/2)")
 
 

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification/bound failure or capacity error,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -74,6 +75,21 @@ def _int_at_least(low: int, kind: str):
 
 _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
+
+
+def _finite_float(test, kind: str):
+    """An argparse type for finite floats that pass test; kind says which."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and test(value)):
+            raise argparse.ArgumentTypeError(f"expected a finite number {kind}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_range(text: str):
@@ -145,6 +161,10 @@ def _cmd_forests(args) -> int:
             missing = "--n" if args.n is None else "--k"
             raise _UsageError(f"argument {missing}: --count needs --n and --k")
         value = forestlab.forest_count(args.n, args.k)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and value >= 10**limit:
+            raise treekit.CapacityError(f"the count has more than {limit} digits, "
+                                        "the limit for writing an integer")
         _emit({"config": config, "count": value}, args.output)
         return 0
     if args.conn_prob or args.ratio:
@@ -262,6 +282,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_optimize(args) -> int:
     config = _config(args, "optimize")
+    if args.k < args.u_max:
+        raise _UsageError("argument --k: the truncation order must be >= --u-max")
     catalog = treekit.Catalog.standard(args.t_max, args.u_max)
     cfg = optimizer.OptimizerConfig(
         catalog=catalog,
@@ -360,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", type=_class_name, default="all-forests",
                    help="all-forests, random-closure:<seed>, or file:<path>")
     p.add_argument("--w", type=_positive_int, default=1)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=_finite_float(lambda v: 0 <= v < 1, "in [0, 1)"),
+                   default=0.5)
     p.add_argument("--t-max", type=_positive_int, default=4)
     p.add_argument("--u-max", type=_positive_int, default=3)
     p.add_argument("--k", type=_positive_int, default=10)
@@ -373,12 +396,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-max", type=_positive_int, default=3)
     p.add_argument("--t-max", type=_positive_int, default=1)
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=_finite_float(lambda v: v >= 0, ">= 0"), default=0.5)
     p.add_argument("--restarts", type=_positive_int, default=32)
     p.add_argument("--budget", type=_positive_int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float(lambda v: v > 0, "> 0"), default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=float, default=optimizer.DEFAULT_CAP)
+    p.add_argument("--cap", type=_finite_float(lambda v: v > 1, "> 1"),
+                   default=optimizer.DEFAULT_CAP)
     common(p)
     p.set_defaults(func=_cmd_optimize)
     return parser

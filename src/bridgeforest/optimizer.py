@@ -14,6 +14,13 @@ Returned objectives are certified lower bounds for the true maximum: the
 final point is re-validated in exact rational arithmetic, never claimed
 optimal.
 
+Every scaling projection solves sum lam^s y_s = cap for lam, an increasing
+polynomial in lam, with one bisection that evaluates the polynomial by
+Horner in the type of its bracket: floats in the search loop, stopped once
+no float splits the bracket; Fractions in exact projections, stopped once
+the series is within tol below the cap; and floats to within tol for the
+single-variable threshold.
+
 Float arithmetic drives the inner loop; the exact re-validation rounds the
 float vector to dyadic rationals, closes it exactly, and scales by the
 rational factor cap/Y when needed (for lam <= 1, sum lam^s y_s <= lam *
@@ -63,11 +70,11 @@ class OptimizerConfig:
             raise ValueError("truncation order k must be >= u_max")
         if self.budget < 1:
             raise ValueError("the evaluation budget must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if self.y_cap <= 1.0:
+        if not self.y_cap > 1.0:
             raise ValueError("the partition-function cap must exceed 1")
 
 
@@ -154,88 +161,71 @@ def feasibility(z: WeightVector, config: OptimizerConfig) -> FeasibilityResult:
     )
 
 
-def _scale_to_cap(layers, cap: float, tol: float) -> float:
-    """Largest lam in (0, 1] with sum lam^s layers[s] <= cap, to within
-    bracket width ~1e-16 (bisection; the polynomial is strictly increasing)."""
-    sizes = np.arange(len(layers))
-
-    def value(lam):
-        return float(np.sum(layers * lam**sizes))
-
-    if value(1.0) <= cap:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if value(mid) <= cap:
-            lo = mid
+def _bisect(layers, cap, hi, stop):
+    """Bisect [0, hi] for the root of sum x^s layers[s] = cap, returning the
+    final bracket (lo, hi).  The layered polynomial is increasing on x >= 0;
+    it is evaluated by Horner in the type of hi, so a Fraction hi keeps
+    every step exact and a float hi every step a float.  stop(lo, hi,
+    value(lo)) is tested before each halving and ends the search."""
+    lo = val_lo = 0 * hi
+    while not stop(lo, hi, val_lo):
+        mid = (lo + hi) / 2
+        val = 0 * mid
+        for c in reversed(layers):
+            val = val * mid + c
+        if val <= cap:
+            lo, val_lo = mid, val
         else:
             hi = mid
-    return lo
+    return lo, hi
+
+
+def _resolved(lo, hi, _):
+    """Float stop rule: no float lies strictly between lo and hi."""
+    return not lo < (lo + hi) / 2 < hi
+
+
+def _scale_to_cap(layers, cap: float) -> float:
+    """Largest float lam in (0, 1) with sum lam^s layers[s] <= cap, for
+    float layers whose sum exceeds the cap."""
+    return _bisect([float(c) for c in layers], cap, 1.0, _resolved)[0]
 
 
 def project_scale(z: WeightVector, config: OptimizerConfig) -> WeightVector:
     """Scale z by the lam making rooted_series(lam*z, k) equal to the cap
     (lam = 1 if already within it).  The scaled series is
     sum lam^s y_s with y_s the per-size contributions, a strictly
-    increasing polynomial in lam, so bisection pins lam to the cap within
-    config.tol."""
+    increasing polynomial in lam, solved by the shared Horner bisection.
+    Exact vectors bisect in Fractions until the series is within
+    config.tol below the cap; float vectors bisect in floats until the
+    bracket cannot be split.  Either way the scaled series stays at or
+    below the cap."""
     if all(v == 0 for _, v in z.entries):
         raise ValueError("cannot project the zero vector")
-    cat, k = config.catalog, config.k
-    if z.exact:
-        layers = weights.layers(z, k, cat)
-        total = sum(layers)
-        cap = Fraction(config.y_cap)
-        if total <= cap:
-            return z
-        tol_frac = Fraction(config.tol)
-        lo, hi = Fraction(0), Fraction(1)
-        val_lo = Fraction(0)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            val = sum(c * mid**s for s, c in enumerate(layers))
-            if val <= cap:
-                lo, val_lo = mid, val
-            else:
-                hi = mid
-            if cap - val_lo <= tol_frac:
-                break
-        return weights.scale_weights(lo, z)
-    ev = _evaluator(cat, k)
-    zv = z.to_floats()
-    _, layers = ev.evaluate(zv)
-    lam = _scale_to_cap(layers, config.y_cap, config.tol)
-    if lam == 1.0:
+    layers = weights.layers(z, config.k, config.catalog)
+    cap = Fraction(config.y_cap) if z.exact else config.y_cap
+    if sum(layers) <= cap:
         return z
-    scaled = weights.scale_weights(lam, z)
-    return scaled
+    if z.exact:
+        tol = Fraction(config.tol)
+        lam, _ = _bisect(layers, cap, Fraction(1), lambda lo, hi, val_lo: cap - val_lo <= tol)
+    else:
+        lam = _scale_to_cap(layers, cap)
+    return weights.scale_weights(lam, z)
 
 
 def single_var_threshold(k: int, cap: float = DEFAULT_CAP, tol: float = 1e-12) -> float:
     """The unique x > 0 with sum over n <= k of n^(n-1) x^n / n! equal to
-    `cap`, by bisection to within tol."""
+    `cap`, by bisection to within tol (or to float resolution, if tol is
+    smaller)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = [float(weights._rooted_coefficient(n)) for n in range(1, k + 1)]
-
-    def value(x):
-        total = 0.0
-        for c in reversed(coeffs):
-            total = (total + c) * x
-        return total
-
-    lo, hi = 0.0, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if value(mid) <= cap:
-            lo = mid
-        else:
-            hi = mid
+    coeffs = weights.single_variable_layers(1.0, k)
+    lo, hi = _bisect(coeffs, cap, cap, lambda lo, hi, _: hi - lo <= tol or _resolved(lo, hi, _))
     return 0.5 * (lo + hi)
 
 
-def _certify(zv: np.ndarray, config: OptimizerConfig) -> FeasiblePoint:
+def _certify(zv: np.ndarray, config: OptimizerConfig) -> tuple[FeasiblePoint, dict]:
     """Exact feasible point from a float vector: round to dyadic rationals,
     close exactly, and rescale by cap/Y when the cap is exceeded.
 
@@ -252,21 +242,13 @@ def _certify(zv: np.ndarray, config: OptimizerConfig) -> FeasiblePoint:
             for u, v in zip(cat.u0, zv)
         },
     )
-    table = weights.MaxWeightTable(cat, rounded)
-    closed_entries = {u.code: table.value(u.code) for u in cat.u0}
     layers = weights.layers(rounded, k, cat)
-    y = sum(layers)
-    cap = Fraction(config.y_cap)
-    lam = Fraction(1)
-    if y > cap:
-        lam = cap / y
-    z_cert = WeightVector.over(
-        cat, {code: lam**code.count("(") * v for code, v in closed_entries.items()}
-    )
-    y_cert = sum(c * lam**s for s, c in enumerate(layers))
-    objective = weights.piece_series_linear(z_cert, cat)
-    point = FeasiblePoint(z=z_cert, y_value=y_cert, objective=objective, closed=True)
+    cap, y = Fraction(config.y_cap), sum(layers)
+    lam = cap / y if y > cap else Fraction(1)
+    z_cert = weights.scale_weights(lam, weights.closure(rounded, cat))
     per_size = {s: c * lam**s for s, c in enumerate(layers) if s >= 1}
+    objective = weights.piece_series_linear(z_cert, cat)
+    point = FeasiblePoint(z=z_cert, y_value=sum(per_size.values()), objective=objective, closed=True)
     return point, per_size
 
 
@@ -298,7 +280,7 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
         zc[ev.u0_zslots] = om[ev.u0_positions]
         total = float(layers[1:].sum())
         if total > cap:
-            lam = _scale_to_cap(layers, cap, config.tol)
+            lam = _scale_to_cap(layers, cap)
             zc = zc * lam**sizes_u0
         return zc, float(np.dot(zc, lin))
 

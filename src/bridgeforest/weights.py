@@ -12,6 +12,7 @@ of root, and it is supermultiplicative under removing an edge.
 Partition functions:
 
     layers(z, k)               per-size terms of rooted_series
+    single_variable_layers(x, k)  closed form of layers for u0 = {single vertex}
     rooted_series(z, k)        sum of maxweight(T)/aut_r(T) over rooted trees, size <= k
     unrooted_series(z, k)      same over unrooted trees with aut_u
     piece_series_linear(z)     sum of z[U]/aut_u(U) over u0
@@ -26,9 +27,10 @@ WeightVector.exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial, prod
 
 import numpy as np
@@ -63,8 +65,7 @@ __all__ = [
     "closure",
     "verify_dissymmetry_trunc",
     "verify_supermultiplicativity",
-    "single_variable_series",
-    "single_variable_series_unrooted",
+    "single_variable_layers",
     "TruncatedSeriesEvaluator",
 ]
 
@@ -97,17 +98,15 @@ class WeightVector:
     def zero(cls, catalog: Catalog) -> "WeightVector":
         return cls.over(catalog, {})
 
+    @cached_property
+    def _values(self) -> dict:
+        return dict(self.entries)
+
     def __getitem__(self, code: str):
-        for c, v in self.entries:
-            if c == code:
-                return v
-        raise KeyError(code)
+        return self._values[code]
 
     def get(self, code: str, default=0):
-        for c, v in self.entries:
-            if c == code:
-                return v
-        return default
+        return self._values.get(code, default)
 
     @property
     def codes(self):
@@ -145,10 +144,7 @@ class DecompositionTrace:
         return len(self.steps)
 
     def piece_counts(self) -> dict:
-        out: dict[str, int] = {}
-        for s in self.steps:
-            out[s.piece] = out.get(s.piece, 0) + 1
-        return out
+        return Counter(s.piece for s in self.steps)
 
     def weight(self, z: WeightVector):
         total = Fraction(1) if z.exact else 1.0
@@ -239,6 +235,11 @@ def _attachments(code: str, moves: tuple):
     return tuple(oriented[key] for key in sorted(oriented))
 
 
+def _check_domain(z: WeightVector, catalog: Catalog) -> None:
+    if z.codes != tuple(u.code for u in catalog.u0):
+        raise CatalogError("weight vector domain does not match catalog u0")
+
+
 class MaxWeightTable:
     """Memoized max decomposition weights for one weight vector.
 
@@ -251,8 +252,7 @@ class MaxWeightTable:
     """
 
     def __init__(self, catalog: Catalog, z: WeightVector):
-        if tuple(z.codes) != tuple(u.code for u in catalog.u0):
-            raise CatalogError("weight vector domain does not match catalog u0")
+        _check_domain(z, catalog)
         self.catalog = catalog
         self.z = z
         self._zero = Fraction(0) if z.exact else 0.0
@@ -501,8 +501,7 @@ def layers(z: WeightVector, k: int, catalog: Catalog) -> list:
     """
     if k < 1:
         raise ValueError("truncation order must be >= 1")
-    if tuple(z.codes) != tuple(u.code for u in catalog.u0):
-        raise CatalogError("weight vector domain does not match catalog u0")
+    _check_domain(z, catalog)
     table = _profiles(catalog, k)
     # monomials as (numerator, denominator) integer pairs, compared by
     # cross-multiplying: much cheaper than reducing every product
@@ -574,22 +573,23 @@ def series_report(z: WeightVector, k: int, catalog: Catalog) -> dict:
     }
 
 
+def _piece_sum(z: WeightVector, catalog: Catalog, value):
+    """Sum of value(U)/aut_u(U) over u0, in Fractions for exact z."""
+    terms = (
+        Fraction(value(u.code), u.aut_u) if z.exact else value(u.code) / u.aut_u
+        for u in catalog.u0
+    )
+    return sum(terms, Fraction(0) if z.exact else 0.0)
+
+
 def piece_series_linear(z: WeightVector, catalog: Catalog):
     """Sum of z[U]/aut_u(U) over u0 (the linear objective)."""
-    total = Fraction(0) if z.exact else 0.0
-    for u in catalog.u0:
-        total += Fraction(z[u.code], u.aut_u) if z.exact else z[u.code] / u.aut_u
-    return total
+    return _piece_sum(z, catalog, z.__getitem__)
 
 
 def piece_series_weighted(z: WeightVector, catalog: Catalog):
     """Sum of maxweight(U)/aut_u(U) over u0; always >= piece_series_linear."""
-    table = MaxWeightTable(catalog, z)
-    total = Fraction(0) if z.exact else 0.0
-    for u in catalog.u0:
-        v = table.value(u.code)
-        total += Fraction(v, u.aut_u) if z.exact else v / u.aut_u
-    return total
+    return _piece_sum(z, catalog, MaxWeightTable(catalog, z).value)
 
 
 def scale_weights(lam, z: WeightVector) -> WeightVector:
@@ -666,31 +666,16 @@ def verify_supermultiplicativity(u, z: WeightVector, catalog: Catalog) -> Superm
 
 
 # ---------------------------------------------------------------------------
-# single-variable closed forms (u0 = {single vertex})
+# single-variable closed form (u0 = {single vertex})
 
 
-def _rooted_coefficient(n: int) -> Fraction:
-    """n^(n-1)/n!, the rooted labeled tree count over n!."""
-    return Fraction(n ** (n - 1), factorial(n))
-
-
-def _unrooted_coefficient(n: int) -> Fraction:
-    return Fraction(treekit.labeled_tree_count(n), factorial(n))
-
-
-def single_variable_series(x, k: int):
-    """rooted_series for u0 = {single vertex} at z = x, in closed form:
-    sum over n <= k of n^(n-1) x^n / n!."""
-    if isinstance(x, (int, Fraction)):
-        return sum((_rooted_coefficient(n) * Fraction(x) ** n for n in range(1, k + 1)), Fraction(0))
-    return float(sum(float(_rooted_coefficient(n)) * x**n for n in range(1, k + 1)))
-
-
-def single_variable_series_unrooted(x, k: int):
-    """unrooted_series for u0 = {single vertex}: sum of n^(n-2) x^n / n!."""
-    if isinstance(x, (int, Fraction)):
-        return sum((_unrooted_coefficient(n) * Fraction(x) ** n for n in range(1, k + 1)), Fraction(0))
-    return float(sum(float(_unrooted_coefficient(n)) * x**n for n in range(1, k + 1)))
+def single_variable_layers(x, k: int) -> list:
+    """layers for u0 = {single vertex} at z = x, in closed form: entry n is
+    n^(n-1) x^n / n!, the rooted labeled trees on n vertices over n!, for
+    every n <= k (no free-tree bound).  Exact for int or Fraction x.  The
+    unrooted terms are entry n over n, n^(n-2) x^n / n!."""
+    x = Fraction(x) if isinstance(x, (int, Fraction)) else float(x)
+    return [0 * x] + [Fraction(n ** (n - 1), factorial(n)) * x**n for n in range(1, k + 1)]
 
 
 # ---------------------------------------------------------------------------

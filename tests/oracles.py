@@ -12,7 +12,8 @@ closures) work on edge frozensets and walk every edge one by one; only the
 profiles borrow treekit's canonical codes, which the treekit tests check on
 their own.  The forest-count references keep the package's first counting
 scheme: the quadratic recurrence on the component of vertex 1, in integers
-and in log-space floats.
+and in log-space floats.  The scale projection reference keeps the
+optimizer's first projection: 80 numpy bisection steps.
 """
 
 from __future__ import annotations
@@ -361,3 +362,23 @@ def bridge_addable_closure(n, seeds):
                 seen.add(edges | {e})
                 queue.append(edges | {e})
     return seen
+
+
+def scale_to_cap(layers, cap: float) -> float:
+    """Largest lam in (0, 1] with sum lam^s layers[s] <= cap, to within
+    bracket width ~1e-16 (80 bisection steps, each summing with numpy)."""
+    sizes = np.arange(len(layers))
+
+    def value(lam):
+        return float(np.sum(layers * lam**sizes))
+
+    if value(1.0) <= cap:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if value(mid) <= cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo

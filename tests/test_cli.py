@@ -84,6 +84,14 @@ class TestForests:
         err = capsys.readouterr().err
         assert code == 1 and "error" in err
 
+    def test_count_past_digit_limit_exit1(self, capsys):
+        code = cli.main(["forests", "--count", "--n", "2000", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{sys.get_int_max_str_digits()} digits" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+
     def test_exact_cap_is_1000(self, capsys):
         code, doc = run_json(capsys, "forests", "--conn-prob", "--n", "1000")
         assert code == 0 and doc["n"] == 1000
@@ -273,13 +281,25 @@ class TestUsageErrors:
             (["optimize", "--k", "4", "--t-max", "0"], "--t-max"),
             (["optimize", "--k", "4", "--restarts", "0"], "--restarts"),
             (["verify", "--suite", "dissymmetry", "--samples", "-3"], "--samples"),
+            (["optimize", "--k", "4", "--tol", "0"], "--tol"),
+            (["optimize", "--k", "4", "--tol", "nan"], "--tol"),
+            (["optimize", "--k", "4", "--cap", "1.0"], "--cap"),
+            (["optimize", "--k", "4", "--cap", "nan"], "--cap"),
+            (["optimize", "--k", "4", "--epsilon", "nan"], "--epsilon"),
+            (["optimize", "--k", "2"], "--k"),
+            (["verify", "--suite", "boxing", "--n", "5", "--epsilon", "nan"], "--epsilon"),
+            (["verify", "--suite", "boxing", "--n", "5", "--epsilon", "-2"], "--epsilon"),
+            (["verify", "--suite", "boxing", "--n", "5", "--epsilon", "1"], "--epsilon"),
         ],
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
              "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
              "count-n", "conn-prob-n", "sample-n", "trees-max-size", "verify-max-size",
              "verify-n-zero", "count-n-zero", "dissymmetry-k-zero", "dissymmetry-k-one",
              "verify-t-max-zero", "verify-u-max-zero", "optimize-u-max-zero",
-             "optimize-t-max-zero", "optimize-restarts-zero", "dissymmetry-samples-negative"],
+             "optimize-t-max-zero", "optimize-restarts-zero", "dissymmetry-samples-negative",
+             "optimize-tol-zero", "optimize-tol-nan", "optimize-cap-one", "optimize-cap-nan",
+             "optimize-epsilon-nan", "optimize-k-below-u-max", "boxing-epsilon-nan",
+             "boxing-epsilon-negative", "boxing-epsilon-one"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):
         with pytest.raises(SystemExit) as exc:

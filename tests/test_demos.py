@@ -1,6 +1,6 @@
-"""Smoke test: the demos that walk through tree enumeration, the
-counting inequalities on forest classes and the decomposition APIs run to
-completion."""
+"""Smoke test: every demo (tree enumeration, random forests, the counting
+inequalities on forest classes, the decomposition APIs and the optimizer)
+runs to completion."""
 
 import os
 import subprocess
@@ -16,8 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
     "demo",
     [
         "01_trees_and_automorphisms.py",
+        "02_random_forests.py",
         "03_counting_inequalities.py",
         "04_partition_functions.py",
+        "05_optimization.py",
     ],
 )
 def test_demo_exits_zero(demo):

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bridgeforest import optimizer as op
 from bridgeforest import treekit as tk
 from bridgeforest import weights as wt
+
+import oracles
 
 E_INV = math.exp(-1)
 
@@ -53,10 +56,14 @@ class TestSingleVarThreshold:
         for k in (2, 6, 10, 14):
             assert op.single_var_threshold(k) > E_INV
 
+    def test_zero_tol_stops_at_float_resolution(self):
+        x = op.single_var_threshold(5, tol=0.0)
+        assert abs(x - op.single_var_threshold(5)) < 1e-12
+
     def test_solves_equation(self):
         for k in (3, 8, 12):
             x = op.single_var_threshold(k)
-            y = wt.single_variable_series(x, k)
+            y = sum(wt.single_variable_layers(x, k))
             assert abs(y - 1.5) < 1e-9
 
 
@@ -110,7 +117,7 @@ class TestProjectScale:
         scaled = op.project_scale(z, cfg)
         x = scaled["()"]
         assert op.single_var_threshold(6) - 1e-6 <= x <= op.single_var_threshold(6) + 1e-6
-        y = wt.single_variable_series(x, 6)
+        y = sum(wt.single_variable_layers(x, 6))
         assert abs(y - 1.5) <= 1e-6
         assert y <= 1.5 + cfg.tol
 
@@ -128,6 +135,43 @@ class TestProjectScale:
         z = wt.WeightVector.over(cat1, {"()": 1.0})
         x = op.project_scale(z, cfg)["()"]
         assert E_INV < x < 1.0
+
+
+class TestScaleToCapAgainstOracle:
+    # every layer vector projected by a seeded search, through the Horner
+    # bisection and through the first (numpy) projection
+    @pytest.mark.parametrize("k,kw", [(11, {"budget": 1000}), (14, {"restarts": 4})])
+    def test_within_two_ulps_and_under_cap(self, monkeypatch, k, kw):
+        seen = []
+        projection = op._scale_to_cap
+
+        def record(layers, cap):
+            seen.append(layers.copy())
+            return projection(layers, cap)
+
+        monkeypatch.setattr(op, "_scale_to_cap", record)
+        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=k, seed=0, **kw)
+        op.maximize(cfg)
+        assert len(seen) > 400
+        cap = cfg.y_cap
+        for layers in seen:
+            lam = projection(layers, cap)
+            ref = oracles.scale_to_cap(layers, cap)
+            assert abs(lam - ref) <= 2 * math.ulp(ref)
+            # in floats lam is the largest feasible scale; the exact series
+            # exceeds the cap by rounding at most
+            assert np.polyval(layers[::-1], lam) <= cap
+            above = math.nextafter(lam, 1.0)
+            assert above == 1.0 or np.polyval(layers[::-1], above) > cap
+            exact = sum(Fraction(c) * Fraction(lam) ** s for s, c in enumerate(layers))
+            assert exact <= Fraction(cap) * (1 + Fraction(1, 2**50))
+
+    def test_exact_projection_lands_in_tolerance(self):
+        cat3 = tk.Catalog.standard(1, 3)
+        cfg = config(cat3, 8, tol=1e-12)
+        z = wt.WeightVector.over(cat3, {u.code: Fraction(1, 2) for u in cat3.u0})
+        y = wt.rooted_series(op.project_scale(z, cfg), 8, cat3)
+        assert Fraction(3, 2) - Fraction(cfg.tol) <= y <= Fraction(3, 2)
 
 
 class TestMaximize:

@@ -213,13 +213,17 @@ class TestSeries:
         x = Fraction(2, 7)
         z = wt.WeightVector.over(cat1, {"()": x})
         for k in range(1, 13):
-            assert wt.rooted_series(z, k, cat1) == wt.single_variable_series(x, k)
-            assert wt.unrooted_series(z, k, cat1) == wt.single_variable_series_unrooted(x, k)
+            closed = wt.single_variable_layers(x, k)
+            assert wt.layers(z, k, cat1) == closed
+            cayley = sum(
+                Fraction(tk.labeled_tree_count(n), math.factorial(n)) * x**n for n in range(1, k + 1)
+            )
+            assert wt.unrooted_series(z, k, cat1) == cayley
 
     def test_closed_form_small_values(self):
         x = Fraction(1, 2)
-        assert wt.single_variable_series(x, 3) == x + x**2 + Fraction(3, 2) * x**3
-        assert wt.single_variable_series_unrooted(x, 3) == x + x**2 / 2 + x**3 / 2
+        assert wt.single_variable_layers(x, 3) == [0, x, x**2, Fraction(3, 2) * x**3]
+        assert wt.single_variable_layers(2, 4) == [0, 2, 4, 12, Fraction(128, 3)]
 
     def test_family_series(self, cat1):
         x = Fraction(1, 3)
