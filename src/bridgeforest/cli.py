@@ -34,14 +34,13 @@ class RunConfig:
     version: str = __version__
 
 
-def _emit(payload, output, fmt="json"):
-    if fmt == "json":
-        text = serialize.dumps(payload)
-        if output:
-            with open(output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+def _emit(payload, output):
+    text = serialize.dumps(payload)
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _config(args, command) -> RunConfig:

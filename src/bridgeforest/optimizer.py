@@ -32,12 +32,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import treekit, weights
 from .treekit import Catalog
 from .weights import TruncatedSeriesEvaluator, WeightVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OptimizerConfig",
@@ -142,6 +144,7 @@ def feasibility(z: WeightVector, config: OptimizerConfig) -> FeasibilityResult:
             violations.append("not a closure fixed point")
         objective = weights.piece_series_linear(z, cat)
     else:
+        import numpy as np
         ev = _evaluator(cat, k)
         zv = z.to_floats()
         om, layers = ev.evaluate(zv)
@@ -263,6 +266,7 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
     in exact arithmetic; the result is a certified feasible lower bound for
     the maximum, not a certificate of optimality.
     """
+    import numpy as np
     cat, k = config.catalog, config.k
     ev = _evaluator(cat, k)
     d = len(cat.u0)

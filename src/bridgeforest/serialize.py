@@ -1,9 +1,13 @@
 """JSON projections of the toolkit's values and reports.
 
-Exact rationals serialize as {"num": "...", "den": "..."} with string
-digits so arbitrary precision survives any JSON reader; everything else
-maps to plain JSON types.  Output is deterministic (sorted keys, no
-timestamps), so identical inputs give byte-identical documents.
+`dumps(obj)` is, byte for byte, `json.dumps(plain, sort_keys=True, indent=2)`
+of obj projected onto JSON types, written in one walk.  A Fraction becomes
+{"num": "...", "den": "..."} with string digits, so any precision survives.
+Lists, tuples and sets become lists, sets sorted.  Dicts and dataclasses
+become objects keyed by `str(key)` (the last value wins where keys collide).
+None, bool, int, float and str, subclasses, NaN and infinities included, are
+written as `json` writes them; other types raise TypeError.  Keys and sets
+are sorted, so identical inputs give byte-identical documents.
 """
 
 from __future__ import annotations
@@ -13,23 +17,30 @@ import json
 from fractions import Fraction
 
 
-def jsonable(obj):
-    if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, float, str)):
-        return obj
-    if isinstance(obj, frozenset):
-        return sorted(jsonable(x) for x in obj)
-    if isinstance(obj, (list, tuple, set)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2)
+    return _text(obj, "\n")
+
+
+def _text(obj, nl: str) -> str:
+    """obj's text, nested at the indent that nl (a newline) ends with."""
+    if isinstance(obj, Fraction):
+        obj = {"num": str(obj.numerator), "den": str(obj.denominator)}
+    if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
+        return json.dumps(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        if all(type(x) is int for x in items):  # plain ints or int pairs: one join
+            parts = map(int.__repr__, items)
+        elif all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in items):
+            parts = map(f"[{inner}  %d,{inner}  %d{inner}]".__mod__, items)
+        else:
+            parts = [_text(x, inner) for x in items]
+        return f"[{inner}{(',' + inner).join(parts)}{nl}]" if items else "[]"
+    if isinstance(obj, dict):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        parts = [f"{json.dumps(k)}: {_text(v, inner)}" for k, v in items]
+        return f"{{{inner}{(',' + inner).join(parts)}{nl}}}" if items else "{}"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, nl)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

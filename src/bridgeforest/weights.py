@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import treekit
 from .treekit import (
@@ -44,6 +43,9 @@ from .treekit import (
     SINGLE_VERTEX_CODE,
     code_to_adjacency,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WeightVector",
@@ -120,6 +122,7 @@ class WeightVector:
         return dict(self.entries)
 
     def to_floats(self) -> np.ndarray:
+        import numpy as np
         return np.array([float(v) for _, v in self.entries])
 
 
@@ -693,6 +696,7 @@ class TruncatedSeriesEvaluator:
     """
 
     def __init__(self, catalog: Catalog, k: int):
+        import numpy as np
         self.catalog = catalog
         self.k = k
         self._profiles = _profiles(catalog, k)
@@ -722,6 +726,7 @@ class TruncatedSeriesEvaluator:
         return self._profiles.index(code)
 
     def evaluate(self, zvec: np.ndarray):
+        import numpy as np
         powers = (np.asarray(zvec, dtype=float)[:, None] ** self._exponents).ravel()
         ((_, gathers, starts),) = self.passes
         monomials = powers[gathers[0]]

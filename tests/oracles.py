@@ -13,12 +13,17 @@ profiles borrow treekit's canonical codes, which the treekit tests check on
 their own.  The forest-count references keep the package's first counting
 scheme: the quadratic recurrence on the component of vertex 1, in integers
 and in log-space floats.  The scale projection reference keeps the
-optimizer's first projection: 80 numpy bisection steps.
+optimizer's first projection: 80 numpy bisection steps.  The report
+reference keeps the first serializer: project onto plain JSON types, then
+`json.dumps(..., sort_keys=True, indent=2)`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -382,3 +387,29 @@ def scale_to_cap(layers, cap: float) -> float:
         else:
             hi = mid
     return lo
+
+
+def jsonable(obj):
+    """obj projected onto plain JSON types: Fractions to {"num", "den"}
+    digit strings, sequences and sets to lists (sets sorted), dicts and
+    dataclass instances to dicts keyed by str(key)."""
+    if isinstance(obj, Fraction):
+        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, (int, float, str)):
+        return obj
+    if isinstance(obj, (set, frozenset)):
+        return sorted(jsonable(x) for x in obj)
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def report_dumps(obj) -> str:
+    """The report text of obj, through the standard library's indenting encoder."""
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2)
