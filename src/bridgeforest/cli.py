@@ -155,6 +155,10 @@ def _cmd_trees(args) -> int:
 def _cmd_forests(args) -> int:
     config = _config(args, "forests")
     mode = "logfloat" if args.logfloat else "exact"
+    sweep = (args.conn_prob or args.ratio) and args.n_range and not args.count
+    if args.format == "csv" and not sweep:
+        raise _UsageError("argument --format: csv is only for a --conn-prob or --ratio "
+                          "sweep over --n-range")
     if args.count:
         if args.n is None or args.k is None:
             missing = "--n" if args.n is None else "--k"
@@ -168,22 +172,27 @@ def _cmd_forests(args) -> int:
         return 0
     if args.conn_prob or args.ratio:
         if args.conn_prob:
-            flag, key = "--conn-prob", "probability"
+            flag, key, low = "--conn-prob", "probability", 1
             value = partial(forestlab.connectivity_prob, mode=mode)
             write = partial(forestlab.write_connectivity_sweep, mode=mode)
         else:
-            flag, key = "--ratio", "ratio"
+            flag, key, low = "--ratio", "ratio", 2
             value, write = forestlab.two_component_ratio, forestlab.write_ratio_sweep
         if args.n_range:
-            ns = _parse_range(args.n_range)
-            if args.format == "csv":
-                if not args.output:
-                    raise _UsageError("argument --output: a csv sweep needs --output")
-                write(args.output, ns)
-                return 0
-            payload = {"config": config, "sweep": [{"n": n, key: value(n)} for n in ns]}
+            argument, ns = "--n-range", _parse_range(args.n_range)
         elif args.n is None:
             raise _UsageError(f"argument --n: {flag} needs --n or --n-range")
+        else:
+            argument, ns = "--n", [args.n]
+        if ns[0] < low:
+            raise _UsageError(f"argument {argument}: {flag} needs n >= {low}")
+        if args.format == "csv":
+            if not args.output:
+                raise _UsageError("argument --output: a csv sweep needs --output")
+            write(args.output, ns)
+            return 0
+        if args.n_range:
+            payload = {"config": config, "sweep": [{"n": n, key: value(n)} for n in ns]}
         else:
             payload = {"config": config, "n": args.n, key: value(args.n)}
         _emit(payload, args.output)

@@ -251,12 +251,12 @@ def _bridge_bits(n: int, mask: int):
     return _bit_indices(((1 << len(_pairs(n))) - 1) ^ inside)
 
 
-def _forest_masks(n: int, max_n: int):
+def _forest_masks(n: int):
     """The edge mask of every labeled forest on vertices 1..n, once each."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise CapacityError(f"exhaustive enumeration capped at n={max_n}")
+    if n > DEFAULT_EXHAUSTIVE_N:
+        raise CapacityError(f"exhaustive enumeration capped at n={DEFAULT_EXHAUSTIVE_N}")
     pairs = _pairs(n)
     out = []
     parent = list(range(n + 1))
@@ -282,9 +282,9 @@ def _forest_masks(n: int, max_n: int):
     return out
 
 
-def enumerate_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N):
+def enumerate_forests(n: int):
     """Every labeled forest on vertices 1..n, exactly once."""
-    return [_forest_of(n, m) for m in _forest_masks(n, max_n)]
+    return [_forest_of(n, m) for m in _forest_masks(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +596,8 @@ class ForestClass:
         return f"ForestClass(n={self.n}, members={len(self)}, provenance={self.provenance!r})"
 
 
-def all_forests(n: int, max_n: int = DEFAULT_EXHAUSTIVE_N) -> ForestClass:
-    return ForestClass(n, _forest_masks(n, max_n), provenance="all-forests")
+def all_forests(n: int) -> ForestClass:
+    return ForestClass(n, _forest_masks(n), provenance="all-forests")
 
 
 @dataclass(frozen=True)
@@ -664,8 +664,8 @@ def bridge_addable_closure(seeds) -> ForestClass:
     return cls
 
 
-def random_closure(n: int, seed: int, num_seeds: int = 3) -> ForestClass:
-    """Bridge-addable closure of a few random forests.
+def random_closure(n: int, seed: int) -> ForestClass:
+    """Bridge-addable closure of three random forests.
 
     Seeds are uniform forests with each edge then kept with probability
     1/2, which spreads the component counts (uniform forests alone are
@@ -673,12 +673,12 @@ def random_closure(n: int, seed: int, num_seeds: int = 3) -> ForestClass:
     """
     rng = random.Random(seed)
     seeds = []
-    for _ in range(num_seeds):
+    for _ in range(3):
         f = sample_forest(n, rng=rng)
         kept = [e for e in sorted(f.edges) if rng.random() < 0.5]
         seeds.append(LabeledForest.make(n, kept))
     cls = bridge_addable_closure(seeds)
-    cls.provenance = f"random-closure(seed={seed}, num_seeds={num_seeds})"
+    cls.provenance = f"random-closure(seed={seed}, num_seeds=3)"
     return cls
 
 
@@ -728,9 +728,9 @@ class ClassHistogram:
     def count_components(self, i: int) -> int:
         return self.component_counts.get(i, 0)
 
-    def count_a(self, box: Box, enlarged: bool = False) -> int:
-        inside = box.contains_neighborhood if enlarged else box.contains
-        return sum(c for a, c in self.a_alpha.items() if inside(a))
+    def count_a(self, box: Box) -> int:
+        """Connected members with statistics in the box's q-neighbourhood."""
+        return sum(c for a, c in self.a_alpha.items() if box.contains_neighborhood(a))
 
     def count_b(self, ucode: str, box: Box) -> int:
         amap = self.b_alpha.get(ucode)
@@ -766,14 +766,14 @@ def class_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
     return c.histogram(catalog)
 
 
-def _box_setup(c: ForestClass, catalog: Catalog, w: int, q: int | None):
-    """Refuse a width below 1 or a class that is not bridge-addable; give q
-    (catalog.q_star by default) and the class histogram."""
+def _box_setup(c: ForestClass, catalog: Catalog, w: int):
+    """Refuse a width below 1 or a class that is not bridge-addable; give
+    the radius q (catalog.q_star) and the class histogram."""
     if w < 1:
         raise ValueError(f"box width w must be >= 1, got {w}")
     if not _class_is_bridge_addable(c):
         raise ValueError("class is not bridge-addable")
-    return catalog.q_star if q is None else q, c.histogram(catalog)
+    return catalog.q_star, c.histogram(catalog)
 
 
 def _candidate_boxes(hist: ClassHistogram, catalog: Catalog, w: int, q: int):
@@ -809,7 +809,7 @@ def ratio_weights(c: ForestClass, catalog: Catalog, box: Box) -> WeightVector:
     are 0 regardless of A_boxq.
     """
     hist = c.histogram(catalog)
-    a_count = hist.count_a(box, enlarged=True)
+    a_count = hist.count_a(box)
     entries = {}
     for u in catalog.u0:
         b_count = hist.count_b(u.code, box)
@@ -851,18 +851,12 @@ def verify_simple_counting(c: ForestClass) -> SimpleCountingReport:
     return SimpleCountingReport(ok=ok, n=c.n, comparisons=comparisons, ratios=ratios)
 
 
-# Per-catalog split descriptors feeding the local double counting check.
-_SPLIT_DESCRIPTORS: dict = {}
-
-
+@cache
 def _admissible_splits(catalog: Catalog):
     """Splits of t0 trees usable in the local counting inequality: regular
     splits need the root side in t0 and the pendant side in u0; the
     degenerate rows cover whole trees of t0 that belong to u0 as unrooted
-    trees (the removed piece is the entire tree)."""
-    cached = _SPLIT_DESCRIPTORS.get(catalog.key)
-    if cached is not None:
-        return cached
+    trees (the removed piece is the entire tree).  Built once per catalog object."""
     rows = []
     for t in catalog.t0:
         if t.size >= 2:
@@ -874,9 +868,7 @@ def _admissible_splits(catalog: Catalog):
         if u_code in catalog.u0_index:
             keys = treekit._unrooted_orbit_keys(treekit.code_to_adjacency(t.code))
             rows.append(("degenerate", t.code, None, u_code, 1, None, keys.count(keys[0])))
-    cached = tuple(rows)
-    _SPLIT_DESCRIPTORS[catalog.key] = cached
-    return cached
+    return tuple(rows)
 
 
 @dataclass
@@ -897,7 +889,6 @@ def verify_local_double_counting(
     w: int = 1,
     box: Box | None = None,
     split=None,
-    q: int | None = None,
 ) -> LocalCountingReport:
     """Exact check of the box-local double counting inequality
 
@@ -910,7 +901,7 @@ def verify_local_double_counting(
     two-component mass; all remaining grid boxes have B_box = 0 and pass
     vacuously.  A `split` (EdgeSplit) restricts the check to that split.
     """
-    q, hist = _box_setup(c, catalog, w, q)
+    q, hist = _box_setup(c, catalog, w)
     boxes = [box] if box is not None else _candidate_boxes(hist, catalog, w, q)
     rows = _admissible_splits(catalog)
     if split is not None:
@@ -924,7 +915,7 @@ def verify_local_double_counting(
     for bx in boxes:
         if bx.width != w:
             raise ValueError("box width disagrees with w")
-        a_count = hist.count_a(bx, enlarged=True)
+        a_count = hist.count_a(bx)
         b_counts = {u.code: hist.count_b(u.code, bx) for u in catalog.u0}
         alpha = bx.lower
         # a degenerate row has m_edge = 1, and n_root where a split has n_vplus
@@ -965,13 +956,7 @@ class SumBoundReport:
     max_value: Fraction | None
 
 
-def verify_weight_sum_bound(
-    c: ForestClass,
-    catalog: Catalog,
-    w: int = 1,
-    box: Box | None = None,
-    q: int | None = None,
-) -> SumBoundReport:
+def verify_weight_sum_bound(c: ForestClass, catalog: Catalog, w: int = 1) -> SumBoundReport:
     """Check that the t0 partition function of the class's ratio weights
     stays below 1 + C/n with C = (w+q) * (2 t_max)^(t_max-1) * |t0|, on
     every box whose lower corner satisfies sum(alpha) <= n-1.
@@ -980,8 +965,8 @@ def verify_weight_sum_bound(
     is not claimed there).  Boxes without two-component mass have zero
     weights and pass trivially.
     """
-    q, hist = _box_setup(c, catalog, w, q)
-    boxes = [box] if box is not None else _candidate_boxes(hist, catalog, w, q)
+    q, hist = _box_setup(c, catalog, w)
+    boxes = _candidate_boxes(hist, catalog, w, q)
     t_max = catalog.t_max
     const = (w + q) * (2 * t_max) ** (t_max - 1) * len(catalog.t0)
     bound = 1 + Fraction(const, c.n)
@@ -1030,9 +1015,7 @@ class BoxingReport:
     guarantee_applies: bool  # the averaging size condition held
 
 
-def boxing_search(
-    c: ForestClass, catalog: Catalog, w: int, epsilon: float, q: int | None = None
-) -> BoxingReport:
+def boxing_search(c: ForestClass, catalog: Catalog, w: int, epsilon: float) -> BoxingReport:
     """Deterministic search for a family of width-w boxes, pairwise 2q
     apart, capturing at least a (1-epsilon) fraction of the two-component
     members for every small-component type in u0.
@@ -1045,7 +1028,7 @@ def boxing_search(
     degrades to diagonal shifts and reports it.  If no shift reaches the
     target the best one found is returned with ok=False.
     """
-    q, hist = _box_setup(c, catalog, w, q)
+    q, hist = _box_setup(c, catalog, w)
     period = w + 2 * q
     d = len(catalog.t0)
     totals = {u.code: hist.b_totals.get(u.code, 0) for u in catalog.u0}
@@ -1119,13 +1102,30 @@ def save_class(c: ForestClass, path) -> None:
         json.dump(payload, fh, sort_keys=True)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_edge_list(edges) -> bool:
+    return isinstance(edges, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    )
+
+
 def load_class(path) -> ForestClass:
+    """Read a class file (see save_class).  A file whose n is not an int
+    >= 1, or whose forests are not a non-empty list of edge lists of int
+    pairs, raises ValueError naming the file."""
     with open(path) as fh:
         payload = json.load(fh)
-    n = payload["n"]
-    members = [
-        LabeledForest.make(n, [tuple(e) for e in edges]) for edges in payload["forests"]
-    ]
+    if not isinstance(payload, dict):
+        payload = {}
+    n, forests = payload.get("n"), payload.get("forests")
+    if not (_is_int(n) and n >= 1 and isinstance(forests, list) and forests
+            and all(map(_is_edge_list, forests))):
+        raise ValueError(f"class file {path}: expected {{\"n\": an int >= 1, "
+                         "\"forests\": a non-empty list of edge lists [[u, v], ...]}")
+    members = [LabeledForest.make(n, [tuple(e) for e in edges]) for edges in forests]
     return ForestClass(n, members, provenance=f"file:{path}")
 
 

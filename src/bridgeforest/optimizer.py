@@ -114,47 +114,26 @@ class BoundCheck:
     epsilon: float
 
 
-_EVALUATORS: dict = {}
-
-
-def _evaluator(catalog: Catalog, k: int) -> TruncatedSeriesEvaluator:
-    key = (catalog.key, k)
-    ev = _EVALUATORS.get(key)
-    if ev is None:
-        ev = TruncatedSeriesEvaluator(catalog, k)
-        _EVALUATORS[key] = ev
-    return ev
-
-
 def feasibility(z: WeightVector, config: OptimizerConfig) -> FeasibilityResult:
     """Evaluate the cap constraint and the closure fixed-point constraint.
 
-    Exact vectors are checked exactly; float vectors within config.tol.
+    Both kinds of vector take one path: exact vectors are checked exactly
+    (tolerance 0), float vectors within config.tol.
     """
-    violations = []
-    cat, k = config.catalog, config.k
+    cat = config.catalog
     if z.exact:
-        y = weights.rooted_series(z, k, cat)
-        cap = Fraction(config.y_cap)
-        if y > cap:
-            violations.append(f"rooted series {float(y):.12g} exceeds cap {config.y_cap}")
-        closed_vec = weights.closure(z, cat)
-        closed = closed_vec.entries == z.entries
-        if not closed:
-            violations.append("not a closure fixed point")
-        objective = weights.piece_series_linear(z, cat)
+        cap, tol, unclosed = Fraction(config.y_cap), 0, "not a closure fixed point"
     else:
-        import numpy as np
-        ev = _evaluator(cat, k)
-        zv = z.to_floats()
-        om, layers = ev.evaluate(zv)
-        y = float(layers[1:].sum())
-        if y > config.y_cap + config.tol:
-            violations.append(f"rooted series {y:.12g} exceeds cap {config.y_cap}")
-        closed = bool(np.max(np.abs(om[ev.u0_positions] - zv[ev.u0_zslots])) <= config.tol)
-        if not closed:
-            violations.append("not a closure fixed point (beyond tol)")
-        objective = ev.objective(zv)
+        cap, tol, unclosed = config.y_cap, config.tol, "not a closure fixed point (beyond tol)"
+    violations = []
+    y = weights.rooted_series(z, config.k, cat)
+    if y > cap + tol:
+        violations.append(f"rooted series {float(y):.12g} exceeds cap {config.y_cap}")
+    closed_vec = weights.closure(z, cat)
+    closed = all(abs(c - v) <= tol for (_, c), (_, v) in zip(closed_vec.entries, z.entries))
+    if not closed:
+        violations.append(unclosed)
+    objective = weights.piece_series_linear(z, cat)
     if violations:
         return FeasibilityResult(feasible=False, point=None, violations=violations)
     return FeasibilityResult(
@@ -207,7 +186,7 @@ def project_scale(z: WeightVector, config: OptimizerConfig) -> WeightVector:
         raise ValueError("cannot project the zero vector")
     layers = weights.layers(z, config.k, config.catalog)
     cap = Fraction(config.y_cap) if z.exact else config.y_cap
-    if sum(layers) <= cap:
+    if weights._total(layers) <= cap:
         return z
     if z.exact:
         tol = Fraction(config.tol)
@@ -268,7 +247,7 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
     """
     import numpy as np
     cat, k = config.catalog, config.k
-    ev = _evaluator(cat, k)
+    ev = TruncatedSeriesEvaluator(cat, k)
     d = len(cat.u0)
     sizes_u0 = np.array([u.size for u in cat.u0], dtype=np.int64)
     lin = np.array([1.0 / u.aut_u for u in cat.u0])

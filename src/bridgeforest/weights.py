@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, prod
+from math import factorial, fsum, prod
 from typing import TYPE_CHECKING
 
 from . import treekit
@@ -142,10 +142,6 @@ class DecompositionStep:
 class DecompositionTrace:
     steps: tuple[DecompositionStep, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
     def piece_counts(self) -> dict:
         return Counter(s.piece for s in self.steps)
 
@@ -179,45 +175,40 @@ def replay_trace(trace: DecompositionTrace) -> UnrootedTreeCode:
 # and the supermultiplicativity check read only those; canonical attachment
 # indices are computed from the recorded edges for the traces that report
 # them.
-_MOVES: dict[str, tuple] = {}
-
-
+@cache
 def _moves(code: str):
     """Oriented single-edge removals of the unrooted tree `code`, as sorted
     tuples (piece_code, rest_code, edges), one per distinct pair of codes.
     edges lists the (v, below) realizing the pair: removing the edge from
     vertex v of the canonical representative to its parent leaves the
     piece on v's side when below is true, on the other side otherwise."""
-    cached = _MOVES.get(code)
-    if cached is None:
-        adj = code_to_adjacency(code)
-        _, parent = treekit._dfs_order(adj, 0)
-        found: dict[tuple, list] = {}
-        for v in range(1, len(adj)):
-            (sub_a, _), (sub_b, _) = treekit._split_edge(adj, parent, v)
-            ca = treekit._unrooted_from_adj(sub_a).code
-            cb = treekit._unrooted_from_adj(sub_b).code
-            found.setdefault((ca, cb), []).append((v, True))
-            found.setdefault((cb, ca), []).append((v, False))
-        cached = _MOVES[code] = tuple((*key, tuple(found[key])) for key in sorted(found))
-    return cached
+    adj = code_to_adjacency(code)
+    _, parent = treekit._dfs_order(adj, 0)
+    found: dict[tuple, list] = {}
+    for v in range(1, len(adj)):
+        (sub_a, _), (sub_b, _) = treekit._split_edge(adj, parent, v)
+        ca = treekit._unrooted_from_adj(sub_a).code
+        cb = treekit._unrooted_from_adj(sub_b).code
+        found.setdefault((ca, cb), []).append((v, True))
+        found.setdefault((cb, ca), []).append((v, False))
+    return tuple((*key, tuple(found[key])) for key in sorted(found))
 
 
-# unrooted code -> {orbit key: canonical index of the first vertex of the
-# canonical representative in that orbit}
-_ORBIT_INDEX: dict[str, dict] = {}
+@cache
+def _orbit_firsts(code: str) -> dict:
+    """Orbit key -> canonical index of the first vertex of the canonical
+    representative of the unrooted tree `code` in that orbit."""
+    index: dict = {}
+    for i, key in enumerate(treekit._unrooted_orbit_keys(code_to_adjacency(code))):
+        index.setdefault(key, i)
+    return index
 
 
 def _orbit_index(code: str, side) -> tuple:
     """Orbit key of a side's endpoint (the side's code rooted there) and
     the canonical index of its orbit representative in the tree `code`."""
-    index = _ORBIT_INDEX.get(code)
-    if index is None:
-        index = _ORBIT_INDEX[code] = {}
-        for i, key in enumerate(treekit._unrooted_orbit_keys(code_to_adjacency(code))):
-            index.setdefault(key, i)
     key = treekit._encode(*side)[0]
-    return key, index[key]
+    return key, _orbit_firsts(code)[key]
 
 
 @cache
@@ -322,15 +313,15 @@ def max_weight(t, z: WeightVector, catalog: Catalog):
     return table.value(code), table.trace(code)
 
 
-def enumerate_decompositions(t, catalog: Catalog, max_size: int = 8):
+def enumerate_decompositions(t, catalog: Catalog):
     """Every decomposition of `t` over catalog.u0, as traces, by exhaustive
     reverse search over piece removals.  Brute-force oracle for the
     recursion used by MaxWeightTable; keep inputs at 8 vertices or fewer.
     """
     code = _as_unrooted_code(t)
     size = code.count("(")
-    if size > max_size:
-        raise treekit.CapacityError(f"tree of size {size} exceeds oracle bound {max_size}")
+    if size > 8:
+        raise treekit.CapacityError(f"tree of size {size} exceeds oracle bound 8")
     memo: dict[str, tuple] = {}
 
     def search(w: str):
@@ -378,11 +369,9 @@ class _PieceStates:
     treekit.fold_unrooted.
     """
 
-    def __init__(self, catalog: Catalog):
-        self.u_max = catalog.u_max
-        self._unit = {
-            u.code: 1 << (_COUNT_BITS * j) for j, u in enumerate(catalog.u0)
-        }
+    def __init__(self, u0: tuple):
+        self.u_max = max(u.size for u in u0)
+        self._unit = {u.code: 1 << (_COUNT_BITS * j) for j, u in enumerate(u0)}
         self._states: list[frozenset] = []
         self._ids: dict[frozenset, int] = {}
         self._attached: dict[tuple, int] = {}
@@ -449,15 +438,15 @@ class _Profiles:
     1/aut_r over their rootings.  Classes are ordered by (size, profile).
     """
 
-    def __init__(self, catalog: Catalog, k: int):
-        states = _PieceStates(catalog)
+    def __init__(self, u0: tuple, k: int):
+        states = _PieceStates(u0)
         labelings: dict[tuple, int] = {}  # class -> sum of n!/aut_u
         for n, aut, sid in treekit.fold_unrooted(k, states.root, states.attach):
             key = (n, states.profile(sid))
             labelings[key] = labelings.get(key, 0) + factorial(n) // aut
         order = sorted(labelings, key=lambda key: (key[0], sorted(key[1])))
         mask = (1 << _COUNT_BITS) - 1
-        d = len(catalog.u0)
+        d = len(u0)
         self.states = states
         self.k = k
         self.sizes = tuple(n for n, _ in order)
@@ -479,14 +468,10 @@ class _Profiles:
         return self._class[(size, self.states.profile(self.states.state_of(code)))]
 
 
-_PROFILES: dict[tuple, _Profiles] = {}
-
-
-def _profiles(catalog: Catalog, k: int) -> _Profiles:
-    key = (catalog.key[1], k)
-    if key not in _PROFILES:
-        _PROFILES[key] = _Profiles(catalog, k)
-    return _PROFILES[key]
+@cache
+def _profiles(u0: tuple, k: int) -> _Profiles:
+    """Profile classes over u0 up to k; catalogs sharing u0 share one build."""
+    return _Profiles(u0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +490,7 @@ def layers(z: WeightVector, k: int, catalog: Catalog) -> list:
     if k < 1:
         raise ValueError("truncation order must be >= 1")
     _check_domain(z, catalog)
-    table = _profiles(catalog, k)
+    table = _profiles(catalog.u0, k)
     # monomials as (numerator, denominator) integer pairs, compared by
     # cross-multiplying: much cheaper than reducing every product
     if z.exact:
@@ -526,10 +511,17 @@ def layers(z: WeightVector, k: int, catalog: Catalog) -> list:
     return out
 
 
+def _total(terms):
+    """Sum of series terms: exact for Fractions, math.fsum for floats (the
+    correctly rounded sum on every interpreter, where sum() is not)."""
+    terms = list(terms)
+    return sum(terms) if all(isinstance(t, (int, Fraction)) for t in terms) else fsum(terms)
+
+
 def rooted_series(z: WeightVector, k: int, catalog: Catalog):
     """Sum of maxweight(T)/aut_r(T) over all rooted trees with at most k
     vertices."""
-    return sum(layers(z, k, catalog))
+    return _total(layers(z, k, catalog))
 
 
 def rooted_series_term(z: WeightVector, k: int, catalog: Catalog):
@@ -552,7 +544,7 @@ def rooted_series_family(z: WeightVector, family, catalog: Catalog):
 def _unrooted_from_layers(per_size):
     """Sum of maxweight(U)/aut_u(U) from the rooted layers: size-s unrooted
     trees contribute layer s over s."""
-    return sum((c / s for s, c in enumerate(per_size) if s), per_size[0])
+    return _total([per_size[0]] + [c / s for s, c in enumerate(per_size) if s])
 
 
 def unrooted_series(z: WeightVector, k: int, catalog: Catalog):
@@ -570,7 +562,7 @@ def series_report(z: WeightVector, k: int, catalog: Catalog) -> dict:
         "exact": z.exact,
         "weights": z.as_dict(),
         "per_size": dict(enumerate(per_size[1:], start=1)),
-        "rooted_total": sum(per_size),
+        "rooted_total": _total(per_size),
         "unrooted_total": _unrooted_from_layers(per_size),
         "linear_piece_total": piece_series_linear(z, catalog),
     }
@@ -578,11 +570,10 @@ def series_report(z: WeightVector, k: int, catalog: Catalog) -> dict:
 
 def _piece_sum(z: WeightVector, catalog: Catalog, value):
     """Sum of value(U)/aut_u(U) over u0, in Fractions for exact z."""
-    terms = (
+    return _total(
         Fraction(value(u.code), u.aut_u) if z.exact else value(u.code) / u.aut_u
         for u in catalog.u0
     )
-    return sum(terms, Fraction(0) if z.exact else 0.0)
 
 
 def piece_series_linear(z: WeightVector, catalog: Catalog):
@@ -638,9 +629,9 @@ def verify_dissymmetry_trunc(z: WeightVector, k: int, catalog: Catalog) -> Dissy
     if k < 2:
         raise ValueError("need k >= 2")
     per_size = layers(z, k, catalog)
-    y = sum(per_size)
+    y = _total(per_size)
     yu = _unrooted_from_layers(per_size)
-    yh = sum(per_size[: k // 2 + 1])
+    yh = _total(per_size[: k // 2 + 1])
     half_sq = yh * yh / 2
     return DissymmetryCheck(ok=(y - yu) >= half_sq, k=k, rooted=y, unrooted=yu, half_square=half_sq)
 
@@ -697,9 +688,8 @@ class TruncatedSeriesEvaluator:
 
     def __init__(self, catalog: Catalog, k: int):
         import numpy as np
-        self.catalog = catalog
         self.k = k
-        self._profiles = _profiles(catalog, k)
+        self._profiles = _profiles(catalog.u0, k)
         self.sizes = np.array(self._profiles.sizes, dtype=np.int64)
         self.rooted_coeff = np.array([float(c) for c in self._profiles.coeff])
         self.u0_positions = np.array(
@@ -735,9 +725,3 @@ class TruncatedSeriesEvaluator:
         om = np.maximum.reduceat(monomials, starts)
         y = np.bincount(self.sizes, weights=self.rooted_coeff * om, minlength=self.k + 1)
         return om, y
-
-    def objective(self, zvec: np.ndarray) -> float:
-        """piece_series_linear for a float vector."""
-        return float(
-            sum(zvec[j] / u.aut_u for j, u in enumerate(self.catalog.u0))
-        )

@@ -13,7 +13,9 @@ profiles borrow treekit's canonical codes, which the treekit tests check on
 their own.  The forest-count references keep the package's first counting
 scheme: the quadratic recurrence on the component of vertex 1, in integers
 and in log-space floats.  The scale projection reference keeps the
-optimizer's first projection: 80 numpy bisection steps.  The report
+optimizer's first projection: 80 numpy bisection steps.  The float
+feasibility reference keeps the optimizer's first float check: the
+package's vectorized evaluator (passed in) with numpy sums.  The report
 reference keeps the first serializer: project onto plain JSON types, then
 `json.dumps(..., sort_keys=True, indent=2)`.
 """
@@ -387,6 +389,22 @@ def scale_to_cap(layers, cap: float) -> float:
         else:
             hi = mid
     return lo
+
+
+def float_feasibility(ev, z, config):
+    """(feasible, violations, y, objective) of a float weight vector, from
+    the vectorized evaluator `ev` built for (config.catalog, config.k):
+    the cap and closure constraints checked within config.tol."""
+    zv = np.array([float(v) for _, v in z.entries])
+    om, layers = ev.evaluate(zv)
+    y = float(layers[1:].sum())
+    violations = []
+    if y > config.y_cap + config.tol:
+        violations.append(f"rooted series {y:.12g} exceeds cap {config.y_cap}")
+    if not np.max(np.abs(om[ev.u0_positions] - zv[ev.u0_zslots])) <= config.tol:
+        violations.append("not a closure fixed point (beyond tol)")
+    objective = float(sum(zv[j] / u.aut_u for j, u in enumerate(config.catalog.u0)))
+    return not violations, violations, y, objective
 
 
 def jsonable(obj):

@@ -252,6 +252,27 @@ class TestNothingChecked:
         assert captured.err == f"error: verify --suite {argv[2]} checked nothing\n"
 
 
+class TestClassFiles:
+    # a class file must hold an int n >= 1 and a non-empty list of edge
+    # lists of int pairs; any other shape is refused in one line naming the
+    # file, and an empty class is not a pass that examined nothing
+    @pytest.mark.parametrize(
+        "text",
+        ['{}', '[1, 2]', '{"n": 4, "forests": [[1, 2]]}', '{"n": "4", "forests": []}',
+         '{"n": 4, "forests": []}'],
+        ids=["empty-object", "list", "edges-not-pairs", "n-string", "no-forests"],
+    )
+    def test_malformed_exit1_one_line(self, capsys, tmp_path, text):
+        path = tmp_path / "class.json"
+        path.write_text(text)
+        code = cli.main(["verify", "--suite", "simple-counting", "--n", "4",
+                         "--class", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: class file {path}: ")
+
+
 class TestUsageErrors:
     # each bad command line is a usage error, found in argument parsing or
     # in the command: exit 2 and one line on stderr naming the argument
@@ -290,6 +311,12 @@ class TestUsageErrors:
             (["verify", "--suite", "boxing", "--n", "5", "--epsilon", "nan"], "--epsilon"),
             (["verify", "--suite", "boxing", "--n", "5", "--epsilon", "-2"], "--epsilon"),
             (["verify", "--suite", "boxing", "--n", "5", "--epsilon", "1"], "--epsilon"),
+            (["forests", "--conn-prob", "--n-range", "0:3"], "--n-range"),
+            (["forests", "--ratio", "--n", "1"], "--n"),
+            (["forests", "--ratio", "--n-range", "1:3"], "--n-range"),
+            (["forests", "--conn-prob", "--n", "5", "--format", "csv"], "--format"),
+            (["forests", "--sample", "--n", "5", "--format", "csv"], "--format"),
+            (["forests", "--count", "--n", "5", "--k", "2", "--format", "csv"], "--format"),
         ],
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
              "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
@@ -299,7 +326,8 @@ class TestUsageErrors:
              "optimize-t-max-zero", "optimize-restarts-zero", "dissymmetry-samples-negative",
              "optimize-tol-zero", "optimize-tol-nan", "optimize-cap-one", "optimize-cap-nan",
              "optimize-epsilon-nan", "optimize-k-below-u-max", "boxing-epsilon-nan",
-             "boxing-epsilon-negative", "boxing-epsilon-one"],
+             "boxing-epsilon-negative", "boxing-epsilon-one", "conn-prob-range-zero",
+             "ratio-n-one", "ratio-range-one", "csv-conn-prob-n", "csv-sample", "csv-count"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,50 @@ class TestFeasibility:
         z = wt.closure(wt.WeightVector.over(cat2, {"()": Fraction(1, 4)}), cat2)
         res = op.feasibility(z, cfg)
         assert res.feasible and res.point.closed
+
+
+def float_points(cat, k, cfg):
+    """Float vectors from seeded uniform draws, piece U scaled by
+    scale**|U|: each draw as it is (often unclosed), with its largest piece
+    zeroed (unclosed once u0 has two pieces), closed, and closed then
+    projected onto the cap."""
+    for seed in range(4):
+        rng = random.Random(f"{k}:{seed}")
+        for scale in (2.0, 0.5, 0.1):
+            z = wt.WeightVector.over(cat, {u.code: scale**u.size * rng.random() for u in cat.u0})
+            hollow = wt.WeightVector.over(cat, {**z.as_dict(), cat.u0[-1].code: 0.0})
+            closed = wt.closure(z, cat)
+            yield from (z, hollow, closed, op.project_scale(closed, cfg))
+
+
+class TestFloatFeasibilityAgainstOracle:
+    # float vectors take the exact path with tolerance config.tol; the
+    # reference is the first float check, on the vectorized evaluator
+    @pytest.mark.parametrize("u_max", [1, 2, 3])
+    @pytest.mark.parametrize("k", [8, 11, 14])
+    def test_same_verdicts_and_values(self, u_max, k):
+        cat = tk.Catalog.standard(1, u_max)
+        cfg = config(cat, k)
+        ev = wt.TruncatedSeriesEvaluator(cat, k)
+        verdicts, seen = set(), set()
+        for z in float_points(cat, k, cfg):
+            res = op.feasibility(z, cfg)
+            feasible, violations, y, objective = oracles.float_feasibility(ev, z, cfg)
+            assert (res.feasible, res.violations) == (feasible, violations), z.entries
+            assert wt.rooted_series(z, k, cat) == pytest.approx(y, rel=1e-12, abs=0)
+            assert wt.piece_series_linear(z, cat) == pytest.approx(objective, rel=1e-12, abs=0)
+            if feasible:
+                assert res.point.closed
+                assert res.point.y_value == pytest.approx(y, rel=1e-12, abs=0)
+                assert res.point.objective == pytest.approx(objective, rel=1e-12, abs=0)
+            verdicts.add(feasible)
+            seen.update(violations)
+        # the points reach both verdicts, and every violation where u0 has
+        # a piece that can be unclosed
+        assert verdicts == {True, False}
+        assert any(v.startswith("rooted series") for v in seen)
+        if u_max > 1:
+            assert "not a closure fixed point (beyond tol)" in seen
 
 
 class TestProjectScale:

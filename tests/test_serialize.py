@@ -128,8 +128,15 @@ def test_numpy_is_loaded_only_by_the_optimizer():
                     pass
             return 'numpy' in sys.modules
 
+        def feasibility():
+            from bridgeforest import optimizer as op, treekit as tk, weights as wt
+            cat = tk.Catalog.standard(1, 2)
+            z = wt.WeightVector.over(cat, {u.code: 0.1 for u in cat.u0})
+            assert op.feasibility(z, op.OptimizerConfig(catalog=cat, k=6)).feasible
+            return 'numpy' in sys.modules
+
         print(run('--version'), run('forests', '--count', '--n', '6', '--k', '2'),
               run('verify', '--suite', 'local-double-counting', '--n', '4'),
-              run('optimize', '--u-max', '1', '--k', '4'))
+              feasibility(), run('optimize', '--u-max', '1', '--k', '4'))
     """
-    assert run_python(code).split() == ["False", "False", "False", "True"]
+    assert run_python(code).split() == ["False", "False", "False", "False", "True"]

@@ -299,6 +299,20 @@ class TestDissymmetry:
             chk = wt.verify_dissymmetry_trunc(z, 8, cat3)
             assert chk.ok, z.entries
 
+    @pytest.mark.parametrize("k", [8, 10, 11])
+    def test_float_totals_are_rounded_exact_totals(self, cat3, k):
+        # the float fields of `verify --suite dissymmetry`'s single-variable
+        # check: math.fsum makes each total the float of the exact sum of
+        # the layers, whatever the interpreter's sum() does
+        x = 0.36787944117144233
+        chk = wt.verify_dissymmetry_trunc(wt.WeightVector.over(cat3, {"()": x}), k, cat3)
+        exact = wt.WeightVector.over(cat3, {"()": Fraction(x)})
+        per_size = wt.layers(exact, k, cat3)
+        assert chk.rooted == float(sum(per_size))
+        assert chk.unrooted == float(wt.unrooted_series(exact, k, cat3))
+        half = float(sum(per_size[: k // 2 + 1]))
+        assert chk.half_square == half * half / 2
+
 
 class TestSupermultiplicativity:
     def test_single_piece_equality(self, cat1):
@@ -322,6 +336,19 @@ class TestSupermultiplicativity:
 
 
 class TestEvaluator:
+    def test_profiles_built_once_per_u0(self, cat2):
+        # catalogs that differ only in t0 share one profile build
+        other = tk.Catalog.standard(1, 2)
+        assert other.key != cat2.key and other.u0 == cat2.u0
+        before = wt._profiles.cache_info()
+        for cat in (cat2, other):
+            wt.layers(wt.WeightVector.over(cat, {"()": Fraction(1, 3)}), 7, cat)
+            wt.TruncatedSeriesEvaluator(cat, 7)
+        after = wt._profiles.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 3
+        assert wt._profiles(cat2.u0, 7) is wt._profiles(other.u0, 7)
+
     def test_matches_exact_series(self, cat3):
         ev = wt.TruncatedSeriesEvaluator(cat3, 9)
         rng = random.Random(31)
