@@ -154,11 +154,21 @@ def _cmd_trees(args) -> int:
 
 def _cmd_forests(args) -> int:
     config = _config(args, "forests")
-    mode = "logfloat" if args.logfloat else "exact"
-    sweep = (args.conn_prob or args.ratio) and args.n_range and not args.count
-    if args.format == "csv" and not sweep:
+    if not (args.count or args.conn_prob or args.ratio or args.sample):
+        raise _UsageError("choose one of --count, --conn-prob, --ratio, --sample")
+    sweepable = args.conn_prob or args.ratio
+    for argument, given, allowed, requests in (
+        ("--n-range", args.n_range, sweepable, "--conn-prob or --ratio"),
+        ("--exact", args.exact, sweepable, "--conn-prob or --ratio"),
+        ("--logfloat", args.logfloat, args.conn_prob, "--conn-prob"),
+        ("--k", args.k is not None, args.count, "--count"),
+    ):
+        if given and not allowed:
+            raise _UsageError(f"argument {argument}: only for {requests}")
+    if args.format == "csv" and not args.n_range:
         raise _UsageError("argument --format: csv is only for a --conn-prob or --ratio "
                           "sweep over --n-range")
+    mode = "logfloat" if args.logfloat else "exact"
     if args.count:
         if args.n is None or args.k is None:
             missing = "--n" if args.n is None else "--k"
@@ -170,7 +180,7 @@ def _cmd_forests(args) -> int:
                                         "the limit for writing an integer")
         _emit({"config": config, "count": value}, args.output)
         return 0
-    if args.conn_prob or args.ratio:
+    if sweepable:
         if args.conn_prob:
             flag, key, low = "--conn-prob", "probability", 1
             value = partial(forestlab.connectivity_prob, mode=mode)
@@ -197,22 +207,20 @@ def _cmd_forests(args) -> int:
             payload = {"config": config, "n": args.n, key: value(args.n)}
         _emit(payload, args.output)
         return 0
-    if args.sample:
-        if args.n is None:
-            raise _UsageError("argument --n: --sample needs --n")
-        import random
+    if args.n is None:
+        raise _UsageError("argument --n: --sample needs --n")
+    import random
 
-        rng = random.Random(args.seed)
-        samples = [
-            sorted(forestlab.sample_forest(args.n, rng=rng).edges)
-            for _ in range(args.num_samples)
-        ]
-        _emit(
-            {"config": config, "n": args.n, "seed": args.seed, "samples": samples},
-            args.output,
-        )
-        return 0
-    raise _UsageError("choose one of --count, --conn-prob, --ratio, --sample")
+    rng = random.Random(args.seed)
+    samples = [
+        sorted(forestlab.sample_forest(args.n, rng=rng).edges)
+        for _ in range(args.num_samples)
+    ]
+    _emit(
+        {"config": config, "n": args.n, "seed": args.seed, "samples": samples},
+        args.output,
+    )
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -356,13 +364,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trees)
 
     p = sub.add_parser("forests", help="counts, probabilities, samples")
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--conn-prob", action="store_true")
-    p.add_argument("--ratio", action="store_true")
-    p.add_argument("--sample", action="store_true")
-    p.add_argument("--n", type=_positive_int)
+    request = p.add_mutually_exclusive_group()
+    request.add_argument("--count", action="store_true")
+    request.add_argument("--conn-prob", action="store_true")
+    request.add_argument("--ratio", action="store_true")
+    request.add_argument("--sample", action="store_true")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--n", type=_positive_int)
+    size.add_argument("--n-range", type=_n_range, help="inclusive range lo:hi for sweeps")
     p.add_argument("--k", type=_positive_int)
-    p.add_argument("--n-range", type=_n_range, help="inclusive range lo:hi for sweeps")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--logfloat", action="store_true")

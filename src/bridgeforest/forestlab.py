@@ -61,7 +61,6 @@ __all__ = [
     "is_bridge_addable",
     "bridge_addable_closure",
     "random_closure",
-    "class_histogram",
     "ratio_weights",
     "verify_simple_counting",
     "verify_local_double_counting",
@@ -762,10 +761,6 @@ def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
     )
 
 
-def class_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
-    return c.histogram(catalog)
-
-
 def _box_setup(c: ForestClass, catalog: Catalog, w: int):
     """Refuse a width below 1 or a class that is not bridge-addable; give
     the radius q (catalog.q_star) and the class histogram."""
@@ -1113,31 +1108,36 @@ def _is_edge_list(edges) -> bool:
 
 
 def load_class(path) -> ForestClass:
-    """Read a class file (see save_class).  A file whose n is not an int
-    >= 1, or whose forests are not a non-empty list of edge lists of int
-    pairs, raises ValueError naming the file."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        payload = {}
-    n, forests = payload.get("n"), payload.get("forests")
-    if not (_is_int(n) and n >= 1 and isinstance(forests, list) and forests
-            and all(map(_is_edge_list, forests))):
-        raise ValueError(f"class file {path}: expected {{\"n\": an int >= 1, "
-                         "\"forests\": a non-empty list of edge lists [[u, v], ...]}")
-    members = [LabeledForest.make(n, [tuple(e) for e in edges]) for edges in forests]
+    """Read a class file (see save_class).  A file that is not JSON, whose
+    n is not an int >= 1, whose forests are not a non-empty list of edge
+    lists of int pairs, or whose edge lists are not forests on 1..n raises
+    ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            payload = {}
+        n, forests = payload.get("n"), payload.get("forests")
+        if not (_is_int(n) and n >= 1 and isinstance(forests, list) and forests
+                and all(map(_is_edge_list, forests))):
+            raise ValueError("expected {\"n\": an int >= 1, "
+                             "\"forests\": a non-empty list of edge lists [[u, v], ...]}")
+        members = [LabeledForest.make(n, [tuple(e) for e in edges]) for edges in forests]
+    except ValueError as exc:
+        raise ValueError(f"class file {path}: {exc}") from None
     return ForestClass(n, members, provenance=f"file:{path}")
 
 
 def _write_sweep(path, column, n_values, value, exact: bool = True) -> None:
     """CSV of value(n) over a range of n; exact values also get their
-    numerator and denominator."""
+    numerator and denominator.  Every row is computed before the file is
+    opened, so a failing value leaves no file behind."""
+    rows = [["n", column, "num", "den"] if exact else ["n", column]]
+    for n in n_values:
+        x = value(n)
+        rows.append([n, float(x), x.numerator, x.denominator] if exact else [n, x])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", column, "num", "den"] if exact else ["n", column])
-        for n in n_values:
-            x = value(n)
-            writer.writerow([n, float(x), x.numerator, x.denominator] if exact else [n, x])
+        csv.writer(fh).writerows(rows)
 
 
 def write_connectivity_sweep(path, n_values, mode: str = "exact") -> None:

@@ -283,11 +283,9 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
 
     best_z = None
     best_obj = -1.0
-    budget_exhausted = False
     restarts_used = 0
     for idx, z0 in enumerate(starts):
         if state["evals"] >= config.budget:
-            budget_exhausted = True
             break
         restarts_used += 1
         zv, obj = settle(z0)
@@ -312,8 +310,6 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
                             break
                     if not moved:
                         step *= 0.5
-        if state["evals"] >= config.budget:
-            budget_exhausted = True
         if obj > best_obj:
             best_obj = obj
             best_z = zv
@@ -326,7 +322,7 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
         trace=trace,
         evaluations=state["evals"],
         restarts_used=restarts_used,
-        budget_exhausted=budget_exhausted,
+        budget_exhausted=state["evals"] >= config.budget,
         y_per_size=per_size,
     )
 

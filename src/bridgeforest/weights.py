@@ -16,7 +16,6 @@ Partition functions:
     rooted_series(z, k)        sum of maxweight(T)/aut_r(T) over rooted trees, size <= k
     unrooted_series(z, k)      same over unrooted trees with aut_u
     piece_series_linear(z)     sum of z[U]/aut_u(U) over u0
-    piece_series_weighted(z)   sum of maxweight(U)/aut_u(U) over u0
 
 The series run over unrooted trees only, up to
 treekit.FREE_TREE_MAX_SIZE vertices: a tree's rootings contribute
@@ -57,12 +56,9 @@ __all__ = [
     "replay_trace",
     "layers",
     "rooted_series",
-    "rooted_series_term",
     "rooted_series_family",
     "unrooted_series",
-    "series_report",
     "piece_series_linear",
-    "piece_series_weighted",
     "scale_weights",
     "closure",
     "verify_dissymmetry_trunc",
@@ -109,10 +105,6 @@ class WeightVector:
 
     def get(self, code: str, default=0):
         return self._values.get(code, default)
-
-    @property
-    def codes(self):
-        return tuple(c for c, _ in self.entries)
 
     @property
     def exact(self) -> bool:
@@ -230,7 +222,7 @@ def _attachments(code: str, moves: tuple):
 
 
 def _check_domain(z: WeightVector, catalog: Catalog) -> None:
-    if z.codes != tuple(u.code for u in catalog.u0):
+    if tuple(c for c, _ in z.entries) != tuple(u.code for u in catalog.u0):
         raise CatalogError("weight vector domain does not match catalog u0")
 
 
@@ -524,11 +516,6 @@ def rooted_series(z: WeightVector, k: int, catalog: Catalog):
     return _total(layers(z, k, catalog))
 
 
-def rooted_series_term(z: WeightVector, k: int, catalog: Catalog):
-    """Contribution of trees with exactly k vertices to rooted_series."""
-    return layers(z, k, catalog)[k]
-
-
 def rooted_series_family(z: WeightVector, family, catalog: Catalog):
     """Sum of maxweight(T)/aut_r(T) over an explicit, inclusion-closed
     family of rooted trees."""
@@ -553,37 +540,13 @@ def unrooted_series(z: WeightVector, k: int, catalog: Catalog):
     return _unrooted_from_layers(layers(z, k, catalog))
 
 
-def series_report(z: WeightVector, k: int, catalog: Catalog) -> dict:
-    """Partition-function evaluation with per-size contributions, suitable
-    for serialization."""
-    per_size = layers(z, k, catalog)
-    return {
-        "k": k,
-        "exact": z.exact,
-        "weights": z.as_dict(),
-        "per_size": dict(enumerate(per_size[1:], start=1)),
-        "rooted_total": _total(per_size),
-        "unrooted_total": _unrooted_from_layers(per_size),
-        "linear_piece_total": piece_series_linear(z, catalog),
-    }
-
-
-def _piece_sum(z: WeightVector, catalog: Catalog, value):
-    """Sum of value(U)/aut_u(U) over u0, in Fractions for exact z."""
+def piece_series_linear(z: WeightVector, catalog: Catalog):
+    """Sum of z[U]/aut_u(U) over u0 (the linear objective), in Fractions
+    for exact z.  At closure(z) it is the sum of maxweight(U)/aut_u(U)."""
     return _total(
-        Fraction(value(u.code), u.aut_u) if z.exact else value(u.code) / u.aut_u
+        Fraction(z[u.code], u.aut_u) if z.exact else z[u.code] / u.aut_u
         for u in catalog.u0
     )
-
-
-def piece_series_linear(z: WeightVector, catalog: Catalog):
-    """Sum of z[U]/aut_u(U) over u0 (the linear objective)."""
-    return _piece_sum(z, catalog, z.__getitem__)
-
-
-def piece_series_weighted(z: WeightVector, catalog: Catalog):
-    """Sum of maxweight(U)/aut_u(U) over u0; always >= piece_series_linear."""
-    return _piece_sum(z, catalog, MaxWeightTable(catalog, z).value)
 
 
 def scale_weights(lam, z: WeightVector) -> WeightVector:
@@ -708,7 +671,8 @@ class TruncatedSeriesEvaluator:
         gathers = (row_counts + (k + 1) * np.arange(len(catalog.u0))).T.copy()
         starts = np.searchsorted(row_class, np.arange(len(counts)))
         # one pass over every (class, count vector) row; a class's max
-        # weight is the largest monomial over its rows
+        # weight is the largest monomial over its rows.  perfbench/traced_run.py
+        # reads passes to count the rows.
         self.passes = [(row_class, gathers, starts)]
         self._exponents = np.arange(k + 1)
 

@@ -79,6 +79,16 @@ class TestForests:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,probability,num,den" and len(lines) == 6
 
+    def test_failed_csv_sweep_writes_nothing(self, capsys, tmp_path):
+        # the rows for 999 and 1000 are computed before n = 1001 fails
+        out = tmp_path / "sweep.csv"
+        code, _ = run(
+            capsys, "forests", "--conn-prob", "--n-range", "999:1001",
+            "--format", "csv", "--output", str(out),
+        )
+        assert code == 1
+        assert not out.exists()
+
     def test_capacity_error_exit1(self, capsys):
         code = cli.main(["forests", "--conn-prob", "--n", "9999", "--exact"])
         err = capsys.readouterr().err
@@ -259,8 +269,10 @@ class TestClassFiles:
     @pytest.mark.parametrize(
         "text",
         ['{}', '[1, 2]', '{"n": 4, "forests": [[1, 2]]}', '{"n": "4", "forests": []}',
-         '{"n": 4, "forests": []}'],
-        ids=["empty-object", "list", "edges-not-pairs", "n-string", "no-forests"],
+         '{"n": 4, "forests": []}', 'nope', '{"n": 4, "forests": [[[1, 5]]]}',
+         '{"n": 4, "forests": [[[1, 2], [2, 3], [1, 3]]]}'],
+        ids=["empty-object", "list", "edges-not-pairs", "n-string", "no-forests", "not-json",
+             "edge-out-of-range", "cycle"],
     )
     def test_malformed_exit1_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "class.json"
@@ -317,6 +329,18 @@ class TestUsageErrors:
             (["forests", "--conn-prob", "--n", "5", "--format", "csv"], "--format"),
             (["forests", "--sample", "--n", "5", "--format", "csv"], "--format"),
             (["forests", "--count", "--n", "5", "--k", "2", "--format", "csv"], "--format"),
+            (["forests", "--count", "--n", "5", "--k", "2", "--sample"], "--sample"),
+            (["forests", "--conn-prob", "--ratio", "--n", "5"], "--ratio"),
+            (["forests", "--count", "--n-range", "1:3", "--k", "2"], "--n-range"),
+            (["forests", "--sample", "--n-range", "1:3"], "--n-range"),
+            (["forests", "--count", "--n", "5", "--k", "2", "--exact"], "--exact"),
+            (["forests", "--sample", "--n", "5", "--exact"], "--exact"),
+            (["forests", "--ratio", "--n", "5", "--logfloat"], "--logfloat"),
+            (["forests", "--count", "--n", "5", "--k", "2", "--logfloat"], "--logfloat"),
+            (["forests", "--sample", "--n", "5", "--k", "2"], "--k"),
+            (["forests", "--conn-prob", "--n", "5", "--k", "2"], "--k"),
+            (["forests", "--sample", "--n", "5", "--n-range", "1:3"], "--n-range"),
+            (["forests", "--conn-prob", "--n", "5", "--n-range", "1:3"], "--n-range"),
         ],
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
              "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
@@ -327,7 +351,10 @@ class TestUsageErrors:
              "optimize-tol-zero", "optimize-tol-nan", "optimize-cap-one", "optimize-cap-nan",
              "optimize-epsilon-nan", "optimize-k-below-u-max", "boxing-epsilon-nan",
              "boxing-epsilon-negative", "boxing-epsilon-one", "conn-prob-range-zero",
-             "ratio-n-one", "ratio-range-one", "csv-conn-prob-n", "csv-sample", "csv-count"],
+             "ratio-n-one", "ratio-range-one", "csv-conn-prob-n", "csv-sample", "csv-count",
+             "count-sample", "conn-prob-ratio", "n-range-count", "n-range-sample",
+             "exact-count", "exact-sample", "logfloat-ratio", "logfloat-count", "k-sample",
+             "k-conn-prob", "n-with-n-range-sample", "n-with-n-range-conn-prob"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):
         with pytest.raises(SystemExit) as exc:

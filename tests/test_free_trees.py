@@ -110,7 +110,6 @@ def test_exact_layers_match_rooted_path(case):
             unrooted += unrooted_by_size[k]
             assert wt.layers(z, k, catalog) == ref[: k + 1]
             assert wt.rooted_series(z, k, catalog) == sum(ref[: k + 1])
-            assert wt.rooted_series_term(z, k, catalog) == ref[k]
             assert wt.unrooted_series(z, k, catalog) == unrooted
 
 

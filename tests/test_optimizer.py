@@ -279,6 +279,11 @@ class TestMaximize:
         res = op.maximize(config(cat2, 6, budget=3))
         assert res.budget_exhausted and res.point is not None
 
+    def test_budget_flag_clear_with_budget_left(self, cat1):
+        res = op.maximize(config(cat1, 6, budget=10_000))
+        assert res.evaluations < 10_000
+        assert res.budget_exhausted is False
+
 
 class TestBoundCheck:
     def test_zero_objective_passes(self, cat1):

@@ -241,30 +241,34 @@ class TestSeries:
         rng = random.Random(8)
         z = random_rational_weights(cat2, rng)
         total = wt.rooted_series(z, 6, cat2)
-        assert total == sum(wt.rooted_series_term(z, k, cat2) for k in range(1, 7))
-
-    def test_series_report(self, cat2):
-        rng = random.Random(55)
-        z = random_rational_weights(cat2, rng)
-        rep = wt.series_report(z, 5, cat2)
-        assert rep["rooted_total"] == wt.rooted_series(z, 5, cat2)
-        assert set(rep["per_size"]) == {1, 2, 3, 4, 5}
-        assert sum(rep["per_size"].values()) == rep["rooted_total"]
-        from bridgeforest import serialize
-
-        assert serialize.dumps(rep)  # serializable end to end
+        assert total == sum(wt.layers(z, k, cat2)[k] for k in range(1, 7))
 
     def test_piece_series(self, cat2):
         a, b = Fraction(1, 4), Fraction(1, 8)
         z = wt.WeightVector.over(cat2, {"()": a, "(())": b})
         assert wt.piece_series_linear(z, cat2) == Fraction(5, 16)
-        assert wt.piece_series_weighted(z, cat2) == Fraction(5, 16)
+        assert wt.piece_series_linear(wt.closure(z, cat2), cat2) == Fraction(5, 16)
 
     def test_piece_series_ordering(self, cat3):
         rng = random.Random(12)
         for _ in range(8):
             z = random_rational_weights(cat3, rng)
-            assert wt.piece_series_linear(z, cat3) <= wt.piece_series_weighted(z, cat3)
+            closed = wt.closure(z, cat3)
+            assert wt.piece_series_linear(z, cat3) <= wt.piece_series_linear(closed, cat3)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_closed_piece_series_sums_max_weights(self, cat3, exact):
+        # at the closure, the linear objective is the sum of
+        # maxweight(U)/aut_u(U) over u0
+        rng = random.Random(14)
+        for _ in range(6):
+            z = random_rational_weights(cat3, rng)
+            if not exact:
+                z = wt.WeightVector(tuple((c, float(v)) for c, v in z.entries))
+            table = wt.MaxWeightTable(cat3, z)
+            terms = [table.value(u.code) / u.aut_u for u in cat3.u0]
+            expected = sum(terms) if exact else math.fsum(terms)
+            assert wt.piece_series_linear(wt.closure(z, cat3), cat3) == expected
 
     def test_monotone_in_z_and_k(self, cat2):
         rng = random.Random(13)
@@ -356,7 +360,7 @@ class TestEvaluator:
             z = random_rational_weights(cat3, rng)
             om, layers = ev.evaluate(z.to_floats())
             for k in range(1, 10):
-                exact = float(wt.rooted_series_term(z, k, cat3))
+                exact = float(wt.layers(z, k, cat3)[k])
                 assert abs(layers[k] - exact) <= 1e-9 * (1 + exact)
 
     def test_omega_matches_table(self, cat3):
