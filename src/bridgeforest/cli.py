@@ -159,7 +159,7 @@ def _cmd_forests(args) -> int:
     sweepable = args.conn_prob or args.ratio
     for argument, given, allowed, requests in (
         ("--n-range", args.n_range, sweepable, "--conn-prob or --ratio"),
-        ("--exact", args.exact, sweepable, "--conn-prob or --ratio"),
+        ("--exact", args.exact, args.conn_prob, "--conn-prob"),
         ("--logfloat", args.logfloat, args.conn_prob, "--conn-prob"),
         ("--k", args.k is not None, args.count, "--count"),
     ):

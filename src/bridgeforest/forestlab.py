@@ -16,6 +16,19 @@ Conventions, applied literally everywhere:
 
 Statistics vectors ("alpha" vectors) are tuples of pendant-copy counts in
 the coordinate order of the catalog's rooted family t0.
+
+The class of all forests on n vertices is counted, not enumerated: its
+histogram depends only on unlabeled shapes.  A free tree U on n vertices
+has n!/aut_u labelings, and its alpha is that of its canonical
+representative, with one exception: in a two-centroid tree the pendant
+side of the central edge is the half holding the smallest label.  When the
+halves differ no automorphism swaps them, so that label lies in each half
+in exactly half of the labelings, and each of the two alphas gets half the
+count.  A two-component forest with trees U1 on r > n/2 vertices and U2 on
+n - r has C(n, r) r!/aut(U1) (n-r)!/aut(U2) labelings, with alpha from U1
+and small component U2.  At r = n/2 the component holding vertex 1 is both
+the reference and the small component; calling it U1 leaves C(n-1, r-1)
+label sets for it, and its own code is the small-component key.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, perm
+from math import comb, factorial, perm
 
 from . import treekit, weights
 from .treekit import (
@@ -72,8 +85,8 @@ __all__ = [
     "write_ratio_sweep",
 ]
 
-# Exhaustive forest enumeration stops here; beyond it the lemma checks are
-# out of desk range anyway.
+# Exhaustive forest enumeration stops here.  The class of all forests is
+# counted from free trees instead, up to treekit.DEFAULT_MAX_SIZE.
 DEFAULT_EXHAUSTIVE_N = 8
 # Exact probabilities are reported as digit strings, and Python refuses
 # str() of an int with more than 4,300 digits (sys.get_int_max_str_digits).
@@ -82,6 +95,10 @@ DEFAULT_EXHAUSTIVE_N = 8
 # round margin below that.
 EXACT_PROB_MAX_N = 1_000
 LOGFLOAT_MAX_N = 100_000
+# A bridge-addable closure stops past this many members.  Random closures
+# at n = 9 reach about 715,000 (7 s); at n = 10 one reaches 7.7 million in
+# 91 s, and at n >= 11 memory runs out first.
+CLOSURE_MAX_MEMBERS = 1_000_000
 
 
 class BridgeAddabilityViolation(ValueError):
@@ -556,39 +573,64 @@ def pendant_stats(g: LabeledForest, catalog: Catalog) -> PendantStats:
 
 
 class ForestClass:
-    """An explicit set of labeled forests on a common vertex count.
+    """A set of labeled forests on a common vertex count.
 
     Members are stored as edge masks (see `_pairs`); `members`, iteration
     and `sorted_members` give `LabeledForest` views, built on each call.
-    The constructor takes LabeledForests or edge masks.
+    The constructor takes LabeledForests or edge masks, or None for every
+    forest on n vertices (n <= treekit.DEFAULT_MAX_SIZE).  That class is
+    counted: its size, membership, component counts and histograms need no
+    masks, which are enumerated only on first use of `masks`.
     """
 
     def __init__(self, n: int, members, provenance: str = "explicit"):
         self.n = n
-        self.masks = frozenset(f if isinstance(f, int) else _mask_of(f, n) for f in members)
         self.provenance = provenance
-        self._bridge_addable = None
+        self._every = members is None
         self._hists: dict = {}
+        if self._every:
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            if n > treekit.DEFAULT_MAX_SIZE:
+                raise CapacityError(f"class all-forests is capped at n={treekit.DEFAULT_MAX_SIZE}")
+            self._masks = None
+            self._bridge_addable = True  # a forest plus a bridge is a forest
+        else:
+            self._masks = frozenset(f if isinstance(f, int) else _mask_of(f, n) for f in members)
+            self._bridge_addable = None
+
+    @property
+    def masks(self) -> frozenset:
+        if self._masks is None:
+            self._masks = frozenset(_forest_masks(self.n))
+        return self._masks
 
     @property
     def members(self):
         return frozenset(self)
 
     def __len__(self):
-        return len(self.masks)
+        return forest_total(self.n) if self._every else len(self.masks)
 
     def __iter__(self):
         return (_forest_of(self.n, m) for m in self.masks)
 
     def __contains__(self, f):
-        return f.n == self.n and _mask_of(f, self.n) in self.masks
+        return f.n == self.n and (self._every or _mask_of(f, self.n) in self.masks)
 
     def sorted_members(self):
         return [_forest_of(self.n, m) for m in sorted(self.masks, key=_sort_key)]
 
+    def _component_counts(self) -> Counter:
+        """Number of members with i components, for each i that occurs."""
+        if self._every:
+            return Counter({i: forest_count(self.n, i) for i in range(1, self.n + 1)})
+        return Counter(self.n - mask.bit_count() for mask in self.masks)
+
     def histogram(self, catalog: Catalog) -> "ClassHistogram":
         if catalog.key not in self._hists:
-            self._hists[catalog.key] = _build_histogram(self, catalog)
+            build = _shape_histogram if self._every else _build_histogram
+            self._hists[catalog.key] = build(self, catalog)
         return self._hists[catalog.key]
 
     def __repr__(self):
@@ -596,7 +638,8 @@ class ForestClass:
 
 
 def all_forests(n: int) -> ForestClass:
-    return ForestClass(n, _forest_masks(n), provenance="all-forests")
+    """Every labeled forest on n vertices, counted from free trees."""
+    return ForestClass(n, None, provenance="all-forests")
 
 
 @dataclass(frozen=True)
@@ -643,7 +686,8 @@ def _class_is_bridge_addable(c: ForestClass) -> bool:
 
 
 def bridge_addable_closure(seeds) -> ForestClass:
-    """Smallest bridge-addable class containing the seed forests."""
+    """Smallest bridge-addable class containing the seed forests; past
+    CLOSURE_MAX_MEMBERS members it raises CapacityError."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed forest")
@@ -658,6 +702,8 @@ def bridge_addable_closure(seeds) -> ForestClass:
             if mask | 1 << i not in seen:
                 seen.add(mask | 1 << i)
                 queue.append(mask | 1 << i)
+        if len(seen) > CLOSURE_MAX_MEMBERS:
+            raise CapacityError(f"bridge-addable closure capped at {CLOSURE_MAX_MEMBERS} members")
     cls = ForestClass(n, seen, provenance="closure")
     cls._bridge_addable = True
     return cls
@@ -739,10 +785,10 @@ class ClassHistogram:
 
 
 def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
-    component_counts, a_alpha, b_alpha, b_totals = Counter(), Counter(), {}, Counter()
+    """The histogram of an explicit class, one profile per member."""
+    a_alpha, b_alpha, b_totals = Counter(), {}, Counter()
     for mask in c.masks:
         ncomp = c.n - mask.bit_count()
-        component_counts[ncomp] += 1
         if ncomp > 2:
             continue  # neither connected nor two-component: no profile needed
         _, alpha, ucode = _profile(c.n, mask, catalog)
@@ -751,14 +797,60 @@ def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
         else:
             b_alpha.setdefault(ucode, Counter())[alpha] += 1
             b_totals[ucode] += 1
-    return ClassHistogram(
-        n=c.n,
-        size=len(c),
-        component_counts=component_counts,
-        a_alpha=a_alpha,
-        b_alpha=b_alpha,
-        b_totals=b_totals,
-    )
+    return ClassHistogram(c.n, len(c), c._component_counts(), a_alpha, b_alpha, b_totals)
+
+
+def _tree_alphas(u: treekit.UnrootedTreeCode, catalog: Catalog) -> Counter:
+    """The alphas of the labelings of the free tree u, with their numbers
+    of labelings (u.size!/aut_u in all).  In a two-centroid tree the
+    smallest label is put on each centroid in turn (vertex 0 of the
+    representative, then the root of the other half), and each gets half
+    the labelings; when both give one alpha, it gets them all."""
+    adj = treekit.code_to_adjacency(u.code)
+    n = len(adj)
+    labels = [list(range(1, n + 1))]
+    if u.centroid_kind == "two-centroid":
+        # preorder numbers each child's subtree consecutively
+        kids = adj[0]
+        d = next(k for k, end in zip(kids, kids[1:] + [n]) if 2 * (end - k) == n)
+        swapped = labels[0][:]
+        swapped[0], swapped[d] = d + 1, 1
+        labels.append(swapped)
+    found = []
+    for label in labels:
+        nbr = [0] * (n + 1)
+        for v, ws in enumerate(adj):
+            for w in ws:
+                nbr[label[v]] |= 1 << label[w]
+        found.append(_pendant_alpha(nbr, (1 << (n + 1)) - 2, catalog))
+    labelings = factorial(n) // u.aut_u
+    return Counter({a: labelings * k // len(found) for a, k in Counter(found).items()})
+
+
+def _shape_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
+    """The histogram of every forest on c.n vertices, counted from free
+    trees as the module docstring describes."""
+    n = c.n
+    by_size: dict = {}
+    for u in treekit.enumerate_unrooted(n):
+        by_size.setdefault(u.size, []).append(u)
+    alphas = {u.code: _tree_alphas(u, catalog) for r in range((n + 1) // 2, n + 1) for u in by_size[r]}
+    a_alpha = Counter()
+    for u in by_size[n]:
+        a_alpha.update(alphas[u.code])
+    b_alpha, b_totals = {}, Counter()
+    for r in range((n + 1) // 2, n):
+        for u1, u2 in itertools.product(by_size[r], by_size[n - r]):
+            if 2 * r > n:
+                label_sets, key = comb(n, r), u2.code
+            else:  # the component holding vertex 1 is the reference and the small one
+                label_sets, key = comb(n - 1, r - 1), u1.code
+            ways = label_sets * factorial(n - r) // u2.aut_u
+            amap = b_alpha.setdefault(key, Counter())
+            for alpha, count in alphas[u1.code].items():
+                amap[alpha] += ways * count
+            b_totals[key] += ways * factorial(r) // u1.aut_u
+    return ClassHistogram(n, len(c), c._component_counts(), a_alpha, b_alpha, b_totals)
 
 
 def _box_setup(c: ForestClass, catalog: Catalog, w: int):
@@ -839,7 +931,7 @@ def verify_simple_counting(c: ForestClass) -> SimpleCountingReport:
     guarantees for bridge-addable classes."""
     if not _class_is_bridge_addable(c):
         raise ValueError("class is not bridge-addable")
-    counts = Counter(c.n - mask.bit_count() for mask in c.masks)
+    counts = c._component_counts()
     comparisons = [(i, i * counts[i + 1], counts[i]) for i in range(1, c.n)]
     ratios = [Fraction(counts[i + 1], counts[i]) if counts[i] else None for i in range(1, c.n)]
     ok = all(lhs <= rhs for _, lhs, rhs in comparisons)

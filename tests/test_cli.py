@@ -335,6 +335,7 @@ class TestUsageErrors:
             (["forests", "--sample", "--n-range", "1:3"], "--n-range"),
             (["forests", "--count", "--n", "5", "--k", "2", "--exact"], "--exact"),
             (["forests", "--sample", "--n", "5", "--exact"], "--exact"),
+            (["forests", "--ratio", "--n", "5", "--exact"], "--exact"),
             (["forests", "--ratio", "--n", "5", "--logfloat"], "--logfloat"),
             (["forests", "--count", "--n", "5", "--k", "2", "--logfloat"], "--logfloat"),
             (["forests", "--sample", "--n", "5", "--k", "2"], "--k"),
@@ -353,7 +354,7 @@ class TestUsageErrors:
              "boxing-epsilon-negative", "boxing-epsilon-one", "conn-prob-range-zero",
              "ratio-n-one", "ratio-range-one", "csv-conn-prob-n", "csv-sample", "csv-count",
              "count-sample", "conn-prob-ratio", "n-range-count", "n-range-sample",
-             "exact-count", "exact-sample", "logfloat-ratio", "logfloat-count", "k-sample",
+             "exact-count", "exact-sample", "exact-ratio", "logfloat-ratio", "logfloat-count", "k-sample",
              "k-conn-prob", "n-with-n-range-sample", "n-with-n-range-conn-prob"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):

@@ -1,12 +1,16 @@
 """The class-level passes on edge masks against the edge-by-edge references
 in `oracles`: per-forest profiles and class histograms, pendant statistics
 of sampled forests, the bridge-addability verdict with its witness, and
-random closures."""
+random closures.  The all-forests histogram, counted from free trees, is
+checked against the enumerated one."""
 
+import json
 import random
+from math import factorial
 
 import pytest
 
+from bridgeforest import cli
 from bridgeforest import forestlab as fl
 from bridgeforest import treekit as tk
 
@@ -16,7 +20,7 @@ CATALOGS = {(t, u): tk.Catalog.standard(t, u) for t, u in ((2, 1), (3, 2), (4, 3
 
 
 def _check_profiles(n, catalog):
-    cls = fl.all_forests(n)
+    cls = fl.ForestClass(n, fl._forest_masks(n))  # every forest, enumerated
     expected = []
     for f in cls:
         want = oracles.forest_profile(n, f.edges, catalog)
@@ -24,6 +28,8 @@ def _check_profiles(n, catalog):
         expected.append(want)
     hist = cls.histogram(catalog)
     assert hist == fl.ClassHistogram(n, len(cls), *oracles.class_histogram(expected))
+    # the same class counted from free-tree shapes
+    assert fl.all_forests(n).histogram(catalog) == hist
 
 
 @pytest.mark.parametrize("catalog", CATALOGS.values(), ids=[f"{t}-{u}" for t, u in CATALOGS])
@@ -102,3 +108,89 @@ def test_equal_sizes_reference_and_small_component_coincide():
     assert fl._profile(8, fl._mask_of(f, 8), catalog) == (
         2, fl.pendant_stats(alone, catalog).vector, tk.canonicalize_unrooted(path).code
     )
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_shape_histogram_totals(n):
+    hist = fl.all_forests(n).histogram(CATALOGS[4, 3])
+    assert hist.size == fl.forest_total(n)
+    assert hist.component_counts == {i: fl.forest_count(n, i) for i in range(1, n + 1)}
+    assert sum(hist.a_alpha.values()) == tk.labeled_tree_count(n)
+    assert sum(hist.b_totals.values()) == fl.forest_count(n, 2)
+    assert {code: sum(amap.values()) for code, amap in hist.b_alpha.items()} == hist.b_totals
+
+
+def test_two_centroid_tie_splits_the_labelings():
+    catalog = CATALOGS[4, 3]
+    # halves a path and a star on 4 vertices: the pendant side of the
+    # central edge is the half holding vertex 1, in half of the labelings
+    path, star = [(1, 2), (2, 3), (3, 4)], [(5, 6), (5, 7), (5, 8)]
+    u = tk.canonicalize_unrooted(path + star + [(2, 5)])
+    alphas = fl._tree_alphas(u, catalog)
+    assert len(alphas) == 2
+    assert set(alphas.values()) == {factorial(8) // u.aut_u // 2}
+    # equal halves give one alpha, which keeps every labeling
+    for edges in ([(1, 2)], path + [(5, 6), (6, 7), (7, 8), (3, 6)]):
+        u = tk.canonicalize_unrooted(edges)
+        assert fl._tree_alphas(u, catalog) == {
+            fl.pendant_stats(fl.LabeledForest.make(u.size, edges), catalog).vector:
+                factorial(u.size) // u.aut_u
+        }
+
+
+def test_all_forests_are_counted_not_enumerated(monkeypatch):
+    def refuse(n):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(fl, "_forest_masks", refuse)
+    cls = fl.all_forests(16)
+    assert len(cls) == fl.forest_total(16)
+    assert fl.LabeledForest.make(16, [(1, 16)]) in cls
+    assert fl.LabeledForest.make(15, [(1, 15)]) not in cls
+    rep = fl.verify_simple_counting(cls)
+    assert rep.ok and rep.comparisons[0] == (1, fl.forest_count(16, 2), tk.labeled_tree_count(16))
+    small = fl.all_forests(9)
+    assert fl.verify_local_double_counting(small, CATALOGS[3, 2]).checks > 0
+
+
+def test_all_forests_caps():
+    with pytest.raises(tk.CapacityError):
+        list(fl.all_forests(9))  # members are enumerated only up to n = 8
+    with pytest.raises(tk.CapacityError, match="all-forests"):
+        fl.all_forests(tk.DEFAULT_MAX_SIZE + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerated_forests_are_bridge_addable(n):
+    assert fl.is_bridge_addable(fl.ForestClass(n, fl._forest_masks(n))).ok
+
+
+def test_closure_member_cap(monkeypatch):
+    assert len(fl.random_closure(5, 3)) > 20
+    monkeypatch.setattr(fl, "CLOSURE_MAX_MEMBERS", 20)
+    with pytest.raises(tk.CapacityError, match="20 members"):
+        fl.random_closure(5, 3)
+
+
+@pytest.mark.parametrize(
+    "suite,checked",
+    [
+        ("simple-counting", lambda rep: len(rep["comparisons"])),
+        ("local-double-counting", lambda rep: rep["checks"]),
+        ("sum-bound", lambda rep: rep["boxes_checked"]),
+        ("boxing", lambda rep: sum(total for _, total in rep["capture"].values())),
+    ],
+    ids=["simple-counting", "local-double-counting", "sum-bound", "boxing"],
+)
+def test_verify_all_forests_n12(capsys, suite, checked):
+    # past the enumeration cap; a missed boxing target exits 0 when the
+    # averaging guarantee does not apply, so the exit code is the verdict
+    assert cli.main(["verify", "--suite", suite, "--n", "12"]) == 0
+    assert checked(json.loads(capsys.readouterr().out)["report"]) > 0
+
+
+def test_verify_all_forests_past_cap(capsys):
+    assert cli.main(["verify", "--suite", "simple-counting", "--n", "17"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class all-forests is capped at n=16\n"
