@@ -17,24 +17,17 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
-from . import __version__, forestlab, optimizer, serialize, treekit, weights
+# Parsing needs nothing more: each command imports the modules it runs.
+from . import CapacityError, __version__
 
 __all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    options: dict
-    threads: int = 1  # every run is serial; the field keeps reports unchanged
-    version: str = __version__
-
-
 def _emit(payload, output):
+    from . import serialize
+
     text = serialize.dumps(payload)
     if output:
         with open(output, "w") as fh:
@@ -43,7 +36,9 @@ def _emit(payload, output):
         print(text)
 
 
-def _config(args, command) -> RunConfig:
+def _config(args, command):
+    from .serialize import RunConfig
+
     options = {
         k: v
         for k, v in vars(args).items()
@@ -119,7 +114,9 @@ def _class_name(text: str) -> str:
     return text
 
 
-def _resolve_class(name: str, n: int) -> forestlab.ForestClass:
+def _resolve_class(name: str, n: int):
+    from . import forestlab
+
     kind, _, arg = name.partition(":")
     if kind == "random-closure":
         return forestlab.random_closure(n, seed=int(arg))
@@ -136,6 +133,8 @@ def _resolve_class(name: str, n: int) -> forestlab.ForestClass:
 
 
 def _cmd_trees(args) -> int:
+    from . import treekit
+
     config = _config(args, "trees")
     kind = "unrooted" if args.unrooted else "rooted"
     if kind == "rooted":
@@ -153,7 +152,6 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_forests(args) -> int:
-    config = _config(args, "forests")
     if not (args.count or args.conn_prob or args.ratio or args.sample):
         raise _UsageError("choose one of --count, --conn-prob, --ratio, --sample")
     sweepable = args.conn_prob or args.ratio
@@ -168,6 +166,11 @@ def _cmd_forests(args) -> int:
     if args.format == "csv" and not args.n_range:
         raise _UsageError("argument --format: csv is only for a --conn-prob or --ratio "
                           "sweep over --n-range")
+    # forestlab before serialize (through _config): compiling the largest
+    # module while little else is loaded keeps a short run's peak RSS down
+    from . import forestlab
+
+    config = _config(args, "forests")
     mode = "logfloat" if args.logfloat else "exact"
     if args.count:
         if args.n is None or args.k is None:
@@ -176,8 +179,8 @@ def _cmd_forests(args) -> int:
         value = forestlab.forest_count(args.n, args.k)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and value >= 10**limit:
-            raise treekit.CapacityError(f"the count has more than {limit} digits, "
-                                        "the limit for writing an integer")
+            raise CapacityError(f"the count has more than {limit} digits, "
+                                "the limit for writing an integer")
         _emit({"config": config, "count": value}, args.output)
         return 0
     if sweepable:
@@ -224,10 +227,14 @@ def _cmd_forests(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _config(args, "verify")
     suite = args.suite
     if suite == "dissymmetry" and args.k < 2:
         raise _UsageError("argument --k: the dissymmetry suite needs --k >= 2")
+    if suite in ("simple-counting", "local-double-counting", "sum-bound", "boxing"):
+        from . import forestlab  # first, as in _cmd_forests
+    from . import treekit
+
+    config = _config(args, "verify")
     catalog = treekit.Catalog.standard(args.t_max, args.u_max)
     report: object
     checked = None  # the number of checks made, for the suites that count them
@@ -258,6 +265,9 @@ def _cmd_verify(args) -> int:
         report, ok, checked = rep, rep.ok, rep.boxes_checked
     elif suite == "dissymmetry":
         import random
+        from fractions import Fraction
+
+        from . import weights
 
         rng = random.Random(args.seed)
         failures = []
@@ -297,9 +307,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config = _config(args, "optimize")
     if args.k < args.u_max:
         raise _UsageError("argument --k: the truncation order must be >= --u-max")
+    from . import optimizer, treekit
+
+    if args.cap is None:  # resolved here, so parsing need not load the optimizer
+        args.cap = optimizer.DEFAULT_CAP
+    config = _config(args, "optimize")
     catalog = treekit.Catalog.standard(args.t_max, args.u_max)
     cfg = optimizer.OptimizerConfig(
         catalog=catalog,
@@ -419,8 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--tol", type=_finite_float(lambda v: v > 0, "> 0"), default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=_finite_float(lambda v: v > 1, "> 1"),
-                   default=optimizer.DEFAULT_CAP)
+    # default None: _cmd_optimize reads optimizer.DEFAULT_CAP
+    p.add_argument("--cap", type=_finite_float(lambda v: v > 1, "> 1"))
     common(p)
     p.set_defaults(func=_cmd_optimize)
     return parser
@@ -433,7 +447,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
-    except (treekit.CapacityError, ValueError, OSError) as exc:
+    except (CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

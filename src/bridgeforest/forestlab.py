@@ -34,7 +34,6 @@ label sets for it, and its own code is the small-component key.
 from __future__ import annotations
 
 import csv
-import heapq
 import itertools
 import json
 import random
@@ -44,14 +43,13 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial, perm
 
-from . import treekit, weights
+from . import treekit
 from .treekit import (
     CapacityError,
     Catalog,
     RootedTreeCode,
     labeled_tree_count,
 )
-from .weights import WeightVector
 
 __all__ = [
     "LabeledForest",
@@ -118,8 +116,9 @@ class LabeledForest:
     edges: frozenset
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (isinstance(u, int) and isinstance(v, int) and 1 <= u < v <= self.n):
+        for u, v in self.edges:  # ints but not bools, as _is_int; plain ints first
+            if not ((type(u) is int is type(v) or _is_int(u) and _is_int(v))
+                    and 1 <= u < v <= self.n):
                 raise ValueError(f"bad edge {(u, v)} for n={self.n}")
         _union_find(self.n, self.edges)
 
@@ -175,7 +174,11 @@ def _union_find(n: int, edges):
     an edge inside one tree raises ValueError."""
     parent = list(range(n + 1))
     for u, v in edges:
-        ru, rv = _find(parent, u), _find(parent, v)
+        ru, rv = u, v  # _find, inlined: path halving from each end
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
         if ru == rv:
             raise ValueError(f"edges contain a cycle through {(u, v)}")
         parent[ru] = rv
@@ -229,15 +232,37 @@ def _forest_of(n: int, mask: int) -> LabeledForest:
     return LabeledForest(n=n, edges=frozenset(pairs[i] for i in _bit_indices(mask)))
 
 
+# A neighbour table covers at most this many of a vertex's edges, so it has
+# at most 256 entries; up to n = 9 one table per vertex covers them all.
+_NEIGHBOUR_CHUNK = 8
+
+
+@cache
+def _neighbour_tables(n: int):
+    """(v, edge bits, table) triples: the table maps each subset of those
+    bits, all of them pairs holding vertex v, to the neighbours of v that
+    they join it to, as a vertex mask."""
+    incident = [[] for _ in range(n + 1)]
+    for i, (u, v) in enumerate(_pairs(n)):
+        incident[u].append((1 << i, 1 << v))
+        incident[v].append((1 << i, 1 << u))
+    out = []
+    for v, edges in enumerate(incident):
+        for start in range(0, len(edges), _NEIGHBOUR_CHUNK):
+            chunk = edges[start : start + _NEIGHBOUR_CHUNK]
+            table = {0: 0}
+            for bit, nb in chunk:
+                table.update([(key | bit, m | nb) for key, m in table.items()])
+            out.append((v, sum(bit for bit, _ in chunk), table))
+    return tuple(out)
+
+
 def _components(n: int, mask: int):
     """Neighbour masks (entry v has bit u for each neighbour u of v) and
     the vertex masks of the components, in order of their smallest vertex."""
-    pairs = _pairs(n)
     nbr = [0] * (n + 1)
-    for i in _bit_indices(mask):
-        u, v = pairs[i]
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    for v, bits, table in _neighbour_tables(n):
+        nbr[v] |= table[mask & bits]
     comps = []
     left = (1 << (n + 1)) - 2
     for _ in range(n - mask.bit_count() - 1):  # the last one is what is left
@@ -412,19 +437,27 @@ def sample_component_sizes(n: int, rng=None, seed=None):
 
 
 def _prufer_to_edges(seq, m: int):
+    """Tree edges (leaf, x) of a Prüfer sequence over 0..m-1, m >= 3, each
+    step joining the smallest leaf left, in linear time: `ptr` walks up to
+    the next unused leaf, and a vertex that becomes a leaf below `ptr` is
+    the smallest leaf at once."""
     degree = [1] * m
     for x in seq:
         degree[x] += 1
-    leaves = [i for i in range(m) if degree[i] == 1]
-    heapq.heapify(leaves)
+    ptr = degree.index(1)
+    leaf = ptr
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, m - 1))
     return edges
 
 
@@ -434,7 +467,15 @@ def _random_labeled_tree(verts, rng: random.Random):
         return []
     if m == 2:
         return [(verts[0], verts[1])]
-    seq = [rng.randrange(m) for _ in range(m - 2)]
+    # rng.randrange(m) m - 2 times, by the rejection loop it runs
+    # (Random._randbelow_with_getrandbits) without its per-call checks
+    bits, getrandbits = m.bit_length(), rng.getrandbits
+    seq = []
+    for _ in range(m - 2):
+        x = getrandbits(bits)
+        while x >= m:
+            x = getrandbits(bits)
+        seq.append(x)
     return [(verts[a], verts[b]) for a, b in _prufer_to_edges(seq, m)]
 
 
@@ -885,8 +926,9 @@ def _candidate_boxes(hist: ClassHistogram, catalog: Catalog, w: int, q: int):
 # class-derived weight vectors
 
 
-def ratio_weights(c: ForestClass, catalog: Catalog, box: Box) -> WeightVector:
-    """Weight vector of two-component/connected count ratios on a box:
+def ratio_weights(c: ForestClass, catalog: Catalog, box: Box):
+    """The `weights.WeightVector` of two-component/connected count ratios
+    on a box:
 
         z[U] = aut_u(U) * B_box(U) / A_boxq * (1 - |U|/n)
 
@@ -895,6 +937,8 @@ def ratio_weights(c: ForestClass, catalog: Catalog, box: Box) -> WeightVector:
     statistics in the box's q-neighbourhood.  Coordinates with B_box(U)=0
     are 0 regardless of A_boxq.
     """
+    from .weights import WeightVector  # weights loads only where ratio weights are built
+
     hist = c.histogram(catalog)
     a_count = hist.count_a(box)
     entries = {}
@@ -1052,6 +1096,8 @@ def verify_weight_sum_bound(c: ForestClass, catalog: Catalog, w: int = 1) -> Sum
     is not claimed there).  Boxes without two-component mass have zero
     weights and pass trivially.
     """
+    from . import weights
+
     q, hist = _box_setup(c, catalog, w)
     boxes = _candidate_boxes(hist, catalog, w, q)
     t_max = catalog.t_max

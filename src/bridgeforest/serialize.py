@@ -8,6 +8,10 @@ become objects keyed by `str(key)` (the last value wins where keys collide).
 None, bool, int, float and str, subclasses, NaN and infinities included, are
 written as `json` writes them; other types raise TypeError.  Keys and sets
 are sorted, so identical inputs give byte-identical documents.
+
+`RunConfig` is the run configuration every CLI report embeds.  It is
+defined here rather than in `cli`, so that parsing, `--version` and
+`--help` never import dataclasses.
 """
 
 from __future__ import annotations
@@ -15,6 +19,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+
+from . import __version__
+
+
+@dataclasses.dataclass
+class RunConfig:
+    command: str
+    options: dict
+    threads: int = 1  # every run is serial; the field keeps reports unchanged
+    version: str = __version__
 
 
 def dumps(obj) -> str:

@@ -35,6 +35,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from . import CapacityError  # defined in the package, so the CLI catches it without treekit
+
 __all__ = [
     "CapacityError",
     "NonTreeError",
@@ -70,10 +72,6 @@ DEFAULT_MAX_SIZE = 16
 FREE_TREE_MAX_SIZE = 18
 
 SINGLE_VERTEX_CODE = "()"
-
-
-class CapacityError(RuntimeError):
-    """Requested size exceeds the configured exhaustive-mode bound."""
 
 
 class NonTreeError(ValueError):

@@ -17,12 +17,16 @@ optimizer's first projection: 80 numpy bisection steps.  The float
 feasibility reference keeps the optimizer's first float check: the
 package's vectorized evaluator (passed in) with numpy sums.  The report
 reference keeps the first serializer: project onto plain JSON types, then
-`json.dumps(..., sort_keys=True, indent=2)`.
+`json.dumps(..., sort_keys=True, indent=2)`.  `mask_components` decodes
+forest edge masks bit by bit, as forestlab first did, and
+`prufer_edges_heap` keeps the sampler's first Prüfer decoder, a heap of
+leaves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import json
 from fractions import Fraction
@@ -50,6 +54,24 @@ def prufer_edges(seq, n):
         degree[x] -= 1
     u, v = [i for i in range(n) if degree[i] == 1]
     edges.append((u, v))
+    return edges
+
+
+def prufer_edges_heap(seq, m):
+    """The sampler's first decoder: the smallest-leaf rule with a heap of
+    the current leaves, for m >= 3."""
+    degree = [1] * m
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(m) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return edges
 
 
@@ -270,6 +292,38 @@ def forest_components(n, edges):
         seen |= comp
         comps.append(frozenset(comp))
     return sorted(comps, key=lambda c: (-len(c), min(c)))
+
+
+@lru_cache(maxsize=None)
+def _lex_pairs(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def mask_components(n, mask):
+    """forestlab's first `_components`: neighbour masks decoded from the
+    edge mask bit by bit (bit i is the i-th pair u < v of 1..n in
+    lexicographic order), then the component vertex masks in order of their
+    smallest vertex."""
+    pairs = _lex_pairs(n)
+    nbr = [0] * (n + 1)
+    while mask:
+        low = mask & -mask
+        u, v = pairs[low.bit_length() - 1]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+        mask ^= low
+    comps, seen = [], 0
+    for start in range(1, n + 1):
+        if seen >> start & 1:
+            continue
+        comp, stack = 1 << start, [start]
+        while stack:
+            new = nbr[stack.pop()] & ~comp
+            comp |= new
+            stack += [y for y in range(1, n + 1) if new >> y & 1]
+        seen |= comp
+        comps.append(comp)
+    return nbr, comps
 
 
 def pendant_side(vertices, edges, cut, anchor):

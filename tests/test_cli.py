@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -412,3 +414,49 @@ class TestUsageAndDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 3
+
+
+# Run in a fresh interpreter: the package modules a command leaves in
+# sys.modules (cli itself aside), and its exit code.
+_LOADED = """if True:
+    import contextlib, io, sys
+    from bridgeforest import cli
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+    names = sorted(m.split(".")[1] for m in sys.modules if m.startswith("bridgeforest."))
+    print(code, *[m for m in names if m != "cli"])
+"""
+_FORESTS = ["forestlab", "serialize", "treekit"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["--version"], 0, []),
+        (["--help"], 0, []),
+        (["forests", "--n", "0"], 2, []),
+        (["forests", "--sample", "--n", "5"], 0, _FORESTS),
+        (["forests", "--count", "--n", "6", "--k", "2"], 0, _FORESTS),
+        (["trees", "--max-size", "4"], 0, ["serialize", "treekit"]),
+        (["verify", "--suite", "local-double-counting", "--n", "4"], 0, _FORESTS),
+        (["verify", "--suite", "simple-counting", "--n", "4"], 0, _FORESTS),
+        (["verify", "--suite", "boxing", "--n", "5"], 0, _FORESTS),
+        (["verify", "--suite", "sum-bound", "--n", "4"], 0, [*_FORESTS, "weights"]),
+        (["verify", "--suite", "aut-identity", "--max-size", "4"], 0, ["serialize", "treekit"]),
+        (["verify", "--suite", "dissymmetry", "--k", "4", "--samples", "1"], 0,
+         ["serialize", "treekit", "weights"]),
+        (["optimize", "--u-max", "1", "--k", "4"], 0,
+         ["optimizer", "serialize", "treekit", "weights"]),
+    ],
+)
+def test_each_command_loads_only_its_modules(argv, code, modules):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(code), *modules]

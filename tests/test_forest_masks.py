@@ -85,6 +85,22 @@ def test_random_closures(n):
         assert got == oracles.bridge_addable_closure(n, seeds)
 
 
+def test_components_match_bitwise_decoder():
+    masks = [(n, m) for n in range(1, 7) for m in fl._forest_masks(n)]
+    masks += [(8, m) for m in fl.random_closure(8, seed=1).masks]
+    for n, mask in masks:
+        assert fl._components(n, mask) == oracles.mask_components(n, mask)
+
+
+def test_neighbour_tables_past_one_chunk():
+    # from n = 10 on a vertex has more incident pairs than one table covers
+    rng = random.Random(2)
+    for n in (10, 17):
+        for _ in range(200):
+            mask = fl._mask_of(fl.sample_forest(n, rng=rng), n)
+            assert fl._components(n, mask) == oracles.mask_components(n, mask)
+
+
 def test_masks_round_trip():
     for f in fl.enumerate_forests(5):
         assert fl._forest_of(5, fl._mask_of(f, 5)) == f

@@ -30,6 +30,13 @@ class TestLabeledForest:
         with pytest.raises(ValueError):
             fl.LabeledForest.make(2, [(1, 3)])
 
+    def test_bool_endpoints_rejected(self):
+        # a bool equals 1 or 0, and would be written as true or false
+        for edge in [(True, 2), (1, True), (False, 2)]:
+            with pytest.raises(ValueError, match="bad edge"):
+                fl.LabeledForest(n=3, edges=frozenset({edge}))
+        assert fl.LabeledForest(n=3, edges=frozenset({(1, 2)})).edges == {(1, 2)}
+
     def test_components(self):
         f = fl.LabeledForest.make(5, [(1, 2), (4, 5)])
         comps = f.components()
@@ -199,6 +206,25 @@ class TestSampler:
             for r in range(cum[-1]):
                 rng.r = r
                 assert fl._draw_anchor_size(s, rng) == bisect.bisect_right(cum, r) + 1
+
+    def test_prufer_decoder_matches_heap_decoder(self):
+        for m in range(3, 8):  # every sequence: 18,247 in all
+            for seq in itertools.product(range(m), repeat=m - 2):
+                assert fl._prufer_to_edges(seq, m) == oracles.prufer_edges_heap(seq, m)
+        rng = random.Random(5)
+        for _ in range(2000):
+            m = rng.randrange(3, 400)
+            seq = [rng.randrange(m) for _ in range(m - 2)]
+            assert fl._prufer_to_edges(seq, m) == oracles.prufer_edges_heap(seq, m)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 9, 17, 64, 65, 299, 1000])
+    def test_tree_draws_are_randrange_draws(self, m):
+        ours, ref = random.Random(m), random.Random(m)
+        for _ in range(5):
+            seq = [ref.randrange(m) for _ in range(m - 2)]
+            want = [(10 * a, 10 * b) for a, b in oracles.prufer_edges_heap(seq, m)]
+            assert fl._random_labeled_tree([10 * v for v in range(m)], ours) == want
+            assert ours.getstate() == ref.getstate()
 
     def test_small_n_distribution(self):
         # n=2: the two forests are equally likely

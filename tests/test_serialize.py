@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from bridgeforest import serialize
-from bridgeforest.cli import RunConfig
+from bridgeforest.serialize import RunConfig
 
 import oracles
 
