@@ -16,10 +16,11 @@ optimal.
 
 Every scaling projection solves sum lam^s y_s = cap for lam, an increasing
 polynomial in lam, with one bisection that evaluates the polynomial by
-Horner in the type of its bracket: floats in the search loop, stopped once
-no float splits the bracket; Fractions in exact projections, stopped once
-the series is within tol below the cap; and floats to within tol for the
-single-variable threshold.
+Horner in the type of its bracket: Fractions in exact projections, stopped
+once the series is within tol below the cap; floats to within tol for the
+single-variable threshold; and floats in the search loop, stopped once no
+float splits the bracket, which there starts from a bracket found by
+Newton's method rather than from [0, 1].
 
 Float arithmetic drives the inner loop; the exact re-validation rounds the
 float vector to dyadic rationals, closes it exactly, and scales by the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import expm1, inf, log1p, nextafter
 from typing import TYPE_CHECKING
 
 from . import treekit, weights
@@ -143,13 +145,16 @@ def feasibility(z: WeightVector, config: OptimizerConfig) -> FeasibilityResult:
     )
 
 
-def _bisect(layers, cap, hi, stop):
-    """Bisect [0, hi] for the root of sum x^s layers[s] = cap, returning the
-    final bracket (lo, hi).  The layered polynomial is increasing on x >= 0;
-    it is evaluated by Horner in the type of hi, so a Fraction hi keeps
-    every step exact and a float hi every step a float.  stop(lo, hi,
-    value(lo)) is tested before each halving and ends the search."""
-    lo = val_lo = 0 * hi
+def _bisect(layers, cap, hi, stop, lo=None, val_lo=None):
+    """Bisect [lo, hi] for the root of sum x^s layers[s] = cap, returning the
+    final bracket (lo, hi).  lo defaults to 0, and a given lo comes with
+    val_lo, the polynomial's value there, at or below the cap.  The layered
+    polynomial is increasing on x >= 0; it is evaluated by Horner in the
+    type of hi, so a Fraction hi keeps every step exact and a float hi every
+    step a float.  stop(lo, hi, value(lo)) is tested before each halving and
+    ends the search."""
+    if lo is None:
+        lo = val_lo = 0 * hi
     while not stop(lo, hi, val_lo):
         mid = (lo + hi) / 2
         val = 0 * mid
@@ -167,10 +172,57 @@ def _resolved(lo, hi, _):
     return not lo < (lo + hi) / 2 < hi
 
 
+_NEWTON_STEPS = 64
+
+
 def _scale_to_cap(layers, cap: float) -> float:
     """Largest float lam in (0, 1) with sum lam^s layers[s] <= cap, for
-    float layers whose sum exceeds the cap."""
-    return _bisect([float(c) for c in layers], cap, 1.0, _resolved)[0]
+    float layers whose sum exceeds the cap.
+
+    The answer is the float that bisecting [0, 1] to adjacency gives, and
+    a narrower bracket gives it too.  Float Horner H with non-negative
+    coefficients is non-decreasing in x >= 0, because rounded + and * are
+    monotone, so H(x) <= cap holds for the floats up to one threshold t and
+    for none above it.  Bisection keeps lo at or below the cap and hi above
+    it, never evaluates its starting lo = 0 and hi = 1.0, and stops when
+    they are adjacent: from [0, 1] it returns min(t, 1 - 2^-53), and so it
+    does from any bracket with H(lo) <= cap < H(hi).
+
+    Newton's method narrows [0, 1] to such a bracket, starting at x = 1.
+    H is convex in x and log H is convex in log x (a log-sum-exp), so a
+    Newton step in x from a point at or below the cap, and a Newton step
+    on log H against log x from a point above it, both land at or above
+    the root; the second is exact for a single power, so the iterates come
+    down from above in a few steps.  Each iterate is clamped strictly
+    inside the bracket, which therefore shrinks by at least one float per
+    step.  The search ends when no float splits the bracket, and on inf,
+    nan, a zero slope or too many steps it hands the bracket it has, still
+    a valid one, to the bisection."""
+    cs = [float(c) for c in layers]
+    lo = val_lo = 0.0
+    x = hi = 1.0
+    for _ in range(_NEWTON_STEPS):
+        val = der = 0.0
+        for c in reversed(cs):
+            der = der * x + val
+            val = val * x + c
+        if val <= cap:
+            if x == 1.0:
+                return nextafter(1.0, 0.0)
+            lo, val_lo = x, val
+            if not 0.0 < der < inf:
+                break
+            x += (cap - val) / der
+        else:
+            slope = x * der  # val times d(log H)/d(log x)
+            if not (val < inf and 0.0 < slope < inf):
+                break
+            hi = x
+            x += x * expm1(-log1p((val - cap) / cap) * val / slope)
+        x = min(max(x, nextafter(lo, 1.0)), nextafter(hi, 0.0))
+        if not lo < x < hi:
+            break
+    return _bisect(cs, cap, hi, _resolved, lo, val_lo)[0]
 
 
 def project_scale(z: WeightVector, config: OptimizerConfig) -> WeightVector:
@@ -284,36 +336,39 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
     best_z = None
     best_obj = -1.0
     restarts_used = 0
-    for idx, z0 in enumerate(starts):
-        if state["evals"] >= config.budget:
-            break
-        restarts_used += 1
-        zv, obj = settle(z0)
-        improved = True
-        while improved and state["evals"] < config.budget:
-            improved = False
-            for j in range(d):
-                step = max(abs(zv[j]), 0.25)
-                while step > config.tol and state["evals"] < config.budget:
-                    moved = False
-                    for sign in (1.0, -1.0):
-                        cand_j = max(0.0, zv[j] + sign * step)
-                        if cand_j == zv[j]:
-                            continue
-                        cand = zv.copy()
-                        cand[j] = cand_j
-                        new_zv, new_obj = settle(cand)
-                        if new_obj > obj + config.tol:
-                            zv, obj = new_zv, new_obj
-                            moved = True
-                            improved = True
-                            break
-                    if not moved:
-                        step *= 0.5
-        if obj > best_obj:
-            best_obj = obj
-            best_z = zv
-            trace.append({"start": idx, "objective": obj, "evaluations": state["evals"]})
+    # huge caps overflow the float layers to inf and nan; the projection
+    # and the exact certification handle them, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, z0 in enumerate(starts):
+            if state["evals"] >= config.budget:
+                break
+            restarts_used += 1
+            zv, obj = settle(z0)
+            improved = True
+            while improved and state["evals"] < config.budget:
+                improved = False
+                for j in range(d):
+                    step = max(abs(zv[j]), 0.25)
+                    while step > config.tol and state["evals"] < config.budget:
+                        moved = False
+                        for sign in (1.0, -1.0):
+                            cand_j = max(0.0, zv[j] + sign * step)
+                            if cand_j == zv[j]:
+                                continue
+                            cand = zv.copy()
+                            cand[j] = cand_j
+                            new_zv, new_obj = settle(cand)
+                            if new_obj > obj + config.tol:
+                                zv, obj = new_zv, new_obj
+                                moved = True
+                                improved = True
+                                break
+                        if not moved:
+                            step *= 0.5
+            if obj > best_obj:
+                best_obj = obj
+                best_z = zv
+                trace.append({"start": idx, "objective": obj, "evaluations": state["evals"]})
 
     point, per_size = _certify(best_z, config)
     return MaximizeResult(

@@ -12,15 +12,17 @@ closures) work on edge frozensets and walk every edge one by one; only the
 profiles borrow treekit's canonical codes, which the treekit tests check on
 their own.  The forest-count references keep the package's first counting
 scheme: the quadratic recurrence on the component of vertex 1, in integers
-and in log-space floats.  The scale projection reference keeps the
-optimizer's first projection: 80 numpy bisection steps.  The float
-feasibility reference keeps the optimizer's first float check: the
-package's vectorized evaluator (passed in) with numpy sums.  The report
-reference keeps the first serializer: project onto plain JSON types, then
-`json.dumps(..., sort_keys=True, indent=2)`.  `mask_components` decodes
-forest edge masks bit by bit, as forestlab first did, and
-`prufer_edges_heap` keeps the sampler's first Prüfer decoder, a heap of
-leaves.
+and in log-space floats.  The scale projection references keep the
+optimizer's first two projections: 80 numpy bisection steps
+(`scale_to_cap`), and a Horner bisection of [0, 1] run until no float
+splits the bracket (`scale_to_cap_bisect`), whose float the optimizer
+must still return exactly.  The float feasibility reference keeps the
+optimizer's first float check: the package's vectorized evaluator (passed
+in) with numpy sums.  The report reference keeps the first serializer:
+project onto plain JSON types, then `json.dumps(..., sort_keys=True,
+indent=2)`.  `mask_components` decodes forest edge masks bit by bit, as
+forestlab first did, and `prufer_edges_heap` keeps the sampler's first
+Prüfer decoder, a heap of leaves.
 """
 
 from __future__ import annotations
@@ -439,6 +441,24 @@ def scale_to_cap(layers, cap: float) -> float:
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if value(mid) <= cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def scale_to_cap_bisect(layers, cap: float) -> float:
+    """Largest float lam in [0, 1) with float Horner sum lam^s layers[s] <=
+    cap, by bisecting [0, 1] until lo and hi are adjacent floats; neither
+    0 nor 1.0 is evaluated."""
+    cs = [float(c) for c in layers]
+    lo, hi = 0.0, 1.0
+    while lo < (lo + hi) / 2 < hi:
+        mid = (lo + hi) / 2
+        val = 0.0
+        for c in reversed(cs):
+            val = val * mid + c
+        if val <= cap:
             lo = mid
         else:
             hi = mid

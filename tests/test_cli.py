@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,21 @@ class TestOptimize:
             ["optimize", "--u-max", "1", "--k", "4", "--restarts", "1", "--epsilon", "0"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("cap", ["1e200", "1e308"])
+    def test_huge_cap_is_certified_without_warnings(self, capsys, cap):
+        # the float layers overflow to inf and nan in the search; numpy
+        # must not warn, and the certified point stays within the cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["optimize", "--u-max", "2", "--k", "5", "--cap", cap])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert code == 1  # the bound check fails: the objective is huge
+        assert err == ""
+        assert doc["closed"] is True
+        y = Fraction(int(doc["y_value"]["num"]), int(doc["y_value"]["den"]))
+        assert y <= Fraction(float(cap))
 
     def test_capacity_error_exit1(self, capsys):
         # the free-tree series stop at treekit.FREE_TREE_MAX_SIZE = 18
@@ -460,3 +477,32 @@ def test_each_command_loads_only_its_modules(argv, code, modules):
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(code), *modules]
+
+
+# Run in a fresh interpreter: a small optimize, then the BLAS thread
+# setting it ran under and the process's thread count.
+_THREADS = """if True:
+    import contextlib, io, os
+    from bridgeforest import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["optimize", "--u-max", "1", "--k", "4"])
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "-"
+    print(code, os.environ["OPENBLAS_NUM_THREADS"], tasks)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_optimize_runs_one_blas_thread_unless_set(preset):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _THREADS], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, value, tasks = proc.stdout.split()
+    assert code == "0"
+    assert value == (preset or "1")
+    if preset is None and tasks != "-":  # no /proc/self/task: count not checked
+        assert tasks == "1"

@@ -183,8 +183,9 @@ class TestProjectScale:
 
 
 class TestScaleToCapAgainstOracle:
-    # every layer vector projected by a seeded search, through the Horner
-    # bisection and through the first (numpy) projection
+    # every layer vector projected by a seeded search, through the
+    # Newton-bracketed projection, the Horner bisection of [0, 1] (the
+    # same float) and the first (numpy) projection
     @pytest.mark.parametrize("k,kw", [(11, {"budget": 1000}), (14, {"restarts": 4})])
     def test_within_two_ulps_and_under_cap(self, monkeypatch, k, kw):
         seen = []
@@ -201,6 +202,7 @@ class TestScaleToCapAgainstOracle:
         cap = cfg.y_cap
         for layers in seen:
             lam = projection(layers, cap)
+            assert lam == oracles.scale_to_cap_bisect(layers, cap)
             ref = oracles.scale_to_cap(layers, cap)
             assert abs(lam - ref) <= 2 * math.ulp(ref)
             # in floats lam is the largest feasible scale; the exact series
@@ -210,6 +212,43 @@ class TestScaleToCapAgainstOracle:
             assert above == 1.0 or np.polyval(layers[::-1], above) > cap
             exact = sum(Fraction(c) * Fraction(lam) ** s for s, c in enumerate(layers))
             assert exact <= Fraction(cap) * (1 + Fraction(1, 2**50))
+
+    def test_random_vectors_equal_bisection(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            k = rng.randint(3, 18)
+            scale = 10 ** rng.uniform(-3, 3)
+            growth = 10 ** rng.uniform(-1, 1)
+            layers = [0.0] + [
+                0.0 if rng.random() < 0.2 else rng.random() * scale * growth**s
+                for s in range(1, k + 1)
+            ]
+            cap = rng.choice([1.5, 1.0 + 2**-40, 3.0, 1e10])
+            assert op._scale_to_cap(layers, cap) == oracles.scale_to_cap_bisect(layers, cap)
+
+    def test_horner_at_one_within_cap(self):
+        # the numpy sum (forward) exceeds the cap, Horner at 1.0 (backward)
+        # rounds both halves of an ulp away: the answer is the float below 1
+        half_ulp = 2.0**-53
+        layers = np.array([0.0, half_ulp, half_ulp, 1.5])
+        assert float(layers[1:].sum()) > 1.5
+        assert op._scale_to_cap(layers, 1.5) == 1 - 2**-53
+        assert oracles.scale_to_cap_bisect(layers, 1.5) == 1 - 2**-53
+
+    @pytest.mark.parametrize(
+        "layers, cap",
+        [
+            ([0.0, 1.0, math.inf], 1.5),
+            ([0.0, math.inf, 1.0, 2.0], 1.5),
+            ([0.0, 1.0, math.nan], 1.5),
+            ([math.nan, 0.0, 0.0], 1.5),
+            ([0.0, 1e308, 1e308], 1e308),
+            ([0.0, 1e300, 1e300, math.inf], 1e308),
+            ([2.0, 1.0, 1.0], 1.5),
+        ],
+    )
+    def test_inf_nan_and_unreachable_caps(self, layers, cap):
+        assert op._scale_to_cap(layers, cap) == oracles.scale_to_cap_bisect(layers, cap)
 
     def test_exact_projection_lands_in_tolerance(self):
         cat3 = tk.Catalog.standard(1, 3)
