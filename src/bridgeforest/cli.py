@@ -29,12 +29,13 @@ __all__ = ["main"]
 def _emit(payload, output):
     from . import serialize
 
-    text = serialize.dumps(payload)
     if output:
         with open(output, "w") as fh:
-            fh.write(text + "\n")
+            serialize.dump(payload, fh)
+            fh.write("\n")
     else:
-        print(text)
+        serialize.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
 
 
 def _config(args, command):
@@ -216,10 +217,13 @@ def _cmd_forests(args) -> int:
     import random
 
     rng = random.Random(args.seed)
-    samples = [
+    # Drawn one at a time as the writer reaches them, so one forest is held
+    # at once.  Nothing else draws from rng, so the draws are the same as
+    # drawing them all first.
+    samples = (
         sorted(forestlab.sample_forest(args.n, rng=rng).edges)
         for _ in range(args.num_samples)
-    ]
+    )
     _emit(
         {"config": config, "n": args.n, "seed": args.seed, "samples": samples},
         args.output,

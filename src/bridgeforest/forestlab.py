@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial, perm
+from math import ceil, comb, factorial, log, perm
 
 from . import treekit
 from .treekit import (
@@ -479,6 +479,34 @@ def _random_labeled_tree(verts, rng: random.Random):
     return [(verts[a], verts[b]) for a, b in _prufer_to_edges(seq, m)]
 
 
+def _sample(population: list, k: int, rng: random.Random) -> list:
+    """rng.sample(population, k), draw for draw: the same two branches
+    (a shrinking pool, or a set of the indices picked), each randbelow
+    inlined as in _random_labeled_tree, without the per-call checks."""
+    n, getrandbits = len(population), rng.getrandbits
+    result = []
+    setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            left = n - i
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[left - 1]
+    else:
+        bits, selected = n.bit_length(), set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result.append(population[j])
+    return result
+
+
 def sample_forest(n: int, rng=None, seed=None) -> LabeledForest:
     """Exactly uniform random labeled forest on 1..n; deterministic for a
     given seed.
@@ -499,7 +527,7 @@ def sample_forest(n: int, rng=None, seed=None) -> LabeledForest:
         m = _draw_anchor_size(s, rng)
         comp = [remaining[0]]
         if m > 1:
-            comp.extend(rng.sample(remaining[1:], m - 1))
+            comp.extend(_sample(remaining[1:], m - 1, rng))
         comp.sort()
         edges.extend(_random_labeled_tree(comp, rng))
         chosen = set(comp)

@@ -353,7 +353,7 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
                         moved = False
                         for sign in (1.0, -1.0):
                             cand_j = max(0.0, zv[j] + sign * step)
-                            if cand_j == zv[j]:
+                            if cand_j == zv[j] or state["evals"] >= config.budget:
                                 continue
                             cand = zv.copy()
                             cand[j] = cand_j

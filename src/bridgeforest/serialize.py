@@ -3,11 +3,17 @@
 `dumps(obj)` is, byte for byte, `json.dumps(plain, sort_keys=True, indent=2)`
 of obj projected onto JSON types, written in one walk.  A Fraction becomes
 {"num": "...", "den": "..."} with string digits, so any precision survives.
-Lists, tuples and sets become lists, sets sorted.  Dicts and dataclasses
-become objects keyed by `str(key)` (the last value wins where keys collide).
-None, bool, int, float and str, subclasses, NaN and infinities included, are
-written as `json` writes them; other types raise TypeError.  Keys and sets
-are sorted, so identical inputs give byte-identical documents.
+Lists, tuples, sets and generators become lists, sets sorted.  Dicts and
+dataclasses become objects keyed by `str(key)` (the last value wins where
+keys collide).  None, bool, int, float and str, subclasses, NaN and
+infinities included, are written as `json` writes them; other types raise
+TypeError.  Keys and sets are sorted, so identical inputs give
+byte-identical documents.
+
+`dump(obj, fh)` writes the same bytes to a stream as they are produced:
+it walks the outer object and any generator among its values, and writes
+the text of each element as soon as that element exists.  A report whose
+long list is a generator is never held whole in memory.
 
 `RunConfig` is the run configuration every CLI report embeds.  It is
 defined here rather than in `cli`, so that parsing, `--version` and
@@ -19,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from types import GeneratorType
 
 from . import __version__
 
@@ -35,6 +42,44 @@ def dumps(obj) -> str:
     return _text(obj, "\n")
 
 
+def dump(obj, fh) -> None:
+    """Write dumps(obj) to fh, one outer element at a time."""
+    for piece in _pieces(obj, "\n", True):
+        fh.write(piece)
+
+
+def _pieces(obj, nl: str, outer: bool):
+    """obj's text in pieces: one per element of the outer dict or list and
+    of a generator among the outer dict's values; any other value whole."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = _fields(obj)
+    inner = nl + "  "
+    if isinstance(obj, GeneratorType) or outer and isinstance(obj, (list, tuple)):
+        sep = "[" + inner
+        for x in obj:
+            yield sep + _text(x, inner)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else nl + "]"
+    elif outer and isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for k, v in _sorted_items(obj):
+            value = _pieces(v, inner, False)
+            yield f"{sep}{json.dumps(k)}: {next(value)}"
+            yield from value
+            sep = "," + inner
+        yield nl + "}"
+    else:
+        yield _text(obj, nl)
+
+
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _sorted_items(obj: dict) -> list:
+    return sorted({str(k): v for k, v in obj.items()}.items())
+
+
 def _text(obj, nl: str) -> str:
     """obj's text, nested at the indent that nl (a newline) ends with."""
     if isinstance(obj, Fraction):
@@ -42,8 +87,11 @@ def _text(obj, nl: str) -> str:
     if obj is None or isinstance(obj, (int, float, str)):  # bool is an int
         return json.dumps(obj)
     inner = nl + "  "
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+    if isinstance(obj, (list, tuple, set, frozenset, GeneratorType)):
+        if isinstance(obj, (set, frozenset)):
+            items = sorted(obj)
+        else:
+            items = obj if isinstance(obj, (list, tuple)) else list(obj)
         if all(type(x) is int for x in items):  # plain ints or int pairs: one join
             parts = map(int.__repr__, items)
         elif all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in items):
@@ -52,9 +100,9 @@ def _text(obj, nl: str) -> str:
             parts = [_text(x, inner) for x in items]
         return f"[{inner}{(',' + inner).join(parts)}{nl}]" if items else "[]"
     if isinstance(obj, dict):
-        items = sorted({str(k): v for k, v in obj.items()}.items())
+        items = _sorted_items(obj)
         parts = [f"{json.dumps(k)}: {_text(v, inner)}" for k, v in items]
         return f"{{{inner}{(',' + inner).join(parts)}{nl}}}" if items else "{}"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, nl)
+        return _text(_fields(obj), nl)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from bridgeforest import cli
+from bridgeforest import cli, forestlab
+from bridgeforest.serialize import RunConfig
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -20,6 +24,23 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+# Peak RSS in KB of `forests --sample --n 300` with each --num-samples given,
+# output to /dev/null, as a JSON object keyed by the count.
+_PEAK_RSS = """if True:
+    import json, os, subprocess, sys
+
+    peaks = {}
+    for count in sys.argv[1:]:
+        argv = [sys.executable, "-m", "bridgeforest.cli", "forests", "--sample",
+                "--n", "300", "--num-samples", count]
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        peaks[count] = usage.ru_maxrss
+    print(json.dumps(peaks))
+"""
 
 
 class TestTrees:
@@ -72,6 +93,39 @@ class TestForests:
         )
         assert code1 == code2 == 0
         assert doc1["samples"] == doc2["samples"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sample_stream_is_the_eager_report(self, capsys, tmp_path, seed):
+        # drawn while written, to stdout and to a file, against every draw
+        # made first and written by the reference serializer
+        argv = ["forests", "--sample", "--n", "300", "--num-samples", "30", "--seed", str(seed)]
+        code, out = run(capsys, *argv)
+        path = tmp_path / "sample.json"
+        assert code == cli.main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        written = path.read_text()
+
+        rng = random.Random(seed)
+        samples = [sorted(forestlab.sample_forest(300, rng=rng).edges) for _ in range(30)]
+        for text in (out, written):
+            config = RunConfig(command="forests", options=json.loads(text)["config"]["options"])
+            payload = {"config": config, "n": 300, "seed": seed, "samples": samples}
+            assert text == oracles.report_dumps(payload) + "\n"
+        output_line = f'      "output": {json.dumps(str(path))},\n'
+        assert written.replace(output_line, "", 1) == out
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB on Linux")
+    def test_sample_peak_memory_is_flat_in_num_samples(self):
+        # Measured from a small interpreter: a child's ru_maxrss starts at
+        # the RSS of the process that spawned it, here pytest's.  Drawing
+        # every sample before writing grew it by more than 90 MB.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "100", "2000"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout)
+        assert peaks["2000"] - peaks["100"] < 5 * 1024, peaks
 
     def test_csv_sweep(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -361,6 +415,7 @@ class TestUsageErrors:
             (["forests", "--conn-prob", "--n", "5", "--k", "2"], "--k"),
             (["forests", "--sample", "--n", "5", "--n-range", "1:3"], "--n-range"),
             (["forests", "--conn-prob", "--n", "5", "--n-range", "1:3"], "--n-range"),
+            (["forests", "--sample", "--n", "0"], "--n"),
         ],
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
              "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
@@ -374,7 +429,8 @@ class TestUsageErrors:
              "ratio-n-one", "ratio-range-one", "csv-conn-prob-n", "csv-sample", "csv-count",
              "count-sample", "conn-prob-ratio", "n-range-count", "n-range-sample",
              "exact-count", "exact-sample", "exact-ratio", "logfloat-ratio", "logfloat-count", "k-sample",
-             "k-conn-prob", "n-with-n-range-sample", "n-with-n-range-conn-prob"],
+             "k-conn-prob", "n-with-n-range-sample", "n-with-n-range-conn-prob",
+             "sample-n-zero"],
     )
     def test_exit2_one_line(self, capsys, argv, argument):
         with pytest.raises(SystemExit) as exc:

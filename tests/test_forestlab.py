@@ -226,6 +226,19 @@ class TestSampler:
             assert fl._random_labeled_tree([10 * v for v in range(m)], ours) == want
             assert ours.getstate() == ref.getstate()
 
+    # rng.sample keeps a pool while n <= 21 + 4**ceil(log4(3k)) (k > 5),
+    # else a set: (298, 299), (21, 85) and (6, 22) take the pool, (3, 299),
+    # (21, 86) and (5, 22) the set
+    @pytest.mark.parametrize("k, n", [(298, 299), (299, 299), (21, 85), (6, 22), (0, 5),
+                                      (3, 299), (21, 86), (5, 22), (40, 2000)])
+    def test_companion_draws_are_rng_sample_draws(self, k, n):
+        population = [10 * v for v in range(n)]
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert fl._sample(population, k, ours) == ref.sample(population, k)
+            assert ours.getstate() == ref.getstate()
+        assert population == [10 * v for v in range(n)]
+
     def test_small_n_distribution(self):
         # n=2: the two forests are equally likely
         rng = random.Random(0)

@@ -318,6 +318,14 @@ class TestMaximize:
         res = op.maximize(config(cat2, 6, budget=3))
         assert res.budget_exhausted and res.point is not None
 
+    def test_evaluations_never_exceed_the_budget(self):
+        # the second sign of a coordinate step must not run past the budget
+        # (1001 evaluations at six of these seeds before it was checked)
+        cat = tk.Catalog.standard(1, 3)
+        for seed in range(10):
+            res = op.maximize(op.OptimizerConfig(catalog=cat, k=11, budget=1000, seed=seed))
+            assert res.evaluations <= 1000 and res.budget_exhausted, seed
+
     def test_budget_flag_clear_with_budget_left(self, cat1):
         res = op.maximize(config(cat1, 6, budget=10_000))
         assert res.evaluations < 10_000

@@ -1,6 +1,8 @@
-"""The report writer against the reference serializer, the set ordering
-rule, and a numpy-free start for the commands that do not optimize."""
+"""The report writer and its streaming form against the reference
+serializer, the set ordering rule, and a numpy-free start for the commands
+that do not optimize."""
 
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bridgeforest import serialize
+from bridgeforest import cli, serialize
 from bridgeforest.serialize import RunConfig
 
 import oracles
@@ -35,6 +37,12 @@ def run_python(code, **env):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def dumped(value) -> str:
+    fh = io.StringIO()
+    serialize.dump(value, fh)
+    return fh.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -62,7 +70,7 @@ def run_python(code, **env):
     ],
 )
 def test_writer_matches_reference_on_edge_cases(value):
-    assert serialize.dumps(value) == oracles.report_dumps(value)
+    assert serialize.dumps(value) == dumped(value) == oracles.report_dumps(value)
 
 
 def test_writer_matches_reference_on_generated_values():
@@ -91,15 +99,58 @@ def test_writer_matches_reference_on_generated_values():
     @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @hypothesis.given(values)
     def check(value):
-        assert serialize.dumps(value) == oracles.report_dumps(value)
+        assert serialize.dumps(value) == dumped(value) == oracles.report_dumps(value)
 
     check()
+
+
+# Each case builds a value from its sequences by seq; with seq a generator
+# it must be written as the value built from lists.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seq: seq([]),
+        lambda seq: seq([1, (2, 3), "x"]),
+        lambda seq: {"samples": seq([]), "n": 3},
+        lambda seq: {"samples": seq([[(1, 2), (2, 3)], [], [(4, 5)]]), "seed": 0, "n": 5,
+                     "config": RunConfig(command="forests", options={"sample": True})},
+        lambda seq: {"a": [seq([1, seq([2])])], "b": seq([{"c": seq([])}, seq([seq([])])])},
+        lambda seq: [seq([Fraction(1, 3)]), seq([]), {"d": seq([None])}],
+    ],
+)
+def test_generators_are_written_as_lists(build):
+    def gen(items):
+        return (x for x in items)
+
+    want = oracles.report_dumps(build(list))
+    assert serialize.dumps(build(gen)) == want
+    assert dumped(build(gen)) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trees", "--unrooted", "--max-size", "7"],
+        ["forests", "--conn-prob", "--n-range", "1:6"],
+        ["verify", "--suite", "local-double-counting", "--n", "5"],
+        ["verify", "--suite", "dissymmetry", "--k", "6", "--samples", "2"],
+        ["optimize", "--u-max", "2", "--k", "5", "--restarts", "2"],
+    ],
+)
+def test_stream_matches_reference_on_reports(monkeypatch, argv):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, output: payloads.append(payload))
+    cli.main(argv)
+    (payload,) = payloads
+    assert dumped(payload) == serialize.dumps(payload) == oracles.report_dumps(payload)
 
 
 @pytest.mark.parametrize("value", [object(), [1, 2j], {"a": b"bytes"}, RunConfig])
 def test_unsupported_types_raise(value):
     with pytest.raises(TypeError):
         serialize.dumps(value)
+    with pytest.raises(TypeError):
+        dumped(value)
 
 
 def test_sets_are_written_sorted_under_any_hash_seed():
