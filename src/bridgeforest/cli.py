@@ -168,9 +168,7 @@ def _cmd_forests(args) -> int:
     if args.format == "csv" and not args.n_range:
         raise _UsageError("argument --format: csv is only for a --conn-prob or --ratio "
                           "sweep over --n-range")
-    # forestlab before serialize (through _config): compiling the largest
-    # module while little else is loaded keeps a short run's peak RSS down
-    from . import forestlab
+    from . import forests
 
     config = _config(args, "forests")
     mode = "logfloat" if args.logfloat else "exact"
@@ -178,7 +176,7 @@ def _cmd_forests(args) -> int:
         if args.n is None or args.k is None:
             missing = "--n" if args.n is None else "--k"
             raise _UsageError(f"argument {missing}: --count needs --n and --k")
-        value = forestlab.forest_count(args.n, args.k)
+        value = forests.forest_count(args.n, args.k)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and value >= 10**limit:
             raise CapacityError(f"the count has more than {limit} digits, "
@@ -188,11 +186,11 @@ def _cmd_forests(args) -> int:
     if sweepable:
         if args.conn_prob:
             flag, key, low = "--conn-prob", "probability", 1
-            value = partial(forestlab.connectivity_prob, mode=mode)
-            write = partial(forestlab.write_connectivity_sweep, mode=mode)
+            value = partial(forests.connectivity_prob, mode=mode)
+            write = partial(forests.write_connectivity_sweep, mode=mode)
         else:
             flag, key, low = "--ratio", "ratio", 2
-            value, write = forestlab.two_component_ratio, forestlab.write_ratio_sweep
+            value, write = forests.two_component_ratio, forests.write_ratio_sweep
         if args.n_range:
             argument, ns = "--n-range", _parse_range(args.n_range)
         elif args.n is None:
@@ -221,7 +219,7 @@ def _cmd_forests(args) -> int:
     # at once.  Nothing else draws from rng, so the draws are the same as
     # drawing them all first.
     samples = (
-        sorted(forestlab.sample_forest(args.n, rng=rng).edges)
+        sorted(forests.sample_forest(args.n, rng=rng).edges)
         for _ in range(args.num_samples)
     )
     _emit(
@@ -236,7 +234,7 @@ def _cmd_verify(args) -> int:
     if suite == "dissymmetry" and args.k < 2:
         raise _UsageError("argument --k: the dissymmetry suite needs --k >= 2")
     if suite in ("simple-counting", "local-double-counting", "sum-bound", "boxing"):
-        from . import forestlab  # first, as in _cmd_forests
+        from . import forestlab  # first: compiled while little is loaded, for a low peak RSS
     from . import treekit
 
     config = _config(args, "verify")

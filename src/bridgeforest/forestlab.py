@@ -1,7 +1,8 @@
-"""Labeled forests and bridge-addable classes at desk scale: exact
-component-count statistics, uniform random sampling, pendant-tree
+"""Bridge-addable classes of labeled forests at desk scale: pendant-tree
 statistics, and exhaustive verification of the counting inequalities that
-relate connected and two-component members of a class.
+relate connected and two-component members of a class.  Single forests,
+their exact counts, the uniform sampler and the CSV sweeps are in
+`forests`, and are re-exported here.
 
 Conventions, applied literally everywhere:
 
@@ -33,23 +34,21 @@ label sets for it, and its own code is the small-component key.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from math import ceil, comb, factorial, log, perm
+from functools import cache
+from math import comb, factorial
 
-from . import treekit
-from .treekit import (
-    CapacityError,
-    Catalog,
-    RootedTreeCode,
-    labeled_tree_count,
+from . import CapacityError, labeled_tree_count, treekit
+from .forests import (  # single forests, counts, sampler and sweeps, re-exported
+    LabeledForest, _is_int, connectivity_prob, forest_count, forest_total, sample_component_sizes,
+    sample_forest, two_component_ratio, write_connectivity_sweep, write_ratio_sweep,
 )
+from .treekit import Catalog, RootedTreeCode
 
 __all__ = [
     "LabeledForest",
@@ -86,13 +85,6 @@ __all__ = [
 # Exhaustive forest enumeration stops here.  The class of all forests is
 # counted from free trees instead, up to treekit.DEFAULT_MAX_SIZE.
 DEFAULT_EXHAUSTIVE_N = 8
-# Exact probabilities are reported as digit strings, and Python refuses
-# str() of an int with more than 4,300 digits (sys.get_int_max_str_digits).
-# From n = 1,373 on, the reduced probability has a numerator or denominator
-# that long, so JSON reports and CSV sweeps would fail; the cap stays a
-# round margin below that.
-EXACT_PROB_MAX_N = 1_000
-LOGFLOAT_MAX_N = 100_000
 # A bridge-addable closure stops past this many members.  Random closures
 # at n = 9 reach about 715,000 (7 s); at n = 10 one reaches 7.7 million in
 # 91 s, and at n >= 11 memory runs out first.
@@ -102,87 +94,6 @@ CLOSURE_MAX_MEMBERS = 1_000_000
 class BridgeAddabilityViolation(ValueError):
     """A two-component count is positive while the matching connected
     count is zero, which cannot happen for a bridge-addable class."""
-
-
-# ---------------------------------------------------------------------------
-# forests
-
-
-@dataclass(frozen=True)
-class LabeledForest:
-    """A forest on vertices 1..n; edges are (u, v) pairs with u < v."""
-
-    n: int
-    edges: frozenset
-
-    def __post_init__(self):
-        for u, v in self.edges:  # ints but not bools, as _is_int; plain ints first
-            if not ((type(u) is int is type(v) or _is_int(u) and _is_int(v))
-                    and 1 <= u < v <= self.n):
-                raise ValueError(f"bad edge {(u, v)} for n={self.n}")
-        _union_find(self.n, self.edges)
-
-    @classmethod
-    def make(cls, n: int, edges) -> "LabeledForest":
-        norm = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        return cls(n=n, edges=norm)
-
-    def components(self):
-        """Vertex sets of the components, ordered by (size desc, min label)."""
-        parent = _union_find(self.n, self.edges)
-        groups: dict[int, list] = {}
-        for v in range(1, self.n + 1):
-            groups.setdefault(_find(parent, v), []).append(v)
-        comps = [frozenset(g) for g in groups.values()]
-        comps.sort(key=lambda c: (-len(c), min(c)))
-        return tuple(comps)
-
-    @property
-    def component_count(self) -> int:
-        return self.n - len(self.edges)
-
-    @property
-    def is_connected(self) -> bool:
-        return self.component_count == 1
-
-    def largest_component(self):
-        """Largest component; ties to the one with the smallest vertex."""
-        return self.components()[0]
-
-    def smallest_component(self):
-        """Smallest component; among equal-size candidates, the one
-        containing vertex 1 if present, else the one with the smallest
-        vertex."""
-        # equal sizes sit in min-label order, so the first one of the
-        # smallest size holds vertex 1 when any of them does
-        comps = self.components()
-        return next(c for c in comps if len(c) == len(comps[-1]))
-
-    def sort_key(self):
-        return tuple(sorted(self.edges))
-
-
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union_find(n: int, edges):
-    """Union-find parents over 0..n after joining the ends of every edge;
-    an edge inside one tree raises ValueError."""
-    parent = list(range(n + 1))
-    for u, v in edges:
-        ru, rv = u, v  # _find, inlined: path halving from each end
-        while parent[ru] != ru:
-            parent[ru] = ru = parent[parent[ru]]
-        while parent[rv] != rv:
-            parent[rv] = rv = parent[parent[rv]]
-        if ru == rv:
-            raise ValueError(f"edges contain a cycle through {(u, v)}")
-        parent[ru] = rv
-    return parent
 
 
 # ---------------------------------------------------------------------------
@@ -326,213 +237,6 @@ def _forest_masks(n: int):
 def enumerate_forests(n: int):
     """Every labeled forest on vertices 1..n, exactly once."""
     return [_forest_of(n, m) for m in _forest_masks(n)]
-
-
-# ---------------------------------------------------------------------------
-# exact counts
-
-
-def forest_count(n: int, k: int) -> int:
-    """Number of labeled forests on n vertices with exactly k components.
-
-    Rényi's formula: f(n, k) = (n!/k!) * sum over j <= min(k, n-k) of
-    (-1/2)^j C(k, j) (k+j) n^(n-k-j-1) / (n-k-j)!.  Since
-    n!/(k! (n-k-j)!) = C(n, k) (n-k)!/(n-k-j)!, the sum is taken in
-    integers over the common denominator n 2^min(k, n-k).
-    """
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    top = min(k, n - k)
-    scaled = sum(
-        (-1) ** j * comb(k, j) * (k + j) * perm(n - k, j) * n ** (n - k - j) * 2 ** (top - j)
-        for j in range(top + 1)
-    )
-    return comb(n, k) * scaled // (n * 2**top)
-
-
-@cache
-def forest_total(n: int) -> int:
-    """Number of labeled forests on n vertices (any component count).
-
-    Lagrange inversion of the forest EGF exp(T - T^2/2), where T = x e^T
-    counts rooted trees, gives f(n) = He_{n-1}(n+1) - (n-1) He_{n-2}(n+1)
-    in the probabilists' Hermite polynomials, with He_{-1} = 0
-    (OEIS A001858: 1, 1, 2, 7, 38, ...).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = n + 1
-    prev, cur = 0, 1  # He_{d-1}(x), He_d(x) at d = 0
-    for d in range(n - 1):
-        prev, cur = cur, x * cur - d * prev
-    return cur - (n - 1) * prev
-
-
-def connectivity_prob(n: int, mode: str = "exact"):
-    """Probability that a uniform random forest on n vertices is connected.
-
-    exact mode returns a Fraction; logfloat mode returns the float nearest
-    to it (the exact integer quotient, correctly rounded), for n past the
-    exact cap.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if mode == "exact":
-        if n > EXACT_PROB_MAX_N:
-            raise CapacityError(f"exact mode capped at n={EXACT_PROB_MAX_N}")
-        return Fraction(labeled_tree_count(n), forest_total(n))
-    if mode == "logfloat":
-        if n > LOGFLOAT_MAX_N:
-            raise CapacityError(f"logfloat mode capped at n={LOGFLOAT_MAX_N}")
-        return labeled_tree_count(n) / forest_total(n)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def two_component_ratio(n: int) -> Fraction:
-    """forest_count(n, 2) / labeled_tree_count(n), exact."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return Fraction(forest_count(n, 2), labeled_tree_count(n))
-
-
-# ---------------------------------------------------------------------------
-# uniform sampling (recursive method on the exact counts)
-
-def _draw_anchor_size(s: int, rng: random.Random) -> int:
-    """Size of the component of the smallest of s vertices in a uniform
-    forest.  It is a tree on m of the s vertices in C(s-1, m-1) * m^(m-2)
-    ways, and forest_total(s-m) forests finish the rest.  For the draw r,
-    the chosen m is the one whose cumulative weight over sizes 1..m first
-    exceeds r; walking down from the giant component m = s, that is the
-    first m whose suffix weight reaches forest_total(s) - r."""
-    total = forest_total(s)
-    left = total - rng.randrange(total)
-    companions = 1  # C(s-1, m-1)
-    for m in range(s, 0, -1):
-        left -= companions * labeled_tree_count(m) * forest_total(s - m)
-        if left <= 0:
-            return m
-        companions = companions * (m - 1) // (s - m + 1)
-
-
-def sample_component_sizes(n: int, rng=None, seed=None):
-    """Component sizes of a uniform random forest on 1..n, in peel order
-    (component of the smallest remaining vertex first).
-
-    This is the first stage of sample_forest: the component structure is
-    drawn exactly from the uniform-forest distribution before any tree
-    shapes or labels are placed, so statistics that depend only on it (for
-    instance connectivity, which holds iff the result is [n]) can be
-    sampled without building the forests.
-    """
-    if rng is None:
-        rng = random.Random(seed)
-    sizes = []
-    s = n
-    while s:
-        m = _draw_anchor_size(s, rng)
-        sizes.append(m)
-        s -= m
-    return sizes
-
-
-def _prufer_to_edges(seq, m: int):
-    """Tree edges (leaf, x) of a Prüfer sequence over 0..m-1, m >= 3, each
-    step joining the smallest leaf left, in linear time: `ptr` walks up to
-    the next unused leaf, and a vertex that becomes a leaf below `ptr` is
-    the smallest leaf at once."""
-    degree = [1] * m
-    for x in seq:
-        degree[x] += 1
-    ptr = degree.index(1)
-    leaf = ptr
-    edges = []
-    for x in seq:
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, m - 1))
-    return edges
-
-
-def _random_labeled_tree(verts, rng: random.Random):
-    m = len(verts)
-    if m == 1:
-        return []
-    if m == 2:
-        return [(verts[0], verts[1])]
-    # rng.randrange(m) m - 2 times, by the rejection loop it runs
-    # (Random._randbelow_with_getrandbits) without its per-call checks
-    bits, getrandbits = m.bit_length(), rng.getrandbits
-    seq = []
-    for _ in range(m - 2):
-        x = getrandbits(bits)
-        while x >= m:
-            x = getrandbits(bits)
-        seq.append(x)
-    return [(verts[a], verts[b]) for a, b in _prufer_to_edges(seq, m)]
-
-
-def _sample(population: list, k: int, rng: random.Random) -> list:
-    """rng.sample(population, k), draw for draw: the same two branches
-    (a shrinking pool, or a set of the indices picked), each randbelow
-    inlined as in _random_labeled_tree, without the per-call checks."""
-    n, getrandbits = len(population), rng.getrandbits
-    result = []
-    setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
-    if n <= setsize:
-        pool = list(population)
-        for i in range(k):
-            left = n - i
-            bits = left.bit_length()
-            j = getrandbits(bits)
-            while j >= left:
-                j = getrandbits(bits)
-            result.append(pool[j])
-            pool[j] = pool[left - 1]
-    else:
-        bits, selected = n.bit_length(), set()
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in selected:
-                j = getrandbits(bits)
-            selected.add(j)
-            result.append(population[j])
-    return result
-
-
-def sample_forest(n: int, rng=None, seed=None) -> LabeledForest:
-    """Exactly uniform random labeled forest on 1..n; deterministic for a
-    given seed.
-
-    Draws the component of the smallest remaining vertex (size, then
-    companion set, then a uniform labeled tree via a random linear-sequence
-    code) and recurses on the rest; every choice is made with exact integer
-    weights, so the output distribution is exactly uniform.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if rng is None:
-        rng = random.Random(seed)
-    remaining = list(range(1, n + 1))
-    edges = []
-    while remaining:
-        s = len(remaining)
-        m = _draw_anchor_size(s, rng)
-        comp = [remaining[0]]
-        if m > 1:
-            comp.extend(_sample(remaining[1:], m - 1, rng))
-        comp.sort()
-        edges.extend(_random_labeled_tree(comp, rng))
-        chosen = set(comp)
-        remaining = [v for v in remaining if v not in chosen]
-    return LabeledForest.make(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,10 +967,6 @@ def save_class(c: ForestClass, path) -> None:
         json.dump(payload, fh, sort_keys=True)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_edge_list(edges) -> bool:
     return isinstance(edges, list) and all(
         isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
@@ -1276,8 +976,8 @@ def _is_edge_list(edges) -> bool:
 def load_class(path) -> ForestClass:
     """Read a class file (see save_class).  A file that is not JSON, whose
     n is not an int >= 1, whose forests are not a non-empty list of edge
-    lists of int pairs, or whose edge lists are not forests on 1..n raises
-    ValueError naming the file."""
+    lists of int pairs, or whose edge lists are not forests on 1..n (an
+    edge given twice included) raises ValueError naming the file."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -1292,26 +992,3 @@ def load_class(path) -> ForestClass:
     except ValueError as exc:
         raise ValueError(f"class file {path}: {exc}") from None
     return ForestClass(n, members, provenance=f"file:{path}")
-
-
-def _write_sweep(path, column, n_values, value, exact: bool = True) -> None:
-    """CSV of value(n) over a range of n; exact values also get their
-    numerator and denominator.  Every row is computed before the file is
-    opened, so a failing value leaves no file behind."""
-    rows = [["n", column, "num", "den"] if exact else ["n", column]]
-    for n in n_values:
-        x = value(n)
-        rows.append([n, float(x), x.numerator, x.denominator] if exact else [n, x])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def write_connectivity_sweep(path, n_values, mode: str = "exact") -> None:
-    """CSV of connectivity probabilities over a range of n."""
-    value = partial(connectivity_prob, mode=mode)
-    _write_sweep(path, "probability", n_values, value, exact=mode == "exact")
-
-
-def write_ratio_sweep(path, n_values) -> None:
-    """CSV of two-component/connected ratios over a range of n."""
-    _write_sweep(path, "ratio", n_values, two_component_ratio)

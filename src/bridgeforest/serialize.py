@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from itertools import chain
 from types import GeneratorType
 
 from . import __version__
@@ -92,10 +93,15 @@ def _text(obj, nl: str) -> str:
             items = sorted(obj)
         else:
             items = obj if isinstance(obj, (list, tuple)) else list(obj)
-        if all(type(x) is int for x in items):  # plain ints or int pairs: one join
+        # plain ints or int pairs: C-level checks, then one join or one %
+        types = set(map(type, items))
+        pairs = types == {tuple} and set(map(len, items)) == {2}
+        flat = tuple(chain.from_iterable(items)) if pairs else ()
+        if types == {int}:
             parts = map(int.__repr__, items)
-        elif all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in items):
-            parts = map(f"[{inner}  %d,{inner}  %d{inner}]".__mod__, items)
+        elif set(map(type, flat)) == {int}:
+            pair = f"[{inner}  %d,{inner}  %d{inner}]"
+            return f"[{inner}{(',' + inner).join([pair] * len(items))}{nl}]" % flat
         else:
             parts = [_text(x, inner) for x in items]
         return f"[{inner}{(',' + inner).join(parts)}{nl}]" if items else "[]"

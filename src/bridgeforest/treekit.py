@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from . import CapacityError  # defined in the package, so the CLI catches it without treekit
+from . import CapacityError, labeled_tree_count  # in the package, so cli and forests skip treekit
 
 __all__ = [
     "CapacityError",
@@ -636,12 +636,6 @@ class Catalog:
 
 # ---------------------------------------------------------------------------
 # classical identities
-
-
-@cache
-def labeled_tree_count(n: int) -> int:
-    """Cayley's n^(n-2) labeled trees on n vertices."""
-    return 1 if n == 1 else n ** (n - 2)
 
 
 def cayley_identity_check(n: int) -> CayleyCheck:

@@ -22,7 +22,12 @@ in) with numpy sums.  The report reference keeps the first serializer:
 project onto plain JSON types, then `json.dumps(..., sort_keys=True,
 indent=2)`.  `mask_components` decodes forest edge masks bit by bit, as
 forestlab first did, and `prufer_edges_heap` keeps the sampler's first
-Prüfer decoder, a heap of leaves.
+Prüfer decoder, a heap of leaves.  `sample_forest_reference` keeps the
+sampler's first composition: the anchor size by a walk over every size,
+the companions picked as `Random.sample` picks them, a tree on the sorted
+component decoded by that heap, and the edges normalized into a set at the
+end; it takes the package's forest totals, which the count tests check
+against the recurrences here.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import ceil, comb, factorial, log
 
 import numpy as np
 
@@ -75,6 +80,80 @@ def prufer_edges_heap(seq, m):
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return edges
+
+
+def _anchor_size_walk(s, rng, forest_total):
+    """The size of the smallest vertex's component: one draw r below
+    forest_total(s), then a walk down from m = s to the first m whose
+    suffix weight reaches forest_total(s) - r."""
+    total = forest_total(s)
+    left = total - rng.randrange(total)
+    companions = 1  # C(s-1, m-1)
+    for m in range(s, 0, -1):
+        left -= companions * (1 if m == 1 else m ** (m - 2)) * forest_total(s - m)
+        if left <= 0:
+            return m
+        companions = companions * (m - 1) // (s - m + 1)
+
+
+def _sample(population, k, rng):
+    """rng.sample(population, k), draw for draw: a shrinking pool, or a set
+    of the indices picked, with each randbelow written out."""
+    n, getrandbits = len(population), rng.getrandbits
+    result = []
+    setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            left = n - i
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[left - 1]
+    else:
+        bits, selected = n.bit_length(), set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result.append(population[j])
+    return result
+
+
+def _random_labeled_tree(verts, rng):
+    m = len(verts)
+    if m == 1:
+        return []
+    if m == 2:
+        return [(verts[0], verts[1])]
+    bits = m.bit_length()
+    seq = []
+    for _ in range(m - 2):
+        x = rng.getrandbits(bits)
+        while x >= m:
+            x = rng.getrandbits(bits)
+        seq.append(x)
+    return [(verts[a], verts[b]) for a, b in prufer_edges_heap(seq, m)]
+
+
+def sample_forest_reference(n, rng, forest_total):
+    """The edge set of the sampler's uniform forest on 1..n, drawn from rng
+    as the sampler draws it, by its first composition."""
+    remaining = list(range(1, n + 1))
+    edges = []
+    while remaining:
+        m = _anchor_size_walk(len(remaining), rng, forest_total)
+        comp = [remaining[0]]
+        if m > 1:
+            comp.extend(_sample(remaining[1:], m - 1, rng))
+        comp.sort()
+        edges.extend(_random_labeled_tree(comp, rng))
+        chosen = set(comp)
+        remaining = [v for v in remaining if v not in chosen]
+    return frozenset((u, v) if u < v else (v, u) for u, v in edges)
 
 
 def all_labeled_trees(n):

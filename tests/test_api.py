@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-MODULES = ["cli", "forestlab", "optimizer", "treekit", "weights"]
+MODULES = ["cli", "forestlab", "forests", "optimizer", "treekit", "weights"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -343,9 +343,9 @@ class TestClassFiles:
         "text",
         ['{}', '[1, 2]', '{"n": 4, "forests": [[1, 2]]}', '{"n": "4", "forests": []}',
          '{"n": 4, "forests": []}', 'nope', '{"n": 4, "forests": [[[1, 5]]]}',
-         '{"n": 4, "forests": [[[1, 2], [2, 3], [1, 3]]]}'],
+         '{"n": 4, "forests": [[[1, 2], [2, 3], [1, 3]]]}', '{"n": 4, "forests": [[[1, 2], [2, 1]]]}'],
         ids=["empty-object", "list", "edges-not-pairs", "n-string", "no-forests", "not-json",
-             "edge-out-of-range", "cycle"],
+             "edge-out-of-range", "cycle", "repeated-edge"],
     )
     def test_malformed_exit1_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "class.json"
@@ -503,7 +503,8 @@ _LOADED = """if True:
     names = sorted(m.split(".")[1] for m in sys.modules if m.startswith("bridgeforest."))
     print(code, *[m for m in names if m != "cli"])
 """
-_FORESTS = ["forestlab", "serialize", "treekit"]
+_FORESTS = ["forests", "serialize"]
+_CLASSES = ["forestlab", "forests", "serialize", "treekit"]
 
 
 @pytest.mark.parametrize(
@@ -515,15 +516,17 @@ _FORESTS = ["forestlab", "serialize", "treekit"]
         (["forests", "--sample", "--n", "5"], 0, _FORESTS),
         (["forests", "--count", "--n", "6", "--k", "2"], 0, _FORESTS),
         (["trees", "--max-size", "4"], 0, ["serialize", "treekit"]),
-        (["verify", "--suite", "local-double-counting", "--n", "4"], 0, _FORESTS),
-        (["verify", "--suite", "simple-counting", "--n", "4"], 0, _FORESTS),
-        (["verify", "--suite", "boxing", "--n", "5"], 0, _FORESTS),
-        (["verify", "--suite", "sum-bound", "--n", "4"], 0, [*_FORESTS, "weights"]),
+        (["verify", "--suite", "local-double-counting", "--n", "4"], 0, _CLASSES),
+        (["verify", "--suite", "simple-counting", "--n", "4"], 0, _CLASSES),
+        (["verify", "--suite", "boxing", "--n", "5"], 0, _CLASSES),
+        (["verify", "--suite", "sum-bound", "--n", "4"], 0, [*_CLASSES, "weights"]),
         (["verify", "--suite", "aut-identity", "--max-size", "4"], 0, ["serialize", "treekit"]),
         (["verify", "--suite", "dissymmetry", "--k", "4", "--samples", "1"], 0,
          ["serialize", "treekit", "weights"]),
         (["optimize", "--u-max", "1", "--k", "4"], 0,
          ["optimizer", "serialize", "treekit", "weights"]),
+        (["forests", "--conn-prob", "--n-range", "1:5"], 0, _FORESTS),
+        (["forests", "--ratio", "--n", "5"], 0, _FORESTS),
     ],
 )
 def test_each_command_loads_only_its_modules(argv, code, modules):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bridgeforest import forestlab as fl
+from bridgeforest import forests
 from bridgeforest import treekit as tk
 
 import oracles
@@ -29,6 +30,9 @@ class TestLabeledForest:
             fl.LabeledForest.make(3, [(1, 2), (2, 3), (1, 3)])
         with pytest.raises(ValueError):
             fl.LabeledForest.make(2, [(1, 3)])
+        # a repeated edge, which normalizing would merge into another forest
+        with pytest.raises(ValueError, match=r"edge \(2, 3\) is given twice"):
+            fl.LabeledForest.make(3, [(2, 3), (1, 2), (3, 2)])
 
     def test_bool_endpoints_rejected(self):
         # a bool equals 1 or 0, and would be written as true or false
@@ -205,25 +209,49 @@ class TestSampler:
             assert cum[-1] == fl.forest_total(s)
             for r in range(cum[-1]):
                 rng.r = r
-                assert fl._draw_anchor_size(s, rng) == bisect.bisect_right(cum, r) + 1
+                assert forests._draw_anchor_size(s, rng) == bisect.bisect_right(cum, r) + 1
+
+    def test_anchor_draw_boundaries_match_the_walk(self):
+        # a draw below forest_total(s - 1), the weight of m = 1, picks 1 at
+        # once; at and past it the walk picks the same m as the full walk
+        class Fixed:
+            def randrange(self, stop):
+                return self.r
+
+        rng = Fixed()
+        for s in range(1, 301):
+            below, total = fl.forest_total(s - 1), fl.forest_total(s)
+            for r in {0, below - 1, below, below + 1, total - 1}:
+                if 0 <= r < total:
+                    rng.r = r
+                    m = forests._draw_anchor_size(s, rng)
+                    assert m == oracles._anchor_size_walk(s, rng, fl.forest_total), (s, r)
+                    assert (m == 1) == (r < below)
 
     def test_prufer_decoder_matches_heap_decoder(self):
+        def check(seq, m):
+            degree = [1] * m
+            for x in seq:
+                degree[x] += 1
+            labels = [10 * v + 3 for v in range(m)]
+            want = [(labels[min(e)], labels[max(e)]) for e in oracles.prufer_edges_heap(seq, m)]
+            assert forests._prufer_edges(seq, degree, labels) == want
+
         for m in range(3, 8):  # every sequence: 18,247 in all
             for seq in itertools.product(range(m), repeat=m - 2):
-                assert fl._prufer_to_edges(seq, m) == oracles.prufer_edges_heap(seq, m)
+                check(seq, m)
         rng = random.Random(5)
         for _ in range(2000):
             m = rng.randrange(3, 400)
-            seq = [rng.randrange(m) for _ in range(m - 2)]
-            assert fl._prufer_to_edges(seq, m) == oracles.prufer_edges_heap(seq, m)
+            check([rng.randrange(m) for _ in range(m - 2)], m)
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 9, 17, 64, 65, 299, 1000])
     def test_tree_draws_are_randrange_draws(self, m):
         ours, ref = random.Random(m), random.Random(m)
         for _ in range(5):
             seq = [ref.randrange(m) for _ in range(m - 2)]
-            want = [(10 * a, 10 * b) for a, b in oracles.prufer_edges_heap(seq, m)]
-            assert fl._random_labeled_tree([10 * v for v in range(m)], ours) == want
+            want = [(10 * min(e), 10 * max(e)) for e in oracles.prufer_edges_heap(seq, m)]
+            assert forests._random_tree([10 * v for v in range(m)], ours) == want
             assert ours.getstate() == ref.getstate()
 
     # rng.sample keeps a pool while n <= 21 + 4**ceil(log4(3k)) (k > 5),
@@ -232,12 +260,25 @@ class TestSampler:
     @pytest.mark.parametrize("k, n", [(298, 299), (299, 299), (21, 85), (6, 22), (0, 5),
                                       (3, 299), (21, 86), (5, 22), (40, 2000)])
     def test_companion_draws_are_rng_sample_draws(self, k, n):
+        # the companions left out are the population minus rng.sample's picks
         population = [10 * v for v in range(n)]
         for seed in range(5):
             ours, ref = random.Random(seed), random.Random(seed)
-            assert fl._sample(population, k, ours) == ref.sample(population, k)
+            left = forests._left_out(population, k, ours)
+            assert sorted(left) == sorted(set(population) - set(ref.sample(population, k)))
             assert ours.getstate() == ref.getstate()
         assert population == [10 * v for v in range(n)]
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 65, 299, 300, 1000])
+    def test_sample_forest_matches_reference_sampler(self, n):
+        # the one-pass sampler against its first composition, forest by
+        # forest on one stream: the same edges and the same rng state
+        for seed in range(20):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                edges = forests.sample_forest(n, rng=ours).edges
+                assert edges == oracles.sample_forest_reference(n, ref, fl.forest_total)
+                assert ours.getstate() == ref.getstate()
 
     def test_small_n_distribution(self):
         # n=2: the two forests are equally likely
@@ -394,6 +435,12 @@ class TestClasses:
             fl.bridge_addable_closure(
                 [fl.LabeledForest.make(3, []), fl.LabeledForest.make(4, [])]
             )
+
+    def test_file_with_a_repeated_edge_is_refused(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"n": 3, "forests": [[[1, 2], [2, 1]]]}')
+        with pytest.raises(ValueError, match=r"^class file .*dup\.json: edge \(1, 2\) is given twice$"):
+            fl.load_class(path)
 
     def test_file_round_trip(self, tmp_path):
         cls = fl.random_closure(4, seed=9)

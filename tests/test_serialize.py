@@ -67,6 +67,26 @@ def dumped(value) -> str:
         -0.0,
         "top",
         None,
+        # lists of int pairs are checked and written in C-level passes; anything
+        # that is not a plain int in a 2-tuple takes the general path
+        [(1, 2), (3, 4)],
+        [(True, 2), (3, 4)],
+        [(1, 2), (3, False)],
+        [(Color.RED, 2), (3, 4)],
+        [(1, Color.BLUE)],
+        [(1, 2, 3), (4, 5, 6)],
+        [(1, 2), (3, 4, 5)],
+        [(1,), (2,)],
+        [[1, 2], [3, 4]],
+        [(1, 2), [3, 4], (5, 6)],
+        [(2**64, -(2**70)), (-1, 0), (10**100, -(10**100))],
+        [],
+        [()],
+        [[]],
+        [(1, 2), ()],
+        {(2, 1), (1, 2), (-3, 2**65)},
+        [[(1, 2), (3, 4)], [[(5, 6)], [(7, -8)]], [[[(2**80, 9)]]]],
+        {"a": [(1, 2)], "b": {"c": [[(3, 4)], []]}},
     ],
 )
 def test_writer_matches_reference_on_edge_cases(value):
