@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, fsum, prod
+from operator import getitem
 from typing import TYPE_CHECKING
 
 from . import treekit
@@ -80,8 +81,8 @@ class WeightVector:
 
     def __post_init__(self):
         for code, value in self.entries:
-            if value < 0:
-                raise ValueError(f"negative weight {value} for {code}")
+            if not value >= 0:  # refuses NaN too
+                raise ValueError(f"weight {value} for {code} is not >= 0")
 
     @classmethod
     def over(cls, catalog: Catalog, mapping) -> "WeightVector":
@@ -344,34 +345,119 @@ def enumerate_decompositions(t, catalog: Catalog):
 # profiles come from a bottom-up pass over each tree, folded over all
 # unrooted trees by treekit.fold_unrooted without building their codes.
 
-# Count vectors are packed into ints, one digit per u0 piece, so that
-# adding vectors is adding ints.
-_COUNT_BITS = 16
+# A count vector c over u0 is one mixed-radix position sum_j c_j * place_j,
+# where digit j runs to k // |u0_j| and place_j is the product of the radices
+# k // |u0_i| + 1 of the pieces i < j.  A tree of at most k vertices never
+# fills a digit past its radix, so adding the vectors of its parts is adding
+# positions, and positions sort as the vectors do, most significant on the
+# last piece.  A set of vectors is a set of positions in one of two forms:
+#
+#   bit set    an int with bit p set for position p: a union is |, adding
+#              one piece is one shift, and the pairwise sums of two sets are
+#              the | of one set shifted by each position of the other
+#   frozenset  of the positions, for catalogs whose bit set would be wide
+#
+# A fold takes bit sets while the product of the radices (the number of
+# positions) is at most _BIT_SET_POSITIONS: 1,617 for u_max = 3 at k = 20,
+# 33,250 for u_max = 4 at k = 18.  Past it, frozensets: about 1.4e8
+# positions for u_max = 6 at k = 12.
+_BIT_SET_POSITIONS = 1 << 16
+
+
+class _BitSets:
+    """Sets of positions as ints, one bit per position."""
+
+    empty = 0
+
+    def __init__(self):
+        # a fold sums with the same few small sets over and over (57
+        # distinct ones at u_max = 3, k = 16), so each is listed once
+        self._listed: dict[int, tuple] = {}
+
+    @staticmethod
+    def single(p: int) -> int:
+        return 1 << p
+
+    @staticmethod
+    def shift(s: int, p: int) -> int:
+        return s << p
+
+    def positions(self, s: int) -> tuple:
+        """The positions in s, ascending."""
+        listed = self._listed.get(s)
+        if listed is None:
+            out, rest = [], s
+            while rest:
+                low = rest & -rest
+                out.append(low.bit_length() - 1)
+                rest ^= low
+            listed = self._listed[s] = tuple(out)
+        return listed
+
+    def sums(self, a: int, b: int) -> int:
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        if not b & (b - 1):  # b, never empty here, is a single position
+            return a << (b.bit_length() - 1)
+        out = 0
+        for p in self.positions(b):
+            out |= a << p
+        return out
+
+
+class _FrozenSets:
+    """Sets of positions as frozensets of ints."""
+
+    empty = frozenset()
+
+    @staticmethod
+    def single(p: int) -> frozenset:
+        return frozenset((p,))
+
+    @staticmethod
+    def shift(s: frozenset, p: int) -> frozenset:
+        return frozenset(v + p for v in s)
+
+    @staticmethod
+    def positions(s: frozenset) -> list:
+        return sorted(s)
+
+    @staticmethod
+    def sums(a: frozenset, b: frozenset) -> frozenset:
+        return frozenset(v + w for v in a for w in b)
 
 
 class _PieceStates:
-    """Decomposition states of rooted trees over one catalog's u0.
+    """Decomposition states of rooted trees of at most k vertices over one
+    catalog's u0.
 
     Cutting a rooted tree into connected parts of which all but the root's
     part are u0 pieces leaves a root part p (a rooted code of at most
-    u_max vertices) and a packed count vector v of the other parts.  A
-    tree's state maps each reachable p to the set of its vectors v; states
-    are interned as ints.  attach(a, c) is the state of a tree of state a
-    with one more child subtree of state c, so it meets the contract of
-    treekit.fold_unrooted.
+    u_max vertices) and a count vector of the other parts, a mixed-radix
+    position.  A tree's state maps each reachable p to the set of its
+    positions (in the form self.sets); states are interned as ints.
+    attach(a, c) is the state of a tree of state a with one more child
+    subtree of state c, so it meets the contract of treekit.fold_unrooted.
     """
 
-    def __init__(self, u0: tuple):
+    def __init__(self, u0: tuple, k: int):
         self.u_max = max(u.size for u in u0)
-        self._unit = {u.code: 1 << (_COUNT_BITS * j) for j, u in enumerate(u0)}
+        self.places = []
+        self.radices = [k // u.size + 1 for u in u0]
+        width = 1
+        for radix in self.radices:
+            self.places.append(width)
+            width *= radix
+        self.sets = _BitSets() if width <= _BIT_SET_POSITIONS else _FrozenSets()
+        self._unit = {u.code: place for u, place in zip(u0, self.places)}
         self._states: list[frozenset] = []
         self._ids: dict[frozenset, int] = {}
         self._attached: dict[tuple, int] = {}
-        self._profile: dict[int, frozenset] = {}
-        self.root = self._intern({SINGLE_VERTEX_CODE: {0}})
+        self._profile: dict[int, object] = {}
+        self.root = self._intern({SINGLE_VERTEX_CODE: self.sets.single(0)})
 
     def _intern(self, parts: dict) -> int:
-        key = frozenset((part, frozenset(vs)) for part, vs in parts.items())
+        key = frozenset(parts.items())
         sid = self._ids.get(key)
         if sid is None:
             sid = self._ids[key] = len(self._states)
@@ -379,36 +465,42 @@ class _PieceStates:
         return sid
 
     def _piece_unit(self, part: str):
-        """Packed unit vector of the rooted part's u0 piece, or None."""
+        """Position of the rooted part's u0 piece, or None."""
         return self._unit.get(treekit._unrooted_code(part))
 
     def attach(self, a: int, c: int) -> int:
         key = (a, c)
         sid = self._attached.get(key)
         if sid is None:
-            parts: dict[str, set] = {}
+            sums, shift, empty = self.sets.sums, self.sets.shift, self.sets.empty
+            children = [
+                (child, ws, child.count("("), self._piece_unit(child))
+                for child, ws in self._states[c]
+            ]
+            parts: dict = {}
             for part, vs in self._states[a]:
                 room = self.u_max - part.count("(")
-                for child, ws in self._states[c]:
-                    sums = {v + w for v in vs for w in ws}
-                    unit = self._piece_unit(child)
+                for child, ws, size, unit in children:
+                    both = sums(vs, ws)
                     if unit is not None:  # cut the edge: the child's part is done
-                        parts.setdefault(part, set()).update(s + unit for s in sums)
-                    if child.count("(") <= room:  # keep it: the parts join
-                        parts.setdefault(treekit._hang(part, child), set()).update(sums)
+                        parts[part] = parts.get(part, empty) | shift(both, unit)
+                    if size <= room:  # keep it: the parts join
+                        joined = treekit._hang(part, child)
+                        parts[joined] = parts.get(joined, empty) | both
             sid = self._attached[key] = self._intern(parts)
         return sid
 
-    def profile(self, sid: int) -> frozenset:
-        """Packed count vectors reachable by the tree whose root state is sid."""
-        if sid not in self._profile:
-            self._profile[sid] = frozenset(
-                v + self._piece_unit(part)
-                for part, vs in self._states[sid]
-                if self._piece_unit(part) is not None
-                for v in vs
-            )
-        return self._profile[sid]
+    def profile(self, sid: int):
+        """Positions reachable by the tree whose root state is sid, as a set."""
+        found = self._profile.get(sid)
+        if found is None:
+            found = self.sets.empty
+            for part, vs in self._states[sid]:
+                unit = self._piece_unit(part)
+                if unit is not None:
+                    found |= self.sets.shift(vs, unit)
+            self._profile[sid] = found
+        return found
 
     def state_of(self, code: str) -> int:
         """Root state of a tree given by any code."""
@@ -431,24 +523,21 @@ class _Profiles:
     """
 
     def __init__(self, u0: tuple, k: int):
-        states = _PieceStates(u0)
+        states = _PieceStates(u0, k)
         labelings: dict[tuple, int] = {}  # class -> sum of n!/aut_u
         for n, aut, sid in treekit.fold_unrooted(k, states.root, states.attach):
             key = (n, states.profile(sid))
             labelings[key] = labelings.get(key, 0) + factorial(n) // aut
-        order = sorted(labelings, key=lambda key: (key[0], sorted(key[1])))
-        mask = (1 << _COUNT_BITS) - 1
-        d = len(u0)
+        listed = {key: states.sets.positions(key[1]) for key in labelings}
+        order = sorted(labelings, key=lambda key: (key[0], listed[key]))
+        digits = tuple(zip(states.places, states.radices))
         self.states = states
         self.k = k
         self.sizes = tuple(n for n, _ in order)
         self.coeff = tuple(Fraction(n * labelings[(n, p)], factorial(n)) for n, p in order)
         self.counts = tuple(
-            tuple(
-                tuple((v >> (_COUNT_BITS * j)) & mask for j in range(d))
-                for v in sorted(p)
-            )
-            for _, p in order
+            tuple(tuple(v // place % radix for place, radix in digits) for v in listed[key])
+            for key in order
         )
         self._class = {key: c for c, key in enumerate(order)}
 
@@ -495,8 +584,8 @@ def layers(z: WeightVector, k: int, catalog: Catalog) -> list:
     for size, coeff, counts in zip(table.sizes, table.coeff, table.counts):
         best_n, best_d = 0, 1
         for vec in counts:
-            n = prod(pw[c] for pw, c in zip(nums, vec))
-            d = prod(pw[c] for pw, c in zip(dens, vec))
+            n = prod(map(getitem, nums, vec))
+            d = prod(map(getitem, dens, vec))
             if n * best_d > best_n * d:
                 best_n, best_d = n, d
         out[size] += coeff * Fraction(best_n, best_d) if z.exact else float(coeff) * best_n

@@ -27,7 +27,10 @@ sampler's first composition: the anchor size by a walk over every size,
 the companions picked as `Random.sample` picks them, a tree on the sorted
 component decoded by that heap, and the edges normalized into a set at the
 end; it takes the package's forest totals, which the count tests check
-against the recurrences here.
+against the recurrences here.  `ProfilesReference` keeps the first
+profile build: each state maps a root part to a Python set of count
+vectors packed 16 bits to a piece, and each sum of two sets adds every
+pair; it borrows treekit's tree fold, codes and `_hang`.
 """
 
 from __future__ import annotations
@@ -584,3 +587,101 @@ def jsonable(obj):
 def report_dumps(obj) -> str:
     """The report text of obj, through the standard library's indenting encoder."""
     return json.dumps(jsonable(obj), sort_keys=True, indent=2)
+
+
+# count vectors packed into ints, one 16-bit digit per u0 piece
+_COUNT_BITS = 16
+
+
+class PieceStatesReference:
+    """Decomposition states of rooted trees over u0: a state maps each
+    root part (a rooted code of at most u_max vertices) to the set of
+    packed count vectors of the finished u0 pieces, interned as ints."""
+
+    def __init__(self, u0):
+        from bridgeforest import treekit
+
+        self.tk = treekit
+        self.u_max = max(u.size for u in u0)
+        self._unit = {u.code: 1 << (_COUNT_BITS * j) for j, u in enumerate(u0)}
+        self._states = []
+        self._ids = {}
+        self._attached = {}
+        self._profile = {}
+        self.root = self._intern({treekit.SINGLE_VERTEX_CODE: {0}})
+
+    def _intern(self, parts):
+        key = frozenset((part, frozenset(vs)) for part, vs in parts.items())
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = len(self._states)
+            self._states.append(key)
+        return sid
+
+    def _piece_unit(self, part):
+        return self._unit.get(self.tk._unrooted_code(part))
+
+    def attach(self, a, c):
+        key = (a, c)
+        sid = self._attached.get(key)
+        if sid is None:
+            parts = {}
+            for part, vs in self._states[a]:
+                room = self.u_max - part.count("(")
+                for child, ws in self._states[c]:
+                    sums = {v + w for v in vs for w in ws}
+                    unit = self._piece_unit(child)
+                    if unit is not None:
+                        parts.setdefault(part, set()).update(s + unit for s in sums)
+                    if child.count("(") <= room:
+                        parts.setdefault(self.tk._hang(part, child), set()).update(sums)
+            sid = self._attached[key] = self._intern(parts)
+        return sid
+
+    def profile(self, sid):
+        if sid not in self._profile:
+            self._profile[sid] = frozenset(
+                v + self._piece_unit(part)
+                for part, vs in self._states[sid]
+                if self._piece_unit(part) is not None
+                for v in vs
+            )
+        return self._profile[sid]
+
+    def state_of(self, code):
+        adj = self.tk.code_to_adjacency(code)
+        order, parent = self.tk._dfs_order(adj, 0)
+        state = [self.root] * len(adj)
+        for v in reversed(order):
+            if parent[v] >= 0:
+                state[parent[v]] = self.attach(state[parent[v]], state[v])
+        return state[0]
+
+
+class ProfilesReference:
+    """The trees with 1..k vertices grouped by (size, profile), in the
+    order (size, sorted packed vectors): sizes, exact coeff (the sum of
+    size/aut_u over a class) and counts (tuples over u0) per class."""
+
+    def __init__(self, u0, k):
+        from bridgeforest import treekit
+
+        states = PieceStatesReference(u0)
+        labelings = {}
+        for n, aut, sid in treekit.fold_unrooted(k, states.root, states.attach):
+            key = (n, states.profile(sid))
+            labelings[key] = labelings.get(key, 0) + factorial(n) // aut
+        order = sorted(labelings, key=lambda key: (key[0], sorted(key[1])))
+        mask = (1 << _COUNT_BITS) - 1
+        self.states = states
+        self.k = k
+        self.sizes = tuple(n for n, _ in order)
+        self.coeff = tuple(Fraction(n * labelings[(n, p)], factorial(n)) for n, p in order)
+        self.counts = tuple(
+            tuple(tuple((v >> (_COUNT_BITS * j)) & mask for j in range(len(u0))) for v in sorted(p))
+            for _, p in order
+        )
+        self._class = {key: c for c, key in enumerate(order)}
+
+    def index(self, code):
+        return self._class[(code.count("("), self.states.profile(self.states.state_of(code)))]

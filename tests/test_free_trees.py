@@ -21,7 +21,7 @@ from bridgeforest import weights as wt
 import oracles
 
 K_MAX = 12
-U_MAXES = (1, 2, 3)
+U_MAXES = (1, 2, 3, 4)
 SAMPLES = 3
 
 

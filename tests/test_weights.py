@@ -40,6 +40,18 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             wt.WeightVector.over(cat2, {"()": -1})
 
+    def test_nan_rejected(self, cat3):
+        # a NaN compares false with 0, so a `< 0` test let it through and
+        # the series read it as 0
+        with pytest.raises(ValueError, match="is not >= 0"):
+            wt.WeightVector.over(cat3, {"()": 0.3, "(())": math.nan})
+        entries = tuple((u.code, math.nan if u.code == "()" else 0.0) for u in cat3.u0)
+        with pytest.raises(ValueError, match="is not >= 0"):
+            wt.WeightVector(entries)
+
+    def test_infinity_accepted(self, cat2):
+        assert wt.WeightVector.over(cat2, {"()": math.inf})["()"] == math.inf
+
     def test_exact_flag(self, cat2):
         assert wt.WeightVector.over(cat2, {"()": Fraction(1, 2)}).exact
         assert not wt.WeightVector.over(cat2, {"()": 0.5}).exact
