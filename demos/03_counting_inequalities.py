@@ -1,6 +1,7 @@
-"""Bridge-addable classes under the microscope: pendant statistics, the
-box-local double counting inequality, the derived partition-function
-bound, and the box partitioning search.
+"""Bridge-addable classes under the microscope: pendant statistics (read
+from the histogram of a one-member class), the box-local double counting
+inequality, the derived partition-function bound, and the box
+partitioning search.
 
 Everything here is exhaustive and exact: the class is an explicit set of
 forests, statistics vectors live on an integer grid, and each inequality
@@ -19,9 +20,9 @@ def main():
 
     print("\n== pendant statistics ==")
     tree = fl.LabeledForest.make(6, [(1, 2), (2, 3), (3, 4), (3, 5), (5, 6)])
-    stats = fl.pendant_stats(tree, catalog)
-    for code, count in stats.counts(catalog).items():
-        print(f"  pendant copies of {code:8s}: {count}")
+    (alpha,) = fl.ForestClass(6, [tree]).histogram(catalog).a_alpha
+    for t, count in zip(catalog.t0, alpha):
+        print(f"  pendant copies of {t.code:8s}: {count}")
 
     print("\n== classes ==")
     full = fl.all_forests(6)

@@ -321,7 +321,7 @@ def _cmd_optimize(args) -> int:
     if args.cap is None:  # resolved here, so parsing need not load the optimizer
         args.cap = optimizer.DEFAULT_CAP
     config = _config(args, "optimize")
-    catalog = treekit.Catalog.standard(args.t_max, args.u_max)
+    catalog = treekit.Catalog.standard(1, args.u_max)  # the optimizer reads only u0
     cfg = optimizer.OptimizerConfig(
         catalog=catalog,
         k=args.k,
@@ -433,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="constrained maximization")
     p.add_argument("--u-max", type=_positive_int, default=3)
-    p.add_argument("--t-max", type=_positive_int, default=1)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--epsilon", type=_finite_float(lambda v: v >= 0, ">= 0"), default=0.5)
     p.add_argument("--restarts", type=_positive_int, default=32)

@@ -48,16 +48,14 @@ from .forests import (  # single forests, counts, sampler and sweeps, re-exporte
     LabeledForest, _is_int, connectivity_prob, forest_count, forest_total, sample_component_sizes,
     sample_forest, two_component_ratio, write_connectivity_sweep, write_ratio_sweep,
 )
-from .treekit import Catalog, RootedTreeCode
+from .treekit import Catalog
 
 __all__ = [
     "LabeledForest",
     "ForestClass",
-    "PendantStats",
     "Box",
     "ClassHistogram",
     "BridgeAddabilityViolation",
-    "enumerate_forests",
     "forest_count",
     "forest_total",
     "labeled_tree_count",
@@ -65,8 +63,6 @@ __all__ = [
     "two_component_ratio",
     "sample_forest",
     "sample_component_sizes",
-    "pendant_tree",
-    "pendant_stats",
     "all_forests",
     "is_bridge_addable",
     "bridge_addable_closure",
@@ -77,7 +73,6 @@ __all__ = [
     "verify_weight_sum_bound",
     "boxing_search",
     "load_class",
-    "save_class",
     "write_connectivity_sweep",
     "write_ratio_sweep",
 ]
@@ -101,7 +96,7 @@ class BridgeAddabilityViolation(ValueError):
 #
 # A class stores each forest as an int edge mask: bit i stands for the i-th
 # pair (u, v), u < v, of 1..n in lexicographic order, which is the order in
-# which enumerate_forests decides edges.  A vertex set is an int with bit v
+# which _forest_masks decides edges.  A vertex set is an int with bit v
 # for vertex v.  Sorted edge lists compare as the increasing lists of their
 # bit indices, so `_sort_key` orders masks as `LabeledForest.sort_key`
 # orders forests.
@@ -234,41 +229,8 @@ def _forest_masks(n: int):
     return out
 
 
-def enumerate_forests(n: int):
-    """Every labeled forest on vertices 1..n, exactly once."""
-    return [_forest_of(n, m) for m in _forest_masks(n)]
-
-
 # ---------------------------------------------------------------------------
-# pendant trees and statistics
-
-
-def pendant_tree(g: LabeledForest, e) -> RootedTreeCode:
-    """Pendant tree of edge e in the connected tree g: the smaller
-    component of g - e (ties to the side containing the smallest vertex),
-    rooted at its endpoint of e and canonicalized."""
-    if not g.is_connected:
-        raise ValueError("pendant_tree needs a connected tree")
-    u, v = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-    if (u, v) not in g.edges:
-        raise ValueError(f"edge {(u, v)} is not in the tree")
-    side = LabeledForest(n=g.n, edges=g.edges - {(u, v)}).smallest_component()
-    inside = [(a, b) for a, b in g.edges if a in side and b in side]
-    return treekit.canonicalize_rooted(inside, u if u in side else v)
-
-
-@dataclass(frozen=True)
-class PendantStats:
-    """Pendant-copy counts over the catalog's t0, in t0 order."""
-
-    vector: tuple
-
-    def counts(self, catalog: Catalog) -> dict:
-        return {t.code: c for t, c in zip(catalog.t0, self.vector)}
-
-    @property
-    def total(self) -> int:
-        return sum(self.vector)
+# pendant statistics
 
 
 def _rooted_code(nbr, v: int, away: int) -> str:
@@ -325,20 +287,6 @@ def _profile(n: int, mask: int, catalog: Catalog):
         return len(comps), alpha, None
     small = min(comps, key=int.bit_count)
     return 2, alpha, treekit._unrooted_code(_rooted_code(nbr, (small & -small).bit_length() - 1, 0))
-
-
-def pendant_stats(g: LabeledForest, catalog: Catalog) -> PendantStats:
-    """Pendant-copy counts of the forest's reference (largest) component,
-    restricted to the catalog's t0.  The coordinate sum never exceeds n-1.
-    """
-    nbr = [0] * (g.n + 1)
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    ref = sum(1 << v for v in g.largest_component())
-    vec = _pendant_alpha(nbr, ref, catalog)
-    assert sum(vec) <= g.n - 1
-    return PendantStats(vector=vec)
 
 
 # ---------------------------------------------------------------------------
@@ -955,18 +903,6 @@ def boxing_search(c: ForestClass, catalog: Catalog, w: int, epsilon: float) -> B
 # file formats
 
 
-def save_class(c: ForestClass, path) -> None:
-    """Class file: {"n": n, "forests": [[[u, v], ...], ...]}."""
-    payload = {
-        "n": c.n,
-        "forests": [
-            [[u, v] for u, v in sorted(f.edges)] for f in c.sorted_members()
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
 def _is_edge_list(edges) -> bool:
     return isinstance(edges, list) and all(
         isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
@@ -974,10 +910,11 @@ def _is_edge_list(edges) -> bool:
 
 
 def load_class(path) -> ForestClass:
-    """Read a class file (see save_class).  A file that is not JSON, whose
-    n is not an int >= 1, whose forests are not a non-empty list of edge
-    lists of int pairs, or whose edge lists are not forests on 1..n (an
-    edge given twice included) raises ValueError naming the file."""
+    """Read a class file, {"n": n, "forests": [[[u, v], ...], ...]} with
+    one edge list per member.  A file that is not JSON, whose n is not an
+    int >= 1, whose forests are not a non-empty list of edge lists of int
+    pairs, or whose edge lists are not forests on 1..n (an edge given twice
+    included) raises ValueError naming the file."""
     try:
         with open(path) as fh:
             payload = json.load(fh)

@@ -40,6 +40,8 @@ class LabeledForest:
     edges: frozenset
 
     def __post_init__(self):
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ValueError(f"n must be an int >= 1, got {self.n!r}")
         for u, v in self.edges:  # ints but not bools, as _is_int; plain ints first
             if not ((type(u) is int is type(v) or _is_int(u) and _is_int(v))
                     and 1 <= u < v <= self.n):
@@ -72,19 +74,6 @@ class LabeledForest:
     @property
     def is_connected(self) -> bool:
         return self.component_count == 1
-
-    def largest_component(self):
-        """Largest component; ties to the one with the smallest vertex."""
-        return self.components()[0]
-
-    def smallest_component(self):
-        """Smallest component; among equal-size candidates, the one
-        containing vertex 1 if present, else the one with the smallest
-        vertex."""
-        # equal sizes sit in min-label order, so the first one of the
-        # smallest size holds vertex 1 when any of them does
-        comps = self.components()
-        return next(c for c in comps if len(c) == len(comps[-1]))
 
     def sort_key(self):
         return tuple(sorted(self.edges))

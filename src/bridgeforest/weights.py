@@ -53,8 +53,6 @@ __all__ = [
     "DecompositionTrace",
     "MaxWeightTable",
     "max_weight",
-    "enumerate_decompositions",
-    "replay_trace",
     "layers",
     "rooted_series",
     "rooted_series_family",
@@ -63,7 +61,6 @@ __all__ = [
     "scale_weights",
     "closure",
     "verify_dissymmetry_trunc",
-    "verify_supermultiplicativity",
     "single_variable_layers",
     "TruncatedSeriesEvaluator",
 ]
@@ -145,29 +142,13 @@ class DecompositionTrace:
         return total
 
 
-def replay_trace(trace: DecompositionTrace) -> UnrootedTreeCode:
-    """Rebuild the decomposed tree by applying the steps with treekit.attach,
-    re-canonicalizing the partial tree after each step."""
-    if not trace.steps:
-        raise ValueError("cannot replay an empty trace")
-    cur = trace.steps[0].piece
-    for step in trace.steps[1:]:
-        base_adj = code_to_adjacency(cur)
-        base = treekit._rooted_from_adj(base_adj, 0)
-        piece = treekit._unrooted_from_adj(code_to_adjacency(step.piece))
-        grown = treekit.attach(base, step.attach_from, piece, step.attach_to)
-        cur = treekit._unrooted_code(grown.code)
-    return treekit._unrooted_from_adj(code_to_adjacency(cur))
-
-
 # ---------------------------------------------------------------------------
 # single-edge removal structure, cached per unrooted code
 
 # Oriented move: removing one edge of W leaves (piece, remainder).  A move's
 # value depends only on the two canonical codes, so the DP of MaxWeightTable
-# and the supermultiplicativity check read only those; canonical attachment
-# indices are computed from the recorded edges for the traces that report
-# them.
+# reads only those; canonical attachment indices are computed from the
+# recorded edges for the traces that report them.
 @cache
 def _moves(code: str):
     """Oriented single-edge removals of the unrooted tree `code`, as sorted
@@ -304,36 +285,6 @@ def max_weight(t, z: WeightVector, catalog: Catalog):
     table = MaxWeightTable(catalog, z)
     code = _as_unrooted_code(t)
     return table.value(code), table.trace(code)
-
-
-def enumerate_decompositions(t, catalog: Catalog):
-    """Every decomposition of `t` over catalog.u0, as traces, by exhaustive
-    reverse search over piece removals.  Brute-force oracle for the
-    recursion used by MaxWeightTable; keep inputs at 8 vertices or fewer.
-    """
-    code = _as_unrooted_code(t)
-    size = code.count("(")
-    if size > 8:
-        raise treekit.CapacityError(f"tree of size {size} exceeds oracle bound 8")
-    memo: dict[str, tuple] = {}
-
-    def search(w: str):
-        cached = memo.get(w)
-        if cached is not None:
-            return cached
-        found = []
-        if w in catalog.u0_index:
-            found.append((DecompositionStep(piece=w, attach_from=None, attach_to=None),))
-        for piece, p_idx, rest, r_idx in _attachments(w, _moves(w)):
-            if piece not in catalog.u0_index:
-                continue
-            step = DecompositionStep(piece=piece, attach_from=r_idx, attach_to=p_idx)
-            for prefix in search(rest):
-                found.append(prefix + (step,))
-        memo[w] = tuple(found)
-        return memo[w]
-
-    return tuple(DecompositionTrace(steps=s) for s in search(code))
 
 
 # ---------------------------------------------------------------------------
@@ -686,29 +637,6 @@ def verify_dissymmetry_trunc(z: WeightVector, k: int, catalog: Catalog) -> Dissy
     yh = _total(per_size[: k // 2 + 1])
     half_sq = yh * yh / 2
     return DissymmetryCheck(ok=(y - yu) >= half_sq, k=k, rooted=y, unrooted=yu, half_square=half_sq)
-
-
-@dataclass(frozen=True)
-class SupermultCheck:
-    ok: bool
-    code: str
-    failures: tuple
-
-
-def verify_supermultiplicativity(u, z: WeightVector, catalog: Catalog) -> SupermultCheck:
-    """For every edge of `u`, removing the edge leaves two trees whose max
-    weights multiply to at most the max weight of `u`."""
-    code = _as_unrooted_code(u)
-    if code.count("(") < 2:
-        raise ValueError("need a tree with at least one edge")
-    table = MaxWeightTable(catalog, z)
-    whole = table.value(code)
-    failures = []
-    for piece, rest, _ in _moves(code):
-        parts = table.value(piece) * table.value(rest)
-        if whole < parts:
-            failures.append({"piece": piece, "rest": rest, "whole": whole, "parts": parts})
-    return SupermultCheck(ok=not failures, code=code, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

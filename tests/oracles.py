@@ -30,7 +30,13 @@ end; it takes the package's forest totals, which the count tests check
 against the recurrences here.  `ProfilesReference` keeps the first
 profile build: each state maps a root part to a Python set of count
 vectors packed 16 bits to a piece, and each sum of two sets adds every
-pair; it borrows treekit's tree fold, codes and `_hang`.
+pair; it borrows treekit's tree fold, codes and `_hang`.  The
+decomposition references (`enumerate_decompositions`, `replay_trace`,
+`verify_supermultiplicativity`) list every decomposition by reverse
+search, rebuild a tree from a trace with `treekit.attach`, and compare
+the package's max weights across each edge; they borrow the edge-removal
+tables `weights._moves` and `_attachments` and the trace types.
+`save_class` writes the class files that `forestlab.load_class` reads.
 """
 
 from __future__ import annotations
@@ -459,6 +465,21 @@ def forest_profile(n, edges, catalog):
     return len(comps), tuple(counts), ucode
 
 
+def pendant_tree(forest, e):
+    """Pendant tree of edge e in the connected LabeledForest `forest`: the
+    smaller side of the tree minus e, ties to the side holding vertex 1,
+    rooted at its endpoint of e, as a canonical rooted code."""
+    from bridgeforest import treekit
+
+    if len(forest_components(forest.n, forest.edges)) != 1:
+        raise ValueError("pendant_tree needs a connected tree")
+    cut = tuple(sorted(e))
+    if cut not in forest.edges:
+        raise ValueError(f"edge {cut} is not in the tree")
+    side, root = pendant_side(range(1, forest.n + 1), sorted(forest.edges), cut, 1)
+    return treekit.canonicalize_rooted(side, root)
+
+
 def class_histogram(profiles):
     """(component counts, connected alpha counts, two-component alpha counts
     by small code, two-component totals by small code) over profiles."""
@@ -507,6 +528,14 @@ def bridge_addable_closure(n, seeds):
                 seen.add(edges | {e})
                 queue.append(edges | {e})
     return seen
+
+
+def save_class(cls, path):
+    """Write a forestlab class file: {"n": n, "forests": [[[u, v], ...], ...]},
+    members in sort order."""
+    forests = [[list(e) for e in f.sort_key()] for f in cls.sorted_members()]
+    with open(path, "w") as fh:
+        json.dump({"n": cls.n, "forests": forests}, fh, sort_keys=True)
 
 
 def scale_to_cap(layers, cap: float) -> float:
@@ -685,3 +714,70 @@ class ProfilesReference:
 
     def index(self, code):
         return self._class[(code.count("("), self.states.profile(self.states.state_of(code)))]
+
+
+def enumerate_decompositions(t, catalog):
+    """Every decomposition of the tree `t` (a tree code) over catalog.u0,
+    as weights.DecompositionTrace objects, by exhaustive reverse search
+    over piece removals; inputs of at most 8 vertices."""
+    from bridgeforest import treekit, weights
+    from bridgeforest.weights import DecompositionStep, DecompositionTrace
+
+    code = weights._as_unrooted_code(t)
+    size = code.count("(")
+    if size > 8:
+        raise treekit.CapacityError(f"tree of size {size} exceeds oracle bound 8")
+
+    @lru_cache(maxsize=None)
+    def search(w):
+        found = []
+        if w in catalog.u0_index:
+            found.append((DecompositionStep(piece=w, attach_from=None, attach_to=None),))
+        for piece, p_idx, rest, r_idx in weights._attachments(w, weights._moves(w)):
+            if piece in catalog.u0_index:
+                step = DecompositionStep(piece=piece, attach_from=r_idx, attach_to=p_idx)
+                found += [prefix + (step,) for prefix in search(rest)]
+        return tuple(found)
+
+    return tuple(DecompositionTrace(steps=steps) for steps in search(code))
+
+
+def replay_trace(trace):
+    """The unrooted tree a decomposition trace builds: its steps applied
+    with treekit.attach, re-canonicalizing the partial tree after each."""
+    from bridgeforest import treekit
+
+    if not trace.steps:
+        raise ValueError("cannot replay an empty trace")
+    cur = trace.steps[0].piece
+    for step in trace.steps[1:]:
+        base = treekit._rooted_from_adj(treekit.code_to_adjacency(cur), 0)
+        piece = treekit._unrooted_from_adj(treekit.code_to_adjacency(step.piece))
+        grown = treekit.attach(base, step.attach_from, piece, step.attach_to)
+        cur = treekit._unrooted_code(grown.code)
+    return treekit._unrooted_from_adj(treekit.code_to_adjacency(cur))
+
+
+@dataclasses.dataclass(frozen=True)
+class SupermultCheck:
+    ok: bool
+    code: str
+    failures: tuple
+
+
+def verify_supermultiplicativity(u, z, catalog):
+    """For every edge of the tree `u`, removing the edge leaves two trees
+    whose max weights multiply to at most the max weight of `u`."""
+    from bridgeforest import weights
+
+    code = weights._as_unrooted_code(u)
+    if code.count("(") < 2:
+        raise ValueError("need a tree with at least one edge")
+    table = weights.MaxWeightTable(catalog, z)
+    whole = table.value(code)
+    failures = []
+    for piece, rest, _ in weights._moves(code):
+        parts = table.value(piece) * table.value(rest)
+        if whole < parts:
+            failures.append({"piece": piece, "rest": rest, "whole": whole, "parts": parts})
+    return SupermultCheck(ok=not failures, code=code, failures=tuple(failures))

@@ -185,7 +185,7 @@ def test_criterion_06_max_weight_dp_vs_oracle(catalogs):
     for cat in catalogs.values():
         nu_sets = {}
         for u in trees:
-            decs = wt.enumerate_decompositions(u, cat)
+            decs = oracles.enumerate_decompositions(u, cat)
             nu_sets[u.code] = {tuple(sorted(d.piece_counts().items())) for d in decs}
         rng = random.Random(len(cat.u0))
         for trial in range(50):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -233,7 +234,7 @@ class TestVerify:
 
         cls = fl.all_forests(3)
         path = tmp_path / "cls.json"
-        fl.save_class(cls, path)
+        oracles.save_class(cls, path)
         code, doc = run_json(
             capsys, "verify", "--suite", "simple-counting",
             "--n", "3", "--class", f"file:{path}",
@@ -246,7 +247,7 @@ class TestVerify:
 
         cls = fl.ForestClass(3, [fl.LabeledForest.make(3, [])])
         path = tmp_path / "bad.json"
-        fl.save_class(cls, path)
+        oracles.save_class(cls, path)
         code = cli.main(
             ["verify", "--suite", "simple-counting", "--n", "3", "--class", f"file:{path}"]
         )
@@ -384,7 +385,7 @@ class TestUsageErrors:
             (["verify", "--suite", "aut-identity", "--t-max", "0"], "--t-max"),
             (["verify", "--suite", "sum-bound", "--u-max", "0"], "--u-max"),
             (["optimize", "--k", "4", "--u-max", "0"], "--u-max"),
-            (["optimize", "--k", "4", "--t-max", "0"], "--t-max"),
+            (["optimize", "--k", "4", "--t-max", "0"], "unrecognized arguments: --t-max 0"),
             (["optimize", "--k", "4", "--restarts", "0"], "--restarts"),
             (["verify", "--suite", "dissymmetry", "--samples", "-3"], "--samples"),
             (["optimize", "--k", "4", "--tol", "0"], "--tol"),
@@ -439,7 +440,9 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert f"error: argument {argument}: " in captured.err
+        # the line names the argument, or an option the command does not take
+        named = argument if argument.startswith("unrecognized") else f"argument {argument}: "
+        assert f"error: {named}" in captured.err
         assert "Traceback" not in captured.err
 
     def test_no_request_exit2(self, capsys):
@@ -489,8 +492,78 @@ class TestUsageAndDeterminism:
         assert json.loads(proc.stdout)["count"] == 3
 
 
+# sha256 of each command's stdout: a change to these bytes is a change to
+# a report, and is made on purpose or not at all.  The only floats they print are the parsed --epsilon, the
+# correctly rounded --logfloat quotient and boxing's int ratio
+# min_fraction, so the digests hold on every Python from 3.10 on.
+# optimize (numpy floats) and dissymmetry (float powers) are left out.
+_PINNED_REPORTS = {
+    "trees-rooted": (
+        "trees --max-size 7",
+        "b6297667afce5b37d87172c064a9504b4c644dc90c19a7c13a30872fb1618aff",
+    ),
+    "trees-unrooted": (
+        "trees --max-size 7 --unrooted",
+        "14a96da130f98bcf699a3b16050421ac7b9f54a8c9a9f3cefd43dc70e245bf77",
+    ),
+    "count": (
+        "forests --count --n 12 --k 3",
+        "7150aafeff487172f7d05877617e75675bf088909ac8b3b416c72174f072098d",
+    ),
+    "conn-prob": (
+        "forests --conn-prob --n 60",
+        "258926b06111e5d850f637fe65cfa04ddd6dc52d14161f9178d5990b76c5470e",
+    ),
+    "conn-prob-logfloat": (
+        "forests --conn-prob --n 60 --logfloat",
+        "057665a44f258e83d2928251106f15ceea54e9504a8e8e21b7493cf58a837b12",
+    ),
+    "ratio-sweep": (
+        "forests --ratio --n-range 2:12",
+        "f4d14ca33d3209ddb5d67888cb0a852f42b5b28e97478fa335cba29427a4a5fe",
+    ),
+    "sample": (
+        "forests --sample --n 40 --num-samples 5 --seed 2",
+        "fdf97bfec9167b9ab6a1b724687578fb99cc246458552f8d65730c8cf069f30e",
+    ),
+    "aut-identity": (
+        "verify --suite aut-identity --max-size 8",
+        "4fe7756cfa58c1c1732981cbb63d47d375ab62c133ea107ed32f5e9200c1713e",
+    ),
+    "simple-counting": (
+        "verify --suite simple-counting --n 6",
+        "daf5e0b630618a55b171cfb8675a3b6713a422630163e8f7a145e10962f32b1e",
+    ),
+    "local-double-counting": (
+        "verify --suite local-double-counting --n 8",
+        "4e2df758c521ec5ccd986ea1b3eae985965b387e48997d19de180c884448f21a",
+    ),
+    "local-double-counting-closure": (
+        "verify --suite local-double-counting --n 6 --class random-closure:3",
+        "e684cf26fb31a27dfa7c890fad57f3a9c5c3da5045074a61d67262cecaea490e",
+    ),
+    "sum-bound": (
+        "verify --suite sum-bound --n 7",
+        "95941ba290175ca6bfebb5414ab6f9b965549f57b2ea1c21d0c6fb15e805b671",
+    ),
+    "boxing": (
+        "verify --suite boxing --n 7 --w 2 --t-max 2 --u-max 1",
+        "a222b5fd4818d538be3d24aff1b0e29f35720bba3be35a4efe058675a88cd6a3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_REPORTS)
+def test_report_bytes_are_pinned(capsys, name):
+    command, digest = _PINNED_REPORTS[name]
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Run in a fresh interpreter: the package modules a command leaves in
-# sys.modules (cli itself aside), and its exit code.
+# sys.modules (cli itself aside) and numpy if it was
+# imported, after its exit code.
 _LOADED = """if True:
     import contextlib, io, sys
     from bridgeforest import cli
@@ -501,7 +574,7 @@ _LOADED = """if True:
         except SystemExit as exc:
             code = exc.code
     names = sorted(m.split(".")[1] for m in sys.modules if m.startswith("bridgeforest."))
-    print(code, *[m for m in names if m != "cli"])
+    print(code, *[m for m in names if m != "cli"], *["numpy"] * ("numpy" in sys.modules))
 """
 _FORESTS = ["forests", "serialize"]
 _CLASSES = ["forestlab", "forests", "serialize", "treekit"]
@@ -524,7 +597,7 @@ _CLASSES = ["forestlab", "forests", "serialize", "treekit"]
         (["verify", "--suite", "dissymmetry", "--k", "4", "--samples", "1"], 0,
          ["serialize", "treekit", "weights"]),
         (["optimize", "--u-max", "1", "--k", "4"], 0,
-         ["optimizer", "serialize", "treekit", "weights"]),
+         ["optimizer", "serialize", "treekit", "weights", "numpy"]),
         (["forests", "--conn-prob", "--n-range", "1:5"], 0, _FORESTS),
         (["forests", "--ratio", "--n", "5"], 0, _FORESTS),
     ],

@@ -49,12 +49,12 @@ def test_pendant_stats_of_samples():
         f = fl.sample_forest(12, rng=rng)
         for catalog in CATALOGS.values():
             want = oracles.forest_profile(12, f.edges, catalog)[1]
-            assert fl.pendant_stats(f, catalog).vector == want, sorted(f.edges)
+            assert fl._profile(12, fl._mask_of(f, 12), catalog)[1] == want, sorted(f.edges)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_bridge_witness_on_subclasses(n):
-    forests = sorted(fl.enumerate_forests(n), key=fl.LabeledForest.sort_key)
+    forests = fl.all_forests(n).sorted_members()
     verdicts = set()
     for seed in range(20):
         rng = random.Random(seed)
@@ -102,7 +102,7 @@ def test_neighbour_tables_past_one_chunk():
 
 
 def test_masks_round_trip():
-    for f in fl.enumerate_forests(5):
+    for f in fl.all_forests(5):
         assert fl._forest_of(5, fl._mask_of(f, 5)) == f
     cls = fl.all_forests(4)
     assert sorted(f.sort_key() for f in cls) == [f.sort_key() for f in cls.sorted_members()]
@@ -114,7 +114,10 @@ def test_equal_sizes_reference_and_small_component_coincide():
     # at equal sizes the reference component and the distinguished small
     # component are one and the same: the component holding vertex 1
     f = fl.LabeledForest.make(6, [(1, 2), (2, 3), (4, 5), (4, 6)])
-    assert f.largest_component() == f.smallest_component() == {1, 2, 3}
+    assert f.components() == ({1, 2, 3}, {4, 5, 6})
+    assert fl._profile(6, fl._mask_of(f, 6), CATALOGS[4, 3]) == oracles.forest_profile(
+        6, f.edges, CATALOGS[4, 3]
+    )
     # with non-isomorphic halves the profile shows which one it read: the
     # path on 1..4, not the star on 5..8
     path = [(1, 2), (2, 3), (3, 4)]
@@ -122,7 +125,7 @@ def test_equal_sizes_reference_and_small_component_coincide():
     catalog = CATALOGS[4, 3]
     alone = fl.LabeledForest.make(4, path)
     assert fl._profile(8, fl._mask_of(f, 8), catalog) == (
-        2, fl.pendant_stats(alone, catalog).vector, tk.canonicalize_unrooted(path).code
+        2, fl._profile(4, fl._mask_of(alone, 4), catalog)[1], tk.canonicalize_unrooted(path).code
     )
 
 
@@ -148,10 +151,8 @@ def test_two_centroid_tie_splits_the_labelings():
     # equal halves give one alpha, which keeps every labeling
     for edges in ([(1, 2)], path + [(5, 6), (6, 7), (7, 8), (3, 6)]):
         u = tk.canonicalize_unrooted(edges)
-        assert fl._tree_alphas(u, catalog) == {
-            fl.pendant_stats(fl.LabeledForest.make(u.size, edges), catalog).vector:
-                factorial(u.size) // u.aut_u
-        }
+        alpha = oracles.forest_profile(u.size, edges, catalog)[1]
+        assert fl._tree_alphas(u, catalog) == {alpha: factorial(u.size) // u.aut_u}
 
 
 def test_all_forests_are_counted_not_enumerated(monkeypatch):

@@ -24,6 +24,15 @@ def cat21():
     return tk.Catalog.standard(2, 1)
 
 
+def _alpha(f, catalog):
+    """Pendant statistics of f's reference component, over catalog.t0."""
+    return fl._profile(f.n, fl._mask_of(f, f.n), catalog)[1]
+
+
+def _alpha_counts(f, catalog):
+    return {t.code: c for t, c in zip(catalog.t0, _alpha(f, catalog))}
+
+
 class TestLabeledForest:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -41,38 +50,58 @@ class TestLabeledForest:
                 fl.LabeledForest(n=3, edges=frozenset({edge}))
         assert fl.LabeledForest(n=3, edges=frozenset({(1, 2)})).edges == {(1, 2)}
 
+    @pytest.mark.parametrize("n", [0, -1, True, False, 2.5, "3", None])
+    def test_n_must_be_an_int_at_least_one(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an int >= 1, got "):
+            fl.LabeledForest(n=n, edges=frozenset())
+
+    def test_bad_n_with_edges_is_refused_first(self):
+        with pytest.raises(ValueError, match=r"^n must be an int >= 1, got 2\.5$"):
+            fl.LabeledForest(n=2.5, edges=frozenset({(1, 2)}))
+        with pytest.raises(ValueError, match=r"^n must be an int >= 1, got True$"):
+            forests.sample_forest(True)
+
     def test_components(self):
         f = fl.LabeledForest.make(5, [(1, 2), (4, 5)])
         comps = f.components()
         assert sorted(map(len, comps)) == [1, 2, 2]
         assert f.component_count == 3
+        assert comps == tuple(oracles.forest_components(5, f.edges))
 
     def test_largest_tie_smallest_vertex(self):
+        # the first component is the largest, ties to the smallest vertex
         f = fl.LabeledForest.make(4, [(2, 3), (1, 4)])
-        assert f.largest_component() == frozenset({1, 4})
+        assert f.components()[0] == frozenset({1, 4})
 
     def test_smallest_tie_contains_vertex_one(self):
+        # equal sizes sit in smallest-vertex order, so the first of the
+        # smallest size holds vertex 1 when any of them does
         f = fl.LabeledForest.make(4, [(2, 3), (1, 4)])
-        assert f.smallest_component() == frozenset({1, 4})
+        assert f.components() == ({1, 4}, {2, 3})
+        f = fl.LabeledForest.make(5, [(2, 3), (3, 4)])
+        assert f.components() == ({2, 3, 4}, {1}, {5})
 
 
 class TestEnumerateForests:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 7), (4, 38), (5, 291)])
     def test_counts(self, n, count):
-        assert len(fl.enumerate_forests(n)) == count
+        assert len(fl.all_forests(n).sorted_members()) == count
 
     def test_no_duplicates(self):
-        forests = fl.enumerate_forests(4)
-        assert len({f.edges for f in forests}) == len(forests)
+        masks = fl._forest_masks(4)  # the list a class of all forests enumerates
+        assert len(set(masks)) == len(masks)
+        assert len({f.edges for f in fl.all_forests(4)}) == len(masks)
 
     def test_matches_subset_filter_oracle(self):
         for n in range(1, 5):
-            mine = {f.edges for f in fl.enumerate_forests(n)}
+            mine = {f.edges for f in fl.all_forests(n)}
             assert mine == set(oracles.acyclic_edge_subsets(n))
 
     def test_capacity(self):
         with pytest.raises(tk.CapacityError):
-            fl.enumerate_forests(9)
+            list(fl.all_forests(9))
+        with pytest.raises(tk.CapacityError):
+            fl.all_forests(9).sorted_members()
 
 
 class TestCounts:
@@ -89,7 +118,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_recurrence_vs_enumeration(self, n):
-        forests = fl.enumerate_forests(n)
+        forests = list(fl.all_forests(n))
         by_k = {}
         for f in forests:
             by_k[f.component_count] = by_k.get(f.component_count, 0) + 1
@@ -345,20 +374,31 @@ class TestPinnedOutputs:
 
 
 class TestPendantTree:
+    # the pendant tree of each edge from the reference in `oracles`, and the
+    # package's pendant statistics, which count those trees over t0
+    @staticmethod
+    def _check_alpha(g):
+        catalog = tk.Catalog.standard(g.n, 1)  # every pendant tree is in t0
+        codes = [oracles.pendant_tree(g, e).code for e in g.edges]
+        assert _alpha(g, catalog) == tuple(codes.count(t.code) for t in catalog.t0)
+
     def test_two_path_tie(self):
         g = fl.LabeledForest.make(2, [(1, 2)])
-        p = fl.pendant_tree(g, (1, 2))
+        p = oracles.pendant_tree(g, (1, 2))
         assert p.code == "()"
+        self._check_alpha(g)
 
     def test_path3_strict(self):
         g = fl.LabeledForest.make(3, [(1, 2), (2, 3)])
-        assert fl.pendant_tree(g, (2, 3)).code == "()"
-        assert fl.pendant_tree(g, (1, 2)).code == "()"
+        assert oracles.pendant_tree(g, (2, 3)).code == "()"
+        assert oracles.pendant_tree(g, (1, 2)).code == "()"
+        self._check_alpha(g)
 
     def test_star_center1(self):
         g = fl.LabeledForest.make(4, [(1, 2), (1, 3), (1, 4)])
         for e in g.edges:
-            assert fl.pendant_tree(g, e).code == "()"
+            assert oracles.pendant_tree(g, e).code == "()"
+        self._check_alpha(g)
 
     def test_tie_rooted_shape_depends_on_anchor_side(self):
         # 6 vertices, edge (3,4) splits into a star half and a path half;
@@ -366,44 +406,53 @@ class TestPendantTree:
         star_half = [(1, 2), (1, 3)]
         path_half = [(4, 5), (5, 6)]
         g = fl.LabeledForest.make(6, star_half + path_half + [(3, 4)])
-        p = fl.pendant_tree(g, (3, 4))
+        p = oracles.pendant_tree(g, (3, 4))
         expected = tk.canonicalize_rooted(star_half, root=3)
         assert p == expected
+        self._check_alpha(g)
+        # halves of different rooted shapes: a star on 1..4 hung from 4 and
+        # a path on 5..8 hung from 5, then relabeled v -> 9 - v, which puts
+        # vertex 1 in the path
+        star, path = [(1, 2), (1, 3), (1, 4)], [(5, 6), (6, 7), (7, 8)]
+        g = fl.LabeledForest.make(8, star + path + [(4, 5)])
+        assert oracles.pendant_tree(g, (4, 5)) == tk.canonicalize_rooted(star, root=4)
+        self._check_alpha(g)
+        g = fl.LabeledForest.make(8, [(9 - u, 9 - v) for u, v in g.edges])
+        assert oracles.pendant_tree(g, (4, 5)) == tk.canonicalize_rooted(path, root=5)
+        self._check_alpha(g)
 
     def test_errors(self):
         g = fl.LabeledForest.make(3, [(1, 2)])
         with pytest.raises(ValueError):
-            fl.pendant_tree(g, (1, 2))  # not connected
+            oracles.pendant_tree(g, (1, 2))  # not connected
         g2 = fl.LabeledForest.make(3, [(1, 2), (2, 3)])
         with pytest.raises(ValueError):
-            fl.pendant_tree(g2, (1, 3))
+            oracles.pendant_tree(g2, (1, 3))
 
 
 class TestPendantStats:
     def test_path3(self, cat21):
         g = fl.LabeledForest.make(3, [(1, 2), (2, 3)])
-        stats = fl.pendant_stats(g, cat21)
-        counts = stats.counts(cat21)
+        counts = _alpha_counts(g, cat21)
         assert counts["()"] == 2
         assert counts["(())"] == 0
 
     def test_single_vertex(self, cat21):
         g = fl.LabeledForest.make(1, [])
-        assert fl.pendant_stats(g, cat21).vector == (0, 0)
+        assert _alpha(g, cat21) == (0, 0)
 
     def test_star4_center1(self, cat32):
         g = fl.LabeledForest.make(4, [(1, 2), (1, 3), (1, 4)])
-        stats = fl.pendant_stats(g, cat32)
-        assert stats.counts(cat32)["()"] == 3
+        assert _alpha_counts(g, cat32)["()"] == 3
 
     def test_forest_uses_largest_component(self, cat21):
         g = fl.LabeledForest.make(5, [(2, 3), (3, 4)])
-        expected = fl.pendant_stats(fl.LabeledForest.make(3, [(1, 2), (2, 3)]), cat21)
-        assert fl.pendant_stats(g, cat21).vector == expected.vector
+        expected = _alpha(fl.LabeledForest.make(3, [(1, 2), (2, 3)]), cat21)
+        assert _alpha(g, cat21) == expected
 
     def test_sum_bounded(self, cat32):
-        for f in fl.enumerate_forests(5):
-            assert fl.pendant_stats(f, cat32).total <= 4
+        for f in fl.all_forests(5):
+            assert sum(_alpha(f, cat32)) <= 4
 
 
 class TestClasses:
@@ -445,7 +494,7 @@ class TestClasses:
     def test_file_round_trip(self, tmp_path):
         cls = fl.random_closure(4, seed=9)
         path = tmp_path / "class.json"
-        fl.save_class(cls, path)
+        oracles.save_class(cls, path)
         loaded = fl.load_class(path)
         assert loaded.n == cls.n and loaded.members == cls.members
 
