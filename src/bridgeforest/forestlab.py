@@ -16,15 +16,21 @@ Conventions, applied literally everywhere:
   smallest one, ties to the one containing vertex 1.
 
 Statistics vectors ("alpha" vectors) are tuples of pendant-copy counts in
-the coordinate order of the catalog's rooted family t0.
+the coordinate order of the catalog's rooted family t0.  They are read
+from one rooting: a tree is rooted at its centroid farther from its
+smallest vertex (its only centroid, when it has one).  Every subtree
+below that root has at most half of the vertices, and one with exactly
+half holds the smallest vertex, so the subtrees below the non-root
+vertices are exactly the pendant sides, and alpha counts the balanced
+blocks of the rooted code, the root's own aside, that lie in t0.
 
 The class of all forests on n vertices is counted, not enumerated: its
 histogram depends only on unlabeled shapes.  A free tree U on n vertices
-has n!/aut_u labelings, and its alpha is that of its canonical
-representative, with one exception: in a two-centroid tree the pendant
-side of the central edge is the half holding the smallest label.  When the
-halves differ no automorphism swaps them, so that label lies in each half
-in exactly half of the labelings, and each of the two alphas gets half the
+has n!/aut_u labelings, and its alpha is read from its canonical code,
+which is rooted at a centroid, with one exception: in a two-centroid tree
+the smallest label decides which centroid is the root.  When the halves
+differ no automorphism swaps them, so that label lies in each half in
+exactly half of the labelings, and each of the two alphas gets half the
 count.  A two-component forest with trees U1 on r > n/2 vertices and U2 on
 n - r has C(n, r) r!/aut(U1) (n-r)!/aut(U2) labelings, with alpha from U1
 and small component U2.  At r = n/2 the component holding vertex 1 is both
@@ -240,36 +246,24 @@ def _rooted_code(nbr, v: int, away: int) -> str:
     return "(" + "".join(sorted(codes, reverse=True)) + ")"
 
 
-def _pendant_alpha(nbr, comp: int, catalog: Catalog) -> tuple:
-    """Pendant-copy counts over t0 of the tree on the vertex set `comp`.
+@cache
+def _centred(code: str) -> str:
+    """The rooted code `code` rerooted at the centroid farther from its root."""
+    adj = treekit.code_to_adjacency(code)
+    return treekit._encode(adj, treekit._centroids(adj)[1])[0]
 
-    Rooted at its smallest vertex, the tree has one edge above each other
-    vertex x.  That edge's pendant side is x's subtree when that is the
-    smaller side, and otherwise (the rest is smaller, or the sides tie and
-    the rest holds the smallest vertex) the rest rooted at x's parent.
-    Codes are built bottom-up, and only for sides of at most t_max
-    vertices, since larger ones are not in t0.
-    """
-    t_max, t0_index = catalog.t_max, catalog.t0_index
-    total, root = comp.bit_count(), (comp & -comp).bit_length() - 1
-    order, parent = [root], [0] * len(nbr)
-    for v in order:
-        kids = nbr[v] & ~(1 << parent[v])
-        while kids:
-            x = kids.bit_length() - 1
-            parent[x] = v
-            order.append(x)
-            kids ^= 1 << x
-    size, kid_codes = [1] * len(nbr), [[] for _ in nbr]
-    counts = [0] * len(catalog.t0)
-    for x in reversed(order[1:]):
-        s, p = size[x], parent[x]
-        code = "(" + "".join(sorted(kid_codes[x], reverse=True)) + ")" if s <= t_max else ""
-        size[p] += s
-        kid_codes[p].append(code)
-        if total - s <= s:
-            code = _rooted_code(nbr, p, x) if total - s <= t_max else ""
-        slot = t0_index.get(code)
+
+def _pendant_alpha(code: str, catalog: Catalog) -> tuple:
+    """Pendant-copy counts over t0 of a tree rooted at its far centroid:
+    its proper balanced blocks with codes in t0, one per non-root vertex."""
+    t0_index, longest = catalog.t0_index, 2 * catalog.t_max
+    counts, starts = [0] * len(catalog.t0), []
+    for j, ch in enumerate(code):
+        if ch == "(":
+            starts.append(j)
+            continue
+        i = starts.pop()
+        slot = t0_index.get(code[i : j + 1]) if starts and j - i < longest else None
         if slot is not None:
             counts[slot] += 1
     return tuple(counts)
@@ -282,7 +276,8 @@ def _profile(n: int, mask: int, catalog: Catalog):
     nbr, comps = _components(n, mask)
     # comps are in min-vertex order, so max and min keep the first of
     # equal sizes: the conventions' ties to the smallest vertex
-    alpha = _pendant_alpha(nbr, max(comps, key=int.bit_count), catalog)
+    ref = max(comps, key=int.bit_count)
+    alpha = _pendant_alpha(_centred(_rooted_code(nbr, (ref & -ref).bit_length() - 1, 0)), catalog)
     if len(comps) != 2:
         return len(comps), alpha, None
     small = min(comps, key=int.bit_count)
@@ -523,29 +518,14 @@ def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
 
 def _tree_alphas(u: treekit.UnrootedTreeCode, catalog: Catalog) -> Counter:
     """The alphas of the labelings of the free tree u, with their numbers
-    of labelings (u.size!/aut_u in all).  In a two-centroid tree the
-    smallest label is put on each centroid in turn (vertex 0 of the
-    representative, then the root of the other half), and each gets half
-    the labelings; when both give one alpha, it gets them all."""
-    adj = treekit.code_to_adjacency(u.code)
-    n = len(adj)
-    labels = [list(range(1, n + 1))]
-    if u.centroid_kind == "two-centroid":
-        # preorder numbers each child's subtree consecutively
-        kids = adj[0]
-        d = next(k for k, end in zip(kids, kids[1:] + [n]) if 2 * (end - k) == n)
-        swapped = labels[0][:]
-        swapped[0], swapped[d] = d + 1, 1
-        labels.append(swapped)
-    found = []
-    for label in labels:
-        nbr = [0] * (n + 1)
-        for v, ws in enumerate(adj):
-            for w in ws:
-                nbr[label[v]] |= 1 << label[w]
-        found.append(_pendant_alpha(nbr, (1 << (n + 1)) - 2, catalog))
-    labelings = factorial(n) // u.aut_u
-    return Counter({a: labelings * k // len(found) for a, k in Counter(found).items()})
+    of labelings (u.size!/aut_u in all).  A two-centroid tree is rooted at
+    each centroid in turn, u.code's root and then the other, and each
+    rooting gets half the labelings; when both give one alpha, it gets them
+    all."""
+    codes = [u.code, _centred(u.code)] if u.centroid_kind == "two-centroid" else [u.code]
+    found = Counter(_pendant_alpha(code, catalog) for code in codes)
+    labelings = factorial(u.size) // u.aut_u
+    return Counter({a: labelings * k // len(codes) for a, k in found.items()})
 
 
 def _shape_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:

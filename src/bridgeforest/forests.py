@@ -40,8 +40,7 @@ class LabeledForest:
     edges: frozenset
 
     def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an int >= 1, got {self.n!r}")
+        _check_n(self.n)
         for u, v in self.edges:  # ints but not bools, as _is_int; plain ints first
             if not ((type(u) is int is type(v) or _is_int(u) and _is_int(v))
                     and 1 <= u < v <= self.n):
@@ -104,6 +103,11 @@ def _union_find(n: int, edges):
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_n(n) -> None:
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +206,7 @@ def sample_component_sizes(n: int, rng=None, seed=None):
     (component of the smallest remaining vertex first): the first stage of
     sample_forest, for statistics that need no edges, such as connectivity
     (the sizes are [n])."""
+    _check_n(n)
     if rng is None:
         rng = random.Random(seed)
     sizes = []
@@ -291,8 +296,7 @@ def sample_forest(n: int, rng=None, seed=None) -> LabeledForest:
     code) and recurses on the rest; every choice is made with exact integer
     weights, so the output distribution is exactly uniform.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     if rng is None:
         rng = random.Random(seed)
     remaining = list(range(1, n + 1))

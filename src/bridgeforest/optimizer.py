@@ -15,12 +15,10 @@ final point is re-validated in exact rational arithmetic, never claimed
 optimal.
 
 Every scaling projection solves sum lam^s y_s = cap for lam, an increasing
-polynomial in lam, with one bisection that evaluates the polynomial by
-Horner in the type of its bracket: Fractions in exact projections, stopped
-once the series is within tol below the cap; floats to within tol for the
-single-variable threshold; and floats in the search loop, stopped once no
-float splits the bracket, which there starts from a bracket found by
-Newton's method rather than from [0, 1].
+polynomial in lam, with one float bisection that evaluates the polynomial
+by Horner: to within tol for the single-variable threshold, and in the
+search loop until no float splits the bracket, which there starts from a
+bracket found by Newton's method rather than from [0, 1].
 
 Float arithmetic drives the inner loop; the exact re-validation rounds the
 float vector to dyadic rationals, closes it exactly, and scales by the
@@ -50,7 +48,6 @@ __all__ = [
     "MaximizeResult",
     "BoundCheck",
     "feasibility",
-    "project_scale",
     "single_var_threshold",
     "maximize",
     "bound_check",
@@ -223,29 +220,6 @@ def _scale_to_cap(layers, cap: float) -> float:
         if not lo < x < hi:
             break
     return _bisect(cs, cap, hi, _resolved, lo, val_lo)[0]
-
-
-def project_scale(z: WeightVector, config: OptimizerConfig) -> WeightVector:
-    """Scale z by the lam making rooted_series(lam*z, k) equal to the cap
-    (lam = 1 if already within it).  The scaled series is
-    sum lam^s y_s with y_s the per-size contributions, a strictly
-    increasing polynomial in lam, solved by the shared Horner bisection.
-    Exact vectors bisect in Fractions until the series is within
-    config.tol below the cap; float vectors bisect in floats until the
-    bracket cannot be split.  Either way the scaled series stays at or
-    below the cap."""
-    if all(v == 0 for _, v in z.entries):
-        raise ValueError("cannot project the zero vector")
-    layers = weights.layers(z, config.k, config.catalog)
-    cap = Fraction(config.y_cap) if z.exact else config.y_cap
-    if weights._total(layers) <= cap:
-        return z
-    if z.exact:
-        tol = Fraction(config.tol)
-        lam, _ = _bisect(layers, cap, Fraction(1), lambda lo, hi, val_lo: cap - val_lo <= tol)
-    else:
-        lam = _scale_to_cap(layers, cap)
-    return weights.scale_weights(lam, z)
 
 
 def single_var_threshold(k: int, cap: float = DEFAULT_CAP, tol: float = 1e-12) -> float:

@@ -274,26 +274,31 @@ def _rooted_from_adj(adj, root) -> RootedTreeCode:
     return RootedTreeCode(code=code, size=len(adj), aut_r=aut)
 
 
-def _unrooted_from_adj(adj) -> UnrootedTreeCode:
-    """Canonical unrooted code and aut_u from one size pass and one encode.
-
-    The vertices with more than half of the tree below them (rooted at 0)
-    form a path down from 0, and the deepest of them, the last in preorder,
-    is a centroid.  A child with exactly half below it is the other one;
-    then the two halves are encoded away from each other and joined, and
-    aut_u is the product of their aut_r, doubled when they are equal.
-    """
+def _centroids(adj):
+    """The centroid of the tree nearest vertex 0 and the one farthest from
+    it, the same vertex when the tree has one centroid.  Rooted at 0, the
+    vertices with more than half of the tree below them form a path down
+    from 0, and the deepest of them, the last in preorder, is a centroid.
+    A child of it with exactly half below it is the other one."""
     n = len(adj)
     order, parent = _dfs_order(adj, 0)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
     c = [v for v in order if 2 * size[v] > n][-1]
-    other = [v for v in order if 2 * size[v] == n]
-    if not other:
+    return c, next((v for v in order if 2 * size[v] == n), c)
+
+
+def _unrooted_from_adj(adj) -> UnrootedTreeCode:
+    """Canonical unrooted code and aut_u from one size pass and one encode.
+    With two centroids the two halves are encoded away from each other and
+    joined, and aut_u is the product of their aut_r, doubled when they are
+    equal."""
+    n = len(adj)
+    c, d = _centroids(adj)
+    if c == d:
         code, aut = _encode(adj, c)
         return UnrootedTreeCode(code=code, size=n, aut_u=aut, centroid_kind="one-centroid")
-    (d,) = other
     h1, a1 = _encode(adj, c, away=d)
     h2, a2 = _encode(adj, d, away=c)
     return UnrootedTreeCode(

@@ -16,7 +16,10 @@ and in log-space floats.  The scale projection references keep the
 optimizer's first two projections: 80 numpy bisection steps
 (`scale_to_cap`), and a Horner bisection of [0, 1] run until no float
 splits the bracket (`scale_to_cap_bisect`), whose float the optimizer
-must still return exactly.  The float feasibility reference keeps the
+must still return exactly.  `project_scale` is the optimizer's
+former projection of a whole weight vector, exact or float, which no
+command calls; it borrows the optimizer's bisections and the package's
+series layers.  The float feasibility reference keeps the
 optimizer's first float check: the package's vectorized evaluator (passed
 in) with numpy sums.  The report reference keeps the first serializer:
 project onto plain JSON types, then `json.dumps(..., sort_keys=True,
@@ -574,6 +577,32 @@ def scale_to_cap_bisect(layers, cap: float) -> float:
         else:
             hi = mid
     return lo
+
+
+def project_scale(z, config):
+    """Scale the weight vector z by the lam making rooted_series(lam*z, k)
+    equal to the cap (lam = 1 if already within it): the optimizer's
+    projection for exact and float vectors.  The scaled series is
+    sum lam^s y_s with y_s the per-size contributions, a strictly
+    increasing polynomial in lam, solved by the optimizer's Horner
+    bisection.  Exact vectors bisect in Fractions until the series is
+    within config.tol below the cap; float vectors take the optimizer's
+    Newton-bracketed float bisection.  Either way the scaled series stays
+    at or below the cap."""
+    from bridgeforest import optimizer, weights
+
+    if all(v == 0 for _, v in z.entries):
+        raise ValueError("cannot project the zero vector")
+    layers = weights.layers(z, config.k, config.catalog)
+    cap = Fraction(config.y_cap) if z.exact else config.y_cap
+    if weights._total(layers) <= cap:
+        return z
+    if z.exact:
+        tol = Fraction(config.tol)
+        lam, _ = optimizer._bisect(layers, cap, Fraction(1), lambda lo, hi, val_lo: cap - val_lo <= tol)
+    else:
+        lam = optimizer._scale_to_cap(layers, cap)
+    return weights.scale_weights(lam, z)
 
 
 def float_feasibility(ev, z, config):

@@ -546,6 +546,10 @@ _PINNED_REPORTS = {
         "verify --suite sum-bound --n 7",
         "95941ba290175ca6bfebb5414ab6f9b965549f57b2ea1c21d0c6fb15e805b671",
     ),
+    "sum-bound-t0-halves": (  # the shape path, with 5-vertex central-edge halves in t0
+        "verify --suite sum-bound --n 10 --t-max 5 --u-max 2",
+        "1c3884adc6333860bd5cf91a2a1417fc6208e38b5e63dba0d38db03bf44e4fe2",
+    ),
     "boxing": (
         "verify --suite boxing --n 7 --w 2 --t-max 2 --u-max 1",
         "a222b5fd4818d538be3d24aff1b0e29f35720bba3be35a4efe058675a88cd6a3",

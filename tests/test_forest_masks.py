@@ -16,7 +16,8 @@ from bridgeforest import treekit as tk
 
 import oracles
 
-CATALOGS = {(t, u): tk.Catalog.standard(t, u) for t, u in ((2, 1), (3, 2), (4, 3))}
+# (6, 2) has t0 trees as large as the halves of a central edge up to n = 12
+CATALOGS = {(t, u): tk.Catalog.standard(t, u) for t, u in ((2, 1), (3, 2), (4, 3), (6, 2))}
 
 
 def _check_profiles(n, catalog):
@@ -137,6 +138,14 @@ def test_shape_histogram_totals(n):
     assert sum(hist.a_alpha.values()) == tk.labeled_tree_count(n)
     assert sum(hist.b_totals.values()) == fl.forest_count(n, 2)
     assert {code: sum(amap.values()) for code, amap in hist.b_alpha.items()} == hist.b_totals
+
+
+def test_centred_roots_at_the_far_centroid():
+    # every rooted tree with at most 10 vertices; in preorder a child comes
+    # after its parent, so of two centroids the far one has the larger index
+    for t in tk.enumerate_rooted(10):
+        adj = tk.code_to_adjacency(t.code)
+        assert fl._centred(t.code) == oracles.encode(adj, max(oracles.centroids(adj)))[0], t.code
 
 
 def test_two_centroid_tie_splits_the_labelings():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,15 @@ class TestSampler:
         for _ in range(50):
             f = fl.sample_forest(12, rng=rng)
             assert f.n == 12  # construction validates acyclicity
+
+    @pytest.mark.parametrize("n", [0, -1, True, False, 2.5, "3", None])
+    def test_bad_n_is_refused_before_any_draw(self, n):
+        rng = random.Random(0)
+        state = rng.getstate()
+        for sample in (forests.sample_forest, forests.sample_component_sizes):
+            with pytest.raises(ValueError, match=rf"^n must be an int >= 1, got {re.escape(repr(n))}$"):
+                sample(n, rng=rng)
+        assert rng.getstate() == state
 
     def test_component_sizes_match_forest_stage(self):
         # Both samplers draw the size of vertex 1's component first, so on

@@ -113,7 +113,7 @@ def float_points(cat, k, cfg):
             z = wt.WeightVector.over(cat, {u.code: scale**u.size * rng.random() for u in cat.u0})
             hollow = wt.WeightVector.over(cat, {**z.as_dict(), cat.u0[-1].code: 0.0})
             closed = wt.closure(z, cat)
-            yield from (z, hollow, closed, op.project_scale(closed, cfg))
+            yield from (z, hollow, closed, oracles.project_scale(closed, cfg))
 
 
 class TestFloatFeasibilityAgainstOracle:
@@ -149,17 +149,17 @@ class TestFloatFeasibilityAgainstOracle:
 class TestProjectScale:
     def test_zero_rejected(self, cat1):
         with pytest.raises(ValueError):
-            op.project_scale(wt.WeightVector.zero(cat1), config(cat1, 5))
+            oracles.project_scale(wt.WeightVector.zero(cat1), config(cat1, 5))
 
     def test_feasible_unchanged(self, cat1):
         cfg = config(cat1, 6)
         z = wt.WeightVector.over(cat1, {"()": 0.2})
-        assert op.project_scale(z, cfg) is z
+        assert oracles.project_scale(z, cfg) is z
 
     def test_projection_lands_on_cap_float(self, cat1):
         cfg = config(cat1, 6)
         z = wt.WeightVector.over(cat1, {"()": 1.0})
-        scaled = op.project_scale(z, cfg)
+        scaled = oracles.project_scale(z, cfg)
         x = scaled["()"]
         assert op.single_var_threshold(6) - 1e-6 <= x <= op.single_var_threshold(6) + 1e-6
         y = sum(wt.single_variable_layers(x, 6))
@@ -169,7 +169,7 @@ class TestProjectScale:
     def test_projection_exact_mode(self, cat2):
         cfg = config(cat2, 5)
         z = wt.WeightVector.over(cat2, {"()": Fraction(1), "(())": Fraction(1, 2)})
-        scaled = op.project_scale(z, cfg)
+        scaled = oracles.project_scale(z, cfg)
         assert scaled.exact
         y = wt.rooted_series(scaled, 5, cat2)
         assert y <= Fraction(3, 2)
@@ -178,7 +178,7 @@ class TestProjectScale:
     def test_bracketing_spec_example(self, cat1):
         cfg = config(cat1, 6)
         z = wt.WeightVector.over(cat1, {"()": 1.0})
-        x = op.project_scale(z, cfg)["()"]
+        x = oracles.project_scale(z, cfg)["()"]
         assert E_INV < x < 1.0
 
 
@@ -254,7 +254,7 @@ class TestScaleToCapAgainstOracle:
         cat3 = tk.Catalog.standard(1, 3)
         cfg = config(cat3, 8, tol=1e-12)
         z = wt.WeightVector.over(cat3, {u.code: Fraction(1, 2) for u in cat3.u0})
-        y = wt.rooted_series(op.project_scale(z, cfg), 8, cat3)
+        y = wt.rooted_series(oracles.project_scale(z, cfg), 8, cat3)
         assert Fraction(3, 2) - Fraction(cfg.tol) <= y <= Fraction(3, 2)
 
 

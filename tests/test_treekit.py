@@ -420,6 +420,16 @@ class TestAgainstFirstCodingScheme:
                 u = tk._unrooted_from_adj(adj)
                 assert (u.code, u.aut_u, u.centroid_kind) == oracles.unrooted_code(adj), edges
 
+    def test_centroids_nearest_and_farthest_from_vertex_0(self):
+        # every labeled tree with n <= 7: the reference's centroids, and of
+        # two the second is a child of the first when rooted at vertex 0
+        for n in range(1, 8):
+            for edges in oracles.all_labeled_trees(n):
+                adj = oracles.adjacency_from_edges(edges, n)
+                near, far = tk._centroids(adj)
+                assert {near, far} == set(oracles.centroids(adj)), edges
+                assert far == near or tk._dfs_order(adj, 0)[1][far] == near, edges
+
 
 class TestProperties:
     def test_codes_equal_iff_isomorphic(self):
