@@ -51,8 +51,8 @@ from math import comb, factorial
 
 from . import CapacityError, labeled_tree_count, treekit
 from .forests import (  # single forests, counts, sampler and sweeps, re-exported
-    LabeledForest, _is_int, connectivity_prob, forest_count, forest_total, sample_component_sizes,
-    sample_forest, two_component_ratio, write_connectivity_sweep, write_ratio_sweep,
+    LabeledForest, _check_n, _is_int, connectivity_prob, forest_count, forest_total,
+    sample_component_sizes, sample_forest, two_component_ratio, write_connectivity_sweep, write_ratio_sweep,
 )
 from .treekit import Catalog
 
@@ -300,13 +300,12 @@ class ForestClass:
     """
 
     def __init__(self, n: int, members, provenance: str = "explicit"):
+        _check_n(n)
         self.n = n
         self.provenance = provenance
         self._every = members is None
         self._hists: dict = {}
         if self._every:
-            if n < 1:
-                raise ValueError("n must be >= 1")
             if n > treekit.DEFAULT_MAX_SIZE:
                 raise CapacityError(f"class all-forests is capped at n={treekit.DEFAULT_MAX_SIZE}")
             self._masks = None

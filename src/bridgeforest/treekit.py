@@ -11,8 +11,10 @@ equality coincide with isomorphism.
 
 Vertex indices accepted by `attach` and reported by `splits` refer to the
 depth-first preorder of the canonical representative, i.e. the order in
-which the ``"("`` characters appear in the code string.  The representative
-of a code is recovered with `code_to_adjacency`.
+which the ``"("`` characters appear in the code string.  `code_to_adjacency`
+recovers the representative, and reads any balanced code, canonical or not.
+A subtree is one balanced block of the code, so cutting an edge and hanging
+a subtree are string edits that keep the index of every earlier vertex.
 
 Vertex orbits come from the same codes, with no re-encoding per vertex.
 Under root-fixing automorphisms a vertex's orbit key is the subtree codes
@@ -315,19 +317,6 @@ def _unrooted_code(rooted_code: str) -> str:
     return _unrooted_from_adj(code_to_adjacency(rooted_code)).code
 
 
-def _split_edge(adj, parent, v):
-    """The two trees left by removing the edge from v to parent[v], each as
-    (relabeled adjacency, index of its endpoint of the removed edge): v's
-    side first.  Relabeling keeps vertex order, so vertex 0, when on the
-    parent's side, stays vertex 0 there."""
-    below = set(_dfs_order(adj, v, away=parent[v])[0])
-    sides = []
-    for part, end in ((below, v), (set(range(len(adj))) - below, parent[v])):
-        index = {x: i for i, x in enumerate(sorted(part))}
-        sides.append(([[index[u] for u in adj[x] if u in part] for x in index], index[end]))
-    return tuple(sides)
-
-
 def _rooted_vertex_orbit_keys(adj, root):
     """Orbit key of every vertex under root-fixing automorphisms: the
     subtree codes along its path from the root, joined.  Equal keys mean
@@ -340,14 +329,14 @@ def _rooted_vertex_orbit_keys(adj, root):
     return keys
 
 
-def _unrooted_orbit_keys(adj):
-    """Orbit key of every vertex under all automorphisms: the canonical code
-    of the tree rooted at that vertex.  One pass down from vertex 0 gives
-    the subtree codes; one pass back down reroots, passing each child the
-    code of the rest of the tree hung at its parent."""
+def _reroot(adj):
+    """Rooted at vertex 0, the codes of v's side of the edge to its parent
+    rooted at v (down[v]), of the parent's side rooted at the parent (up[v],
+    "" for vertex 0) and of the tree rooted at v (keys[v]).  One pass down
+    gives down; one pass back down gives each child its up, the rest of
+    the tree hung at its parent."""
     order, parent, down, _ = _subtree_codes(adj, 0)
-    up = [""] * len(adj)  # up[v]: the side of parent[v] away from v
-    keys = [""] * len(adj)
+    up, keys = [""] * len(adj), [""] * len(adj)
     for v in order:
         kids = [u for u in adj[v] if u != parent[v]]
         blocks = sorted([down[u] for u in kids] + [up[v]] * (v != 0), reverse=True)
@@ -356,7 +345,23 @@ def _unrooted_orbit_keys(adj):
             rest = list(blocks)
             rest.remove(down[u])
             up[u] = "(" + "".join(rest) + ")"
-    return keys
+    return down, up, keys
+
+
+def _unrooted_orbit_keys(adj):
+    """Orbit key of every vertex under all automorphisms: the canonical code
+    of the tree rooted at that vertex."""
+    return _reroot(adj)[2]
+
+
+def _block(code: str, v: int) -> slice:
+    """The slice of `code` holding the block of preorder vertex v."""
+    start = [j for j, ch in enumerate(code) if ch == "("][v]
+    depth = 0
+    for j in range(start, len(code)):
+        depth += 1 if code[j] == "(" else -1
+        if depth == 0:
+            return slice(start, j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +519,6 @@ def splits(t: RootedTreeCode):
     if t.size < 2:
         raise ValueError("single-vertex tree has no edges to split")
     adj = code_to_adjacency(t.code)
-    _, parent = _dfs_order(adj, 0)
     keys = _rooted_vertex_orbit_keys(adj, 0)
     orbits: dict[str, list[int]] = {}
     for v in range(1, len(adj)):
@@ -522,7 +526,10 @@ def splits(t: RootedTreeCode):
     out = []
     for members in orbits.values():  # in order of their first vertex
         v = members[0]
-        (sub_u, v_in_u), (sub_t, p_in_t) = _split_edge(adj, parent, v)
+        # U+ is v's block; in T-, v's parent (first in adj[v]) keeps its index
+        cut = _block(t.code, v)
+        sub_u = code_to_adjacency(t.code[cut])
+        sub_t = code_to_adjacency(t.code[: cut.start] + t.code[cut.stop :])
         u_keys = _unrooted_orbit_keys(sub_u)
         t_keys = _rooted_vertex_orbit_keys(sub_t, 0)
         out.append(
@@ -531,8 +538,8 @@ def splits(t: RootedTreeCode):
                 t_minus=_rooted_from_adj(sub_t, 0),
                 u_plus=_unrooted_from_adj(sub_u),
                 m_edge=len(members),
-                m_vminus=t_keys.count(t_keys[p_in_t]),
-                n_vplus=u_keys.count(u_keys[v_in_u]),
+                m_vminus=t_keys.count(t_keys[adj[v][0]]),
+                n_vplus=u_keys.count(u_keys[0]),
             )
         )
     return out
@@ -558,14 +565,9 @@ def attach(
         raise IndexError(f"v_index {v_index} out of range for size {t_minus.size}")
     if not 0 <= u_index < u.size:
         raise IndexError(f"u_index {u_index} out of range for size {u.size}")
-    base = code_to_adjacency(t_minus.code)
-    piece = code_to_adjacency(u.code)
-    offset = len(base)
-    joined = [list(nbrs) for nbrs in base]
-    joined.extend([w + offset for w in nbrs] for nbrs in piece)
-    joined[v_index].append(u_index + offset)
-    joined[u_index + offset].append(v_index)
-    return _rooted_from_adj(joined, 0)
+    hung = _unrooted_orbit_keys(code_to_adjacency(u.code))[u_index]
+    at = _block(t_minus.code, v_index).start + 1
+    return _rooted_from_adj(code_to_adjacency(t_minus.code[:at] + hung + t_minus.code[at:]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +577,12 @@ def attach(
 def check_inclusion_closed(rooted_family) -> None:
     """Raise CatalogError unless the family of rooted trees is closed under
     rooted inclusion (equivalently, under removing any single non-root
-    leaf)."""
+    leaf, a "()" after the root's "(")."""
     codes = {t.code for t in rooted_family}
     for t in rooted_family:
-        if t.size == 1:
-            continue
-        adj = code_to_adjacency(t.code)
-        _, parent = _dfs_order(adj, 0)
-        for v in range(1, len(adj)):
-            if len(adj[v]) == 1:
-                code, _ = _encode(_split_edge(adj, parent, v)[1][0], 0)
+        for j in range(1, len(t.code) - 1):
+            if t.code.startswith("()", j):
+                code, _ = _encode(code_to_adjacency(t.code[:j] + t.code[j + 2 :]), 0)
                 if code not in codes:
                     raise CatalogError(
                         f"family is not closed under rooted inclusion: removing a "

@@ -147,25 +147,22 @@ class DecompositionTrace:
 
 # Oriented move: removing one edge of W leaves (piece, remainder).  A move's
 # value depends only on the two canonical codes, so the DP of MaxWeightTable
-# reads only those; canonical attachment indices are computed from the
-# recorded edges for the traces that report them.
+# reads only those; canonical attachment indices come from the recorded
+# orbit keys for the traces that report them.
 @cache
 def _moves(code: str):
     """Oriented single-edge removals of the unrooted tree `code`, as sorted
-    tuples (piece_code, rest_code, edges), one per distinct pair of codes.
-    edges lists the (v, below) realizing the pair: removing the edge from
-    vertex v of the canonical representative to its parent leaves the
-    piece on v's side when below is true, on the other side otherwise."""
-    adj = code_to_adjacency(code)
-    _, parent = treekit._dfs_order(adj, 0)
-    found: dict[tuple, list] = {}
-    for v in range(1, len(adj)):
-        (sub_a, _), (sub_b, _) = treekit._split_edge(adj, parent, v)
-        ca = treekit._unrooted_from_adj(sub_a).code
-        cb = treekit._unrooted_from_adj(sub_b).code
-        found.setdefault((ca, cb), []).append((v, True))
-        found.setdefault((cb, ca), []).append((v, False))
-    return tuple((*key, tuple(found[key])) for key in sorted(found))
+    tuples (piece_code, rest_code, ends), one per distinct pair of codes.
+    ends lists, sorted and distinct, the pairs (piece key, rest key) of the
+    edges realizing the pair: the orbit keys of the edge's two ends, each
+    the code of its side rooted at that end."""
+    down, up, _ = treekit._reroot(code_to_adjacency(code))
+    found: dict[tuple, set] = {}
+    for v in range(1, len(down)):
+        ca, cb = treekit._unrooted_code(down[v]), treekit._unrooted_code(up[v])
+        found.setdefault((ca, cb), set()).add((down[v], up[v]))
+        found.setdefault((cb, ca), set()).add((up[v], down[v]))
+    return tuple((*key, tuple(sorted(found[key]))) for key in sorted(found))
 
 
 @cache
@@ -178,29 +175,17 @@ def _orbit_firsts(code: str) -> dict:
     return index
 
 
-def _orbit_index(code: str, side) -> tuple:
-    """Orbit key of a side's endpoint (the side's code rooted there) and
-    the canonical index of its orbit representative in the tree `code`."""
-    key = treekit._encode(*side)[0]
-    return key, _orbit_firsts(code)[key]
-
-
-@cache
-def _attachments(code: str, moves: tuple):
-    """Canonical attachment indices of the given moves of `code`, as tuples
+def _attachments(moves: tuple):
+    """Canonical attachment indices of the given moves, as tuples
     (piece_code, piece_idx, rest_code, rest_idx) ordered by the orbit keys
     of the two attachment vertices.  Edges whose attachment vertices share
     both orbits give one tuple."""
-    adj = code_to_adjacency(code)
-    _, parent = treekit._dfs_order(adj, 0)
-    oriented: dict[tuple, tuple] = {}
-    for piece, rest, edges in moves:
-        for v, below in edges:
-            side_v, side_p = treekit._split_edge(adj, parent, v)
-            pm, pi = _orbit_index(piece, side_v if below else side_p)
-            rm, ri = _orbit_index(rest, side_p if below else side_v)
-            oriented.setdefault((pm, rm), (piece, pi, rest, ri))
-    return tuple(oriented[key] for key in sorted(oriented))
+    return tuple(
+        (piece, _orbit_firsts(piece)[pk], rest, _orbit_firsts(rest)[rk])
+        for (pk, rk), piece, rest in sorted(
+            (ends, piece, rest) for piece, rest, pairs in moves for ends in pairs
+        )
+    )
 
 
 def _check_domain(z: WeightVector, catalog: Catalog) -> None:
@@ -263,7 +248,7 @@ class MaxWeightTable:
             if move[0] == "base":
                 steps.append(DecompositionStep(piece=cur, attach_from=None, attach_to=None))
                 break
-            piece, p_idx, rest, r_idx = _attachments(cur, (move[1],))[0]
+            piece, p_idx, rest, r_idx = _attachments((move[1],))[0]
             steps.append(DecompositionStep(piece=piece, attach_from=r_idx, attach_to=p_idx))
             cur = rest
         return DecompositionTrace(steps=tuple(reversed(steps)))
@@ -455,13 +440,15 @@ class _PieceStates:
 
     def state_of(self, code: str) -> int:
         """Root state of a tree given by any code."""
-        adj = code_to_adjacency(code)
-        order, parent = treekit._dfs_order(adj, 0)
-        state = [self.root] * len(adj)
-        for v in reversed(order):
-            if parent[v] >= 0:
-                state[parent[v]] = self.attach(state[parent[v]], state[v])
-        return state[0]
+        stack = []  # the states of the open vertices, children folded in
+        for ch in code:
+            if ch == "(":
+                stack.append(self.root)
+            else:
+                state = stack.pop()
+                if stack:
+                    stack[-1] = self.attach(stack[-1], state)
+        return state
 
 
 class _Profiles:

@@ -39,6 +39,13 @@ decomposition references (`enumerate_decompositions`, `replay_trace`,
 search, rebuild a tree from a trace with `treekit.attach`, and compare
 the package's max weights across each edge; they borrow the edge-removal
 tables `weights._moves` and `_attachments` and the trace types.
+`split_edge` keeps the package's first edge cut, which relabels both sides
+into fresh adjacency lists, and the `*_reference` functions after it keep
+the first bodies built on it: `treekit.splits`, `weights._moves` (with the
+(vertex, below) edges it first listed), `weights._attachments`,
+`treekit.check_inclusion_closed`, and `treekit.attach`, which joined two
+adjacency lists by an index offset; they borrow treekit's encoders and
+orbit keys and `weights._orbit_firsts`.
 `save_class` writes the class files that `forestlab.load_class` reads.
 """
 
@@ -762,7 +769,7 @@ def enumerate_decompositions(t, catalog):
         found = []
         if w in catalog.u0_index:
             found.append((DecompositionStep(piece=w, attach_from=None, attach_to=None),))
-        for piece, p_idx, rest, r_idx in weights._attachments(w, weights._moves(w)):
+        for piece, p_idx, rest, r_idx in weights._attachments(weights._moves(w)):
             if piece in catalog.u0_index:
                 step = DecompositionStep(piece=piece, attach_from=r_idx, attach_to=p_idx)
                 found += [prefix + (step,) for prefix in search(rest)]
@@ -810,3 +817,130 @@ def verify_supermultiplicativity(u, z, catalog):
         if whole < parts:
             failures.append({"piece": piece, "rest": rest, "whole": whole, "parts": parts})
     return SupermultCheck(ok=not failures, code=code, failures=tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# the first move builder: edge cuts by relabeling
+
+
+def split_edge(adj, parent, v):
+    """The two trees left by removing the edge from v to parent[v], each as
+    (relabeled adjacency, index of its endpoint of the removed edge): v's
+    side first.  Relabeling keeps vertex order, so vertex 0, when on the
+    parent's side, stays vertex 0 there."""
+    from bridgeforest import treekit
+
+    below = set(treekit._dfs_order(adj, v, away=parent[v])[0])
+    sides = []
+    for part, end in ((below, v), (set(range(len(adj))) - below, parent[v])):
+        index = {x: i for i, x in enumerate(sorted(part))}
+        sides.append(([[index[u] for u in adj[x] if u in part] for x in index], index[end]))
+    return tuple(sides)
+
+
+def splits_reference(t):
+    """treekit.splits with both sides of each edge cut by split_edge."""
+    from bridgeforest import treekit as tk
+
+    adj = tk.code_to_adjacency(t.code)
+    _, parent = tk._dfs_order(adj, 0)
+    keys = tk._rooted_vertex_orbit_keys(adj, 0)
+    orbits = {}
+    for v in range(1, len(adj)):
+        orbits.setdefault(keys[v], []).append(v)
+    out = []
+    for members in orbits.values():
+        v = members[0]
+        (sub_u, v_in_u), (sub_t, p_in_t) = split_edge(adj, parent, v)
+        u_keys = tk._unrooted_orbit_keys(sub_u)
+        t_keys = tk._rooted_vertex_orbit_keys(sub_t, 0)
+        out.append(
+            tk.EdgeSplit(
+                parent=t,
+                t_minus=tk._rooted_from_adj(sub_t, 0),
+                u_plus=tk._unrooted_from_adj(sub_u),
+                m_edge=len(members),
+                m_vminus=t_keys.count(t_keys[p_in_t]),
+                n_vplus=u_keys.count(u_keys[v_in_u]),
+            )
+        )
+    return out
+
+
+def moves_reference(code):
+    """weights._moves as first built: sorted (piece_code, rest_code, edges),
+    where edges lists the (v, below) realizing the pair: removing the edge
+    from v to its parent leaves the piece on v's side when below is true."""
+    from bridgeforest import treekit as tk
+
+    adj = tk.code_to_adjacency(code)
+    _, parent = tk._dfs_order(adj, 0)
+    found = {}
+    for v in range(1, len(adj)):
+        (sub_a, _), (sub_b, _) = split_edge(adj, parent, v)
+        ca = tk._unrooted_from_adj(sub_a).code
+        cb = tk._unrooted_from_adj(sub_b).code
+        found.setdefault((ca, cb), []).append((v, True))
+        found.setdefault((cb, ca), []).append((v, False))
+    return tuple((*key, tuple(found[key])) for key in sorted(found))
+
+
+def attachments_reference(code, moves):
+    """weights._attachments as first built, from moves_reference(code): each
+    side of each edge cut again and encoded at its endpoint for its orbit
+    key, whose first vertex in the side's canonical representative is the
+    attachment index."""
+    from bridgeforest import treekit as tk
+    from bridgeforest import weights
+
+    adj = tk.code_to_adjacency(code)
+    _, parent = tk._dfs_order(adj, 0)
+
+    def orbit_index(side_code, side):
+        key = tk._encode(*side)[0]
+        return key, weights._orbit_firsts(side_code)[key]
+
+    oriented = {}
+    for piece, rest, edges in moves:
+        for v, below in edges:
+            side_v, side_p = split_edge(adj, parent, v)
+            pm, pi = orbit_index(piece, side_v if below else side_p)
+            rm, ri = orbit_index(rest, side_p if below else side_v)
+            oriented.setdefault((pm, rm), (piece, pi, rest, ri))
+    return tuple(oriented[key] for key in sorted(oriented))
+
+
+def attach_reference(t_minus, v_index, u, u_index):
+    """treekit.attach as first built: the two representatives' adjacency
+    lists joined by an index offset, plus the new edge, encoded at 0."""
+    from bridgeforest import treekit as tk
+
+    base = tk.code_to_adjacency(t_minus.code)
+    piece = tk.code_to_adjacency(u.code)
+    offset = len(base)
+    joined = [list(nbrs) for nbrs in base]
+    joined.extend([w + offset for w in nbrs] for nbrs in piece)
+    joined[v_index].append(u_index + offset)
+    joined[u_index + offset].append(v_index)
+    return tk._rooted_from_adj(joined, 0)
+
+
+def inclusion_closed_reference(rooted_family):
+    """treekit.check_inclusion_closed as first built: each non-root leaf
+    found by an adjacency walk and cut off with split_edge."""
+    from bridgeforest import treekit as tk
+
+    codes = {t.code for t in rooted_family}
+    for t in rooted_family:
+        if t.size == 1:
+            continue
+        adj = tk.code_to_adjacency(t.code)
+        _, parent = tk._dfs_order(adj, 0)
+        for v in range(1, len(adj)):
+            if len(adj[v]) == 1:
+                code, _ = tk._encode(split_edge(adj, parent, v)[1][0], 0)
+                if code not in codes:
+                    raise tk.CatalogError(
+                        f"family is not closed under rooted inclusion: removing a "
+                        f"leaf from {t.code} gives {code}, which is missing"
+                    )

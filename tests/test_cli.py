@@ -550,6 +550,10 @@ _PINNED_REPORTS = {
         "verify --suite sum-bound --n 10 --t-max 5 --u-max 2",
         "1c3884adc6333860bd5cf91a2a1417fc6208e38b5e63dba0d38db03bf44e4fe2",
     ),
+    "sum-bound-moves-7": (  # the exact max-weight DP runs _moves on trees of up to 7 vertices
+        "verify --suite sum-bound --n 8 --t-max 7 --u-max 4",
+        "564a42d476f44a0acff3123760554f946280a0e2e4ba173d95719a6d39f4b90a",
+    ),
     "boxing": (
         "verify --suite boxing --n 7 --w 2 --t-max 2 --u-max 1",
         "a222b5fd4818d538be3d24aff1b0e29f35720bba3be35a4efe058675a88cd6a3",

@@ -469,6 +469,14 @@ class TestClasses:
     def test_all_forests_bridge_addable(self):
         assert fl.is_bridge_addable(fl.all_forests(4)).ok
 
+    @pytest.mark.parametrize("n", [0, True, 2.5, "3"])
+    def test_bad_n_is_refused_for_both_kinds_of_class(self, n):
+        message = rf"^n must be an int >= 1, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            fl.all_forests(n)
+        with pytest.raises(ValueError, match=message):
+            fl.ForestClass(n, [])
+
     def test_singleton_not_bridge_addable(self):
         empty = fl.LabeledForest.make(3, [])
         chk = fl.is_bridge_addable(fl.ForestClass(3, [empty]))

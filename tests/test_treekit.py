@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bridgeforest import treekit as tk
+from bridgeforest import weights
 
 import oracles
 
@@ -429,6 +430,55 @@ class TestAgainstFirstCodingScheme:
                 near, far = tk._centroids(adj)
                 assert {near, far} == set(oracles.centroids(adj)), edges
                 assert far == near or tk._dfs_order(adj, 0)[1][far] == near, edges
+
+
+def _catalog_error(check, family):
+    try:
+        check(family)
+    except tk.CatalogError as exc:
+        return str(exc)
+    return None
+
+
+class TestAgainstEdgeCutByRelabeling:
+    """Cuts and joins made by editing code strings, against the first move
+    builder, which relabeled each side into a fresh adjacency list."""
+
+    def test_splits_of_every_rooted_tree_up_to_10(self):
+        trees = [t for t in tk.enumerate_rooted(10) if t.size >= 2]
+        assert len(trees) == 1204
+        for t in trees:
+            assert tk.splits(t) == oracles.splits_reference(t), t.code
+
+    def test_moves_and_attachments_of_every_free_tree_up_to_11(self):
+        trees = tk.enumerate_unrooted(11)
+        assert len(trees) == 436
+        for u in trees:
+            moves, ref = weights._moves(u.code), oracles.moves_reference(u.code)
+            assert [m[:2] for m in moves] == [m[:2] for m in ref], u.code
+            for move, ref_move in zip(moves, ref):
+                assert weights._attachments((move,)) == oracles.attachments_reference(
+                    u.code, (ref_move,)
+                ), (u.code, move)
+            assert weights._attachments(moves) == oracles.attachments_reference(u.code, ref)
+
+    def test_attach_at_every_pair_of_ends(self):
+        for t in tk.enumerate_rooted(5):
+            for u in tk.enumerate_unrooted(4):
+                for vi in range(t.size):
+                    for ui in range(u.size):
+                        expected = oracles.attach_reference(t, vi, u, ui)
+                        assert tk.attach(t, vi, u, ui) == expected, (t.code, vi, u.code, ui)
+
+    def test_inclusion_messages_with_each_tree_left_out(self):
+        family = tk.enumerate_rooted(7)
+        assert len(family) == 85
+        assert _catalog_error(tk.check_inclusion_closed, family) is None
+        for i in range(len(family)):
+            rest = family[:i] + family[i + 1 :]
+            assert _catalog_error(tk.check_inclusion_closed, rest) == _catalog_error(
+                oracles.inclusion_closed_reference, rest
+            ), family[i].code
 
 
 class TestProperties:
