@@ -464,14 +464,10 @@ class Box:
         if any(x < 0 for x in self.lower):
             raise ValueError("lower corner must be non-negative")
 
-    def contains(self, alpha) -> bool:
-        return all(l <= a < l + self.width for l, a in zip(self.lower, alpha))
-
-    def contains_neighborhood(self, alpha) -> bool:
-        return all(
-            l - self.q <= a < l + self.width + self.q
-            for l, a in zip(self.lower, alpha)
-        )
+    def contains(self, alpha, margin: int = 0) -> bool:
+        """alpha lies in the box grown by `margin` on every side; margin=q
+        gives the neighbourhood."""
+        return all(l - margin <= a < l + self.width + margin for l, a in zip(self.lower, alpha))
 
 
 @dataclass
@@ -483,25 +479,26 @@ class ClassHistogram:
     component_counts: dict
     a_alpha: dict  # alpha tuple -> count of connected members
     b_alpha: dict  # small-component code -> alpha tuple -> count
-    b_totals: dict  # small-component code -> count
 
-    def count_components(self, i: int) -> int:
-        return self.component_counts.get(i, 0)
+    @property
+    def b_totals(self) -> dict:
+        """Small-component code -> count of two-component members."""
+        return {code: sum(amap.values()) for code, amap in self.b_alpha.items()}
 
-    def count_a(self, box: Box) -> int:
-        """Connected members with statistics in the box's q-neighbourhood."""
-        return sum(c for a, c in self.a_alpha.items() if box.contains_neighborhood(a))
-
-    def count_b(self, ucode: str, box: Box) -> int:
-        amap = self.b_alpha.get(ucode)
-        if not amap:
-            return 0
-        return sum(c for a, c in amap.items() if box.contains(a))
+    def box_counts(self, box: Box, codes):
+        """(A, {code: B}): A counts the connected members with statistics in
+        the box's q-neighbourhood, and B, for each small-component code in
+        `codes`, the two-component members with statistics in the box."""
+        a = sum(k for alpha, k in self.a_alpha.items() if box.contains(alpha, box.q))
+        return a, {
+            code: sum(k for alpha, k in self.b_alpha.get(code, {}).items() if box.contains(alpha))
+            for code in codes
+        }
 
 
 def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
     """The histogram of an explicit class, one profile per member."""
-    a_alpha, b_alpha, b_totals = Counter(), {}, Counter()
+    a_alpha, b_alpha = Counter(), {}
     for mask in c.masks:
         ncomp = c.n - mask.bit_count()
         if ncomp > 2:
@@ -511,8 +508,7 @@ def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
             a_alpha[alpha] += 1
         else:
             b_alpha.setdefault(ucode, Counter())[alpha] += 1
-            b_totals[ucode] += 1
-    return ClassHistogram(c.n, len(c), c._component_counts(), a_alpha, b_alpha, b_totals)
+    return ClassHistogram(c.n, len(c), c._component_counts(), a_alpha, b_alpha)
 
 
 def _tree_alphas(u: treekit.UnrootedTreeCode, catalog: Catalog) -> Counter:
@@ -538,7 +534,7 @@ def _shape_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
     a_alpha = Counter()
     for u in by_size[n]:
         a_alpha.update(alphas[u.code])
-    b_alpha, b_totals = {}, Counter()
+    b_alpha = {}
     for r in range((n + 1) // 2, n):
         for u1, u2 in itertools.product(by_size[r], by_size[n - r]):
             if 2 * r > n:
@@ -549,8 +545,7 @@ def _shape_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
             amap = b_alpha.setdefault(key, Counter())
             for alpha, count in alphas[u1.code].items():
                 amap[alpha] += ways * count
-            b_totals[key] += ways * factorial(r) // u1.aut_u
-    return ClassHistogram(n, len(c), c._component_counts(), a_alpha, b_alpha, b_totals)
+    return ClassHistogram(n, len(c), c._component_counts(), a_alpha, b_alpha)
 
 
 def _box_setup(c: ForestClass, catalog: Catalog, w: int):
@@ -594,15 +589,17 @@ def ratio_weights(c: ForestClass, catalog: Catalog, box: Box):
     where B_box(U) counts two-component members with small component U and
     statistics in the box, and A_boxq counts connected members with
     statistics in the box's q-neighbourhood.  Coordinates with B_box(U)=0
-    are 0 regardless of A_boxq.
+    are 0 regardless of A_boxq.  A box whose dimension is not |t0| raises
+    ValueError.
     """
     from .weights import WeightVector  # weights loads only where ratio weights are built
 
-    hist = c.histogram(catalog)
-    a_count = hist.count_a(box)
+    if len(box.lower) != len(catalog.t0):
+        raise ValueError(f"box has {len(box.lower)} coordinates, the catalog's t0 has {len(catalog.t0)}")
+    a_count, b_counts = c.histogram(catalog).box_counts(box, catalog.u0_index)
     entries = {}
     for u in catalog.u0:
-        b_count = hist.count_b(u.code, box)
+        b_count = b_counts[u.code]
         if b_count == 0:
             entries[u.code] = Fraction(0)
             continue
@@ -673,13 +670,7 @@ class LocalCountingReport:
     grid_size: int  # total number of grid boxes, checked ones included
 
 
-def verify_local_double_counting(
-    c: ForestClass,
-    catalog: Catalog,
-    w: int = 1,
-    box: Box | None = None,
-    split=None,
-) -> LocalCountingReport:
+def verify_local_double_counting(c: ForestClass, catalog: Catalog, w: int = 1) -> LocalCountingReport:
     """Exact check of the box-local double counting inequality
 
         m_edge * (alpha[T] + w + q) * A_boxq
@@ -687,30 +678,19 @@ def verify_local_double_counting(
 
     for every admissible split (plus its degenerate whole-tree form, where
     the right side is n_root * (n - |T|) * B_box(T)), with alpha the box's
-    lower corner.  With box=None, sweeps every grid box that holds
-    two-component mass; all remaining grid boxes have B_box = 0 and pass
-    vacuously.  A `split` (EdgeSplit) restricts the check to that split.
+    lower corner, on every grid box that holds two-component mass; all
+    remaining grid boxes have B_box = 0 and pass vacuously.
     """
     q, hist = _box_setup(c, catalog, w)
-    boxes = [box] if box is not None else _candidate_boxes(hist, catalog, w, q)
+    boxes = _candidate_boxes(hist, catalog, w, q)
     rows = _admissible_splits(catalog)
-    if split is not None:
-        key = ("split", split.parent.code, split.t_minus.code, split.u_plus.code)
-        rows = [r for r in rows if r[:4] == key]
-        if not rows:
-            raise ValueError("split is not admissible for this catalog")
     t0_at = catalog.t0_index
     failures = []
-    checks = 0
     for bx in boxes:
-        if bx.width != w:
-            raise ValueError("box width disagrees with w")
-        a_count = hist.count_a(bx)
-        b_counts = {u.code: hist.count_b(u.code, bx) for u in catalog.u0}
+        a_count, b_counts = hist.box_counts(bx, catalog.u0_index)
         alpha = bx.lower
         # a degenerate row has m_edge = 1, and n_root where a split has n_vplus
         for kind, parent, t_minus, u_plus, m_edge, m_vminus, n_vplus in rows:
-            checks += 1
             lhs = m_edge * (alpha[t0_at[parent]] + w + q) * a_count
             if kind == "split":
                 rhs = n_vplus * m_vminus * alpha[t0_at[t_minus]] * b_counts[u_plus]
@@ -727,7 +707,7 @@ def verify_local_double_counting(
         w=w,
         q=q,
         boxes_checked=len(boxes),
-        checks=checks,
+        checks=len(boxes) * len(rows),
         failures=failures,
         grid_size=c.n ** len(catalog.t0),
     )
@@ -823,7 +803,8 @@ def boxing_search(c: ForestClass, catalog: Catalog, w: int, epsilon: float) -> B
     q, hist = _box_setup(c, catalog, w)
     period = w + 2 * q
     d = len(catalog.t0)
-    totals = {u.code: hist.b_totals.get(u.code, 0) for u in catalog.u0}
+    b_totals = hist.b_totals
+    totals = {u.code: b_totals.get(u.code, 0) for u in catalog.u0}
     relevant = {code: amap for code, amap in hist.b_alpha.items() if code in catalog.u0_index}
 
     if period**d <= 200_000:

@@ -318,15 +318,15 @@ def _unrooted_code(rooted_code: str) -> str:
 
 
 def _rooted_vertex_orbit_keys(adj, root):
-    """Orbit key of every vertex under root-fixing automorphisms: the
-    subtree codes along its path from the root, joined.  Equal keys mean
-    the same orbit."""
-    order, parent, codes, _ = _subtree_codes(adj, root)
+    """Orbit key of every vertex under root-fixing automorphisms (the
+    subtree codes along its path from the root, joined; equal keys mean
+    the same orbit), and aut_r.  The root's key is the tree's code."""
+    order, parent, codes, auts = _subtree_codes(adj, root)
     keys = [""] * len(adj)
     keys[root] = codes[root]
     for v in order[1:]:
         keys[v] = keys[parent[v]] + codes[v]
-    return keys
+    return keys, auts[root]
 
 
 def _reroot(adj):
@@ -519,7 +519,7 @@ def splits(t: RootedTreeCode):
     if t.size < 2:
         raise ValueError("single-vertex tree has no edges to split")
     adj = code_to_adjacency(t.code)
-    keys = _rooted_vertex_orbit_keys(adj, 0)
+    keys, _ = _rooted_vertex_orbit_keys(adj, 0)
     orbits: dict[str, list[int]] = {}
     for v in range(1, len(adj)):
         orbits.setdefault(keys[v], []).append(v)
@@ -531,11 +531,11 @@ def splits(t: RootedTreeCode):
         sub_u = code_to_adjacency(t.code[cut])
         sub_t = code_to_adjacency(t.code[: cut.start] + t.code[cut.stop :])
         u_keys = _unrooted_orbit_keys(sub_u)
-        t_keys = _rooted_vertex_orbit_keys(sub_t, 0)
+        t_keys, t_aut = _rooted_vertex_orbit_keys(sub_t, 0)
         out.append(
             EdgeSplit(
                 parent=t,
-                t_minus=_rooted_from_adj(sub_t, 0),
+                t_minus=RootedTreeCode(code=t_keys[0], size=len(sub_t), aut_r=t_aut),
                 u_plus=_unrooted_from_adj(sub_u),
                 m_edge=len(members),
                 m_vminus=t_keys.count(t_keys[adj[v][0]]),

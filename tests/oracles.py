@@ -46,6 +46,8 @@ the first bodies built on it: `treekit.splits`, `weights._moves` (with the
 `treekit.check_inclusion_closed`, and `treekit.attach`, which joined two
 adjacency lists by an index offset; they borrow treekit's encoders and
 orbit keys and `weights._orbit_firsts`.
+`box_counts` keeps forestlab's first box reads, one scan of every alpha
+for the connected count and one per small-component code.
 `save_class` writes the class files that `forestlab.load_class` reads.
 """
 
@@ -505,6 +507,21 @@ def class_histogram(profiles):
     return comps, a_alpha, b_alpha, b_totals
 
 
+def box_counts(a_alpha, b_alpha, lower, width, q, codes):
+    """(A, {code: B}) by scanning every alpha: A counts the connected
+    members with each coordinate in [l - q, l + width + q), B the
+    two-component members with small component `code` and each coordinate
+    in [l, l + width)."""
+    for alpha in itertools.chain(a_alpha, *b_alpha.values()):
+        assert len(alpha) == len(lower), (alpha, lower)
+    a = sum(c for alpha, c in a_alpha.items()
+            if all(l - q <= x < l + width + q for l, x in zip(lower, alpha)))
+    b = {code: sum(c for alpha, c in b_alpha.get(code, {}).items()
+                   if all(l <= x < l + width for l, x in zip(lower, alpha)))
+         for code in codes}
+    return a, b
+
+
 def bridges(n, edges):
     """Every pair joining two components: component pairs in
     `forest_components` order, then endpoints in increasing label order."""
@@ -844,7 +861,7 @@ def splits_reference(t):
 
     adj = tk.code_to_adjacency(t.code)
     _, parent = tk._dfs_order(adj, 0)
-    keys = tk._rooted_vertex_orbit_keys(adj, 0)
+    keys, _ = tk._rooted_vertex_orbit_keys(adj, 0)
     orbits = {}
     for v in range(1, len(adj)):
         orbits.setdefault(keys[v], []).append(v)
@@ -853,7 +870,7 @@ def splits_reference(t):
         v = members[0]
         (sub_u, v_in_u), (sub_t, p_in_t) = split_edge(adj, parent, v)
         u_keys = tk._unrooted_orbit_keys(sub_u)
-        t_keys = tk._rooted_vertex_orbit_keys(sub_t, 0)
+        t_keys, _ = tk._rooted_vertex_orbit_keys(sub_t, 0)
         out.append(
             tk.EdgeSplit(
                 parent=t,

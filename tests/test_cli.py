@@ -558,6 +558,10 @@ _PINNED_REPORTS = {
         "verify --suite boxing --n 7 --w 2 --t-max 2 --u-max 1",
         "a222b5fd4818d538be3d24aff1b0e29f35720bba3be35a4efe058675a88cd6a3",
     ),
+    "boxing-n12": (  # the diagonal shift search, which reads b_totals
+        "verify --suite boxing --n 12",
+        "2d858836112fd08df06182eb74e49c65461a2d5165067ce62a8de4454f346616",
+    ),
 }
 
 

@@ -4,9 +4,10 @@ of sampled forests, the bridge-addability verdict with its witness, and
 random closures.  The all-forests histogram, counted from free trees, is
 checked against the enumerated one."""
 
+import itertools
 import json
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -28,7 +29,9 @@ def _check_profiles(n, catalog):
         assert fl._profile(n, fl._mask_of(f, n), catalog) == want, sorted(f.edges)
         expected.append(want)
     hist = cls.histogram(catalog)
-    assert hist == fl.ClassHistogram(n, len(cls), *oracles.class_histogram(expected))
+    comps, a_alpha, b_alpha, b_totals = oracles.class_histogram(expected)
+    assert hist == fl.ClassHistogram(n, len(cls), comps, a_alpha, b_alpha)
+    assert hist.b_totals == b_totals
     # the same class counted from free-tree shapes
     assert fl.all_forests(n).histogram(catalog) == hist
 
@@ -137,7 +140,41 @@ def test_shape_histogram_totals(n):
     assert hist.component_counts == {i: fl.forest_count(n, i) for i in range(1, n + 1)}
     assert sum(hist.a_alpha.values()) == tk.labeled_tree_count(n)
     assert sum(hist.b_totals.values()) == fl.forest_count(n, 2)
-    assert {code: sum(amap.values()) for code, amap in hist.b_alpha.items()} == hist.b_totals
+    # by small component, counted from shapes without their alphas
+    trees = list(tk.enumerate_unrooted(n))
+    want = {}
+    for u1, u2 in itertools.product(trees, repeat=2):
+        r = u1.size
+        if u2.size != n - r or 2 * r < n:
+            continue
+        sets, key = (comb(n, r), u2.code) if 2 * r > n else (comb(n - 1, r - 1), u1.code)
+        want[key] = want.get(key, 0) + sets * factorial(r) // u1.aut_u * factorial(n - r) // u2.aut_u
+    assert hist.b_totals == want
+
+
+def _check_box_counts(cls, catalog):
+    hist = cls.histogram(catalog)
+    q = catalog.q_star
+    # a width-w candidate set tries w^|t0| corners per alpha
+    widths = (1, 2) if len(catalog.t0) <= 8 else (1,)
+    boxes = [box for w in widths for box in fl._candidate_boxes(hist, catalog, w, q)]
+    assert boxes
+    codes = list(catalog.u0_index)
+    for box in boxes:
+        want = oracles.box_counts(hist.a_alpha, hist.b_alpha, box.lower, box.width, q, codes)
+        assert hist.box_counts(box, codes) == want, box
+
+
+@pytest.mark.parametrize("catalog", CATALOGS.values(), ids=[f"{t}-{u}" for t, u in CATALOGS])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_box_counts_against_scans(n, catalog):
+    _check_box_counts(fl.all_forests(n), catalog)
+    _check_box_counts(fl.random_closure(n, seed=n), catalog)
+
+
+def test_box_counts_against_scans_n12():
+    for catalog in CATALOGS.values():
+        _check_box_counts(fl.all_forests(12), catalog)
 
 
 def test_centred_roots_at_the_far_centroid():

@@ -382,7 +382,7 @@ class TestMarkedOrbits:
         for _ in range(20):
             n = rng.randrange(2, 8)
             adj, _ = tk._build_adjacency(_random_tree(rng, n))
-            keys = tk._rooted_vertex_orbit_keys(adj, 0)
+            keys, _ = tk._rooted_vertex_orbit_keys(adj, 0)
             orbit_of = _brute_force_orbits(adj, root=0)
             for v in range(n):
                 assert keys.count(keys[v]) == len(orbit_of[v])
@@ -404,7 +404,7 @@ class TestMarkedOrbits:
             for edges in oracles.all_labeled_trees(n):
                 adj = oracles.adjacency_from_edges(edges, n)
                 for keys, marked in (
-                    (tk._rooted_vertex_orbit_keys(adj, 0),
+                    (tk._rooted_vertex_orbit_keys(adj, 0)[0],
                      [oracles.rooted_marked_code(adj, 0, v) for v in range(n)]),
                     (tk._unrooted_orbit_keys(adj),
                      [oracles.unrooted_marked_code(adj, v) for v in range(n)]),
