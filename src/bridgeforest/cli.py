@@ -176,6 +176,8 @@ def _cmd_forests(args) -> int:
         if args.n is None or args.k is None:
             missing = "--n" if args.n is None else "--k"
             raise _UsageError(f"argument {missing}: --count needs --n and --k")
+        if args.k > args.n:
+            raise _UsageError(f"argument --k: --count needs --k <= --n, got --n {args.n} --k {args.k}")
         value = forests.forest_count(args.n, args.k)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and value >= 10**limit:

@@ -24,15 +24,18 @@ half holds the smallest vertex, so the subtrees below the non-root
 vertices are exactly the pendant sides, and alpha counts the balanced
 blocks of the rooted code, the root's own aside, that lie in t0.
 
-The class of all forests on n vertices is counted, not enumerated: its
-histogram depends only on unlabeled shapes.  A free tree U on n vertices
-has n!/aut_u labelings, and its alpha is read from its canonical code,
-which is rooted at a centroid, with one exception: in a two-centroid tree
+A class's tally, built once, counts its connected and two-component
+members by (code of the reference component rooted at its far centroid,
+unrooted code of the small component or None); a catalog only maps each
+code to its alpha.  The class of all forests on n vertices is counted,
+not enumerated: its tally (`_shape_tally`) depends only on shapes.  A free
+tree U on n vertices has n!/aut_u labelings, and its key is its canonical
+code, rooted at a centroid, with one exception: in a two-centroid tree
 the smallest label decides which centroid is the root.  When the halves
 differ no automorphism swaps them, so that label lies in each half in
-exactly half of the labelings, and each of the two alphas gets half the
-count.  A two-component forest with trees U1 on r > n/2 vertices and U2 on
-n - r has C(n, r) r!/aut(U1) (n-r)!/aut(U2) labelings, with alpha from U1
+exactly half of the labelings, and each rooting gets half the count.  A
+two-component forest with trees U1 on r > n/2 vertices and U2 on n - r
+has C(n, r) r!/aut(U1) (n-r)!/aut(U2) labelings, with its code from U1
 and small component U2.  At r = n/2 the component holding vertex 1 is both
 the reference and the small component; calling it U1 leaves C(n-1, r-1)
 label sets for it, and its own code is the small-component key.
@@ -46,7 +49,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb, factorial
 
 from . import CapacityError, labeled_tree_count, treekit
@@ -269,19 +272,19 @@ def _pendant_alpha(code: str, catalog: Catalog) -> tuple:
     return tuple(counts)
 
 
-def _profile(n: int, mask: int, catalog: Catalog):
-    """(component count, pendant statistics of the reference component,
-    unrooted code of the small component or None) of the forest `mask`;
-    the code is given for two-component forests only."""
+def _shape_key(n: int, mask: int):
+    """(component count, code of the reference component rooted at its far
+    centroid, unrooted code of the small component or None) of the forest
+    `mask`; the small code is given for two-component forests only."""
     nbr, comps = _components(n, mask)
     # comps are in min-vertex order, so max and min keep the first of
     # equal sizes: the conventions' ties to the smallest vertex
     ref = max(comps, key=int.bit_count)
-    alpha = _pendant_alpha(_centred(_rooted_code(nbr, (ref & -ref).bit_length() - 1, 0)), catalog)
+    code = _centred(_rooted_code(nbr, (ref & -ref).bit_length() - 1, 0))
     if len(comps) != 2:
-        return len(comps), alpha, None
+        return len(comps), code, None
     small = min(comps, key=int.bit_count)
-    return 2, alpha, treekit._unrooted_code(_rooted_code(nbr, (small & -small).bit_length() - 1, 0))
+    return 2, code, treekit._unrooted_code(_rooted_code(nbr, (small & -small).bit_length() - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +345,23 @@ class ForestClass:
             return Counter({i: forest_count(self.n, i) for i in range(1, self.n + 1)})
         return Counter(self.n - mask.bit_count() for mask in self.masks)
 
+    @cached_property
+    def _tally(self) -> Counter:
+        """(far-centroid code, small code or None) -> members; see the module docstring."""
+        if self._every:
+            return _shape_tally(self)
+        return Counter(_shape_key(self.n, m)[1:] for m in self.masks if self.n - m.bit_count() <= 2)
+
     def histogram(self, catalog: Catalog) -> "ClassHistogram":
+        """The tally with each code mapped to its alpha under `catalog`."""
         if catalog.key not in self._hists:
-            build = _shape_histogram if self._every else _build_histogram
-            self._hists[catalog.key] = build(self, catalog)
+            alphas = {code: _pendant_alpha(code, catalog) for code in {code for code, _ in self._tally}}
+            a_alpha, b_alpha = Counter(), {}
+            for (code, ucode), k in self._tally.items():
+                amap = a_alpha if ucode is None else b_alpha.setdefault(ucode, Counter())
+                amap[alphas[code]] += k
+            self._hists[catalog.key] = ClassHistogram(
+                self.n, len(self), self._component_counts(), a_alpha, b_alpha)
         return self._hists[catalog.key]
 
     def __repr__(self):
@@ -496,45 +512,24 @@ class ClassHistogram:
         }
 
 
-def _build_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
-    """The histogram of an explicit class, one profile per member."""
-    a_alpha, b_alpha = Counter(), {}
-    for mask in c.masks:
-        ncomp = c.n - mask.bit_count()
-        if ncomp > 2:
-            continue  # neither connected nor two-component: no profile needed
-        _, alpha, ucode = _profile(c.n, mask, catalog)
-        if ncomp == 1:
-            a_alpha[alpha] += 1
-        else:
-            b_alpha.setdefault(ucode, Counter())[alpha] += 1
-    return ClassHistogram(c.n, len(c), c._component_counts(), a_alpha, b_alpha)
-
-
-def _tree_alphas(u: treekit.UnrootedTreeCode, catalog: Catalog) -> Counter:
-    """The alphas of the labelings of the free tree u, with their numbers
-    of labelings (u.size!/aut_u in all).  A two-centroid tree is rooted at
-    each centroid in turn, u.code's root and then the other, and each
-    rooting gets half the labelings; when both give one alpha, it gets them
-    all."""
-    codes = [u.code, _centred(u.code)] if u.centroid_kind == "two-centroid" else [u.code]
-    found = Counter(_pendant_alpha(code, catalog) for code in codes)
-    labelings = factorial(u.size) // u.aut_u
-    return Counter({a: labelings * k // len(codes) for a, k in found.items()})
-
-
-def _shape_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
-    """The histogram of every forest on c.n vertices, counted from free
-    trees as the module docstring describes."""
+def _shape_tally(c: ForestClass) -> Counter:
+    """The tally of every forest on c.n vertices, counted from free trees
+    as the module docstring describes."""
     n = c.n
     by_size: dict = {}
     for u in treekit.enumerate_unrooted(n):
         by_size.setdefault(u.size, []).append(u)
-    alphas = {u.code: _tree_alphas(u, catalog) for r in range((n + 1) // 2, n + 1) for u in by_size[r]}
-    a_alpha = Counter()
+    # two centroids: each rooting gets half the labelings, one code for both gets all
+    rootings = {}
+    for r in range((n + 1) // 2, n + 1):
+        for u in by_size[r]:
+            codes = [u.code, _centred(u.code)] if u.centroid_kind == "two-centroid" else [u.code]
+            labelings = factorial(r) // u.aut_u
+            rootings[u.code] = {code: labelings * k // len(codes) for code, k in Counter(codes).items()}
+    tally = Counter()
     for u in by_size[n]:
-        a_alpha.update(alphas[u.code])
-    b_alpha = {}
+        for code, k in rootings[u.code].items():
+            tally[code, None] += k
     for r in range((n + 1) // 2, n):
         for u1, u2 in itertools.product(by_size[r], by_size[n - r]):
             if 2 * r > n:
@@ -542,10 +537,9 @@ def _shape_histogram(c: ForestClass, catalog: Catalog) -> ClassHistogram:
             else:  # the component holding vertex 1 is the reference and the small one
                 label_sets, key = comb(n - 1, r - 1), u1.code
             ways = label_sets * factorial(n - r) // u2.aut_u
-            amap = b_alpha.setdefault(key, Counter())
-            for alpha, count in alphas[u1.code].items():
-                amap[alpha] += ways * count
-    return ClassHistogram(n, len(c), c._component_counts(), a_alpha, b_alpha)
+            for code, k in rootings[u1.code].items():
+                tally[code, key] += ways * k
+    return tally
 
 
 def _box_setup(c: ForestClass, catalog: Catalog, w: int):
@@ -563,16 +557,13 @@ def _candidate_boxes(hist: ClassHistogram, catalog: Catalog, w: int, q: int):
     two-component member with small component in u0.  All other boxes
     satisfy the counting inequalities vacuously (their two-component
     counts are zero)."""
-    d = len(catalog.t0)
     lowers = set()
     for ucode, amap in hist.b_alpha.items():
         if ucode not in catalog.u0_index:
             continue
-        for alpha in amap:
-            for offs in itertools.product(range(w), repeat=d):
-                lower = tuple(a - o for a, o in zip(alpha, offs))
-                if all(x >= 0 for x in lower):
-                    lowers.add(lower)
+        for alpha in amap:  # offsets past a coordinate would give negative corners
+            for offs in itertools.product(*(range(min(w, a + 1)) for a in alpha)):
+                lowers.add(tuple(a - o for a, o in zip(alpha, offs)))
     return [Box(lower=l, width=w, q=q) for l in sorted(lowers)]
 
 

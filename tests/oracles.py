@@ -48,6 +48,8 @@ adjacency lists by an index offset; they borrow treekit's encoders and
 orbit keys and `weights._orbit_firsts`.
 `box_counts` keeps forestlab's first box reads, one scan of every alpha
 for the connected count and one per small-component code.
+`candidate_boxes` keeps forestlab's first box sweep: every corner offset
+from each alpha, negative corners dropped afterwards.
 `save_class` writes the class files that `forestlab.load_class` reads.
 """
 
@@ -520,6 +522,22 @@ def box_counts(a_alpha, b_alpha, lower, width, q, codes):
                    if all(l <= x < l + width for l, x in zip(lower, alpha)))
          for code in codes}
     return a, b
+
+
+def candidate_boxes(b_alpha, codes, w):
+    """Sorted lower corners of the width-w boxes holding a two-component
+    alpha with small component in `codes`: every offset in [0, w) from each
+    alpha, negative corners dropped afterwards.  A coordinate that is 0 in
+    every alpha takes only offset 0, which keeps wide catalogs finite."""
+    alphas = [alpha for code, amap in b_alpha.items() if code in codes for alpha in amap]
+    used = [any(alpha[i] for alpha in alphas) for i in range(len(alphas[0]))] if alphas else []
+    lowers = set()
+    for alpha in alphas:
+        for offs in itertools.product(*(range(w) if u else (0,) for u in used)):
+            lower = tuple(a - o for a, o in zip(alpha, offs))
+            if all(x >= 0 for x in lower):
+                lowers.add(lower)
+    return sorted(lowers)
 
 
 def bridges(n, edges):

@@ -380,6 +380,7 @@ class TestUsageErrors:
             (["verify", "--suite", "aut-identity", "--max-size", "0"], "--max-size"),
             (["verify", "--suite", "simple-counting", "--n", "0"], "--n"),
             (["forests", "--count", "--n", "0", "--k", "1"], "--n"),
+            (["forests", "--count", "--n", "5", "--k", "6"], "--k"),
             (["verify", "--suite", "dissymmetry", "--k", "0"], "--k"),
             (["verify", "--suite", "dissymmetry", "--k", "1"], "--k"),
             (["verify", "--suite", "aut-identity", "--t-max", "0"], "--t-max"),
@@ -421,7 +422,7 @@ class TestUsageErrors:
         ids=["range-one-value", "range-reversed", "class-seed", "num-samples",
              "rooted-unrooted", "exact-logfloat", "csv-sweep-output", "count-k",
              "count-n", "conn-prob-n", "sample-n", "trees-max-size", "verify-max-size",
-             "verify-n-zero", "count-n-zero", "dissymmetry-k-zero", "dissymmetry-k-one",
+             "verify-n-zero", "count-n-zero", "count-k-above-n", "dissymmetry-k-zero", "dissymmetry-k-one",
              "verify-t-max-zero", "verify-u-max-zero", "optimize-u-max-zero",
              "optimize-t-max-zero", "optimize-restarts-zero", "dissymmetry-samples-negative",
              "optimize-tol-zero", "optimize-tol-nan", "optimize-cap-one", "optimize-cap-nan",
@@ -553,6 +554,14 @@ _PINNED_REPORTS = {
     "sum-bound-moves-7": (  # the exact max-weight DP runs _moves on trees of up to 7 vertices
         "verify --suite sum-bound --n 8 --t-max 7 --u-max 4",
         "564a42d476f44a0acff3123760554f946280a0e2e4ba173d95719a6d39f4b90a",
+    ),
+    "local-double-counting-wide-w2": (  # width-2 boxes under |t0| = 17
+        "verify --suite local-double-counting --n 6 --t-max 5 --u-max 2 --w 2",
+        "e132907f3ec181d358d458ac14531f57b31875b499c21d5d2e9aa19bf13f0e46",
+    ),
+    "sum-bound-wide-w2": (
+        "verify --suite sum-bound --n 6 --t-max 5 --u-max 2 --w 2",
+        "56dc815708ecc7a8d18af07ed0e9ca3175509b0d9c482eae8cff6081de6ede0e",
     ),
     "boxing": (
         "verify --suite boxing --n 7 --w 2 --t-max 2 --u-max 1",

@@ -21,12 +21,20 @@ import oracles
 CATALOGS = {(t, u): tk.Catalog.standard(t, u) for t, u in ((2, 1), (3, 2), (4, 3), (6, 2))}
 
 
+def _profile(n, mask, catalog):
+    """The forest's shape key with its reference code read as an alpha:
+    (component count, alpha, small code or None), the form of
+    `oracles.forest_profile`."""
+    ncomp, code, ucode = fl._shape_key(n, mask)
+    return ncomp, fl._pendant_alpha(code, catalog), ucode
+
+
 def _check_profiles(n, catalog):
     cls = fl.ForestClass(n, fl._forest_masks(n))  # every forest, enumerated
     expected = []
     for f in cls:
         want = oracles.forest_profile(n, f.edges, catalog)
-        assert fl._profile(n, fl._mask_of(f, n), catalog) == want, sorted(f.edges)
+        assert _profile(n, fl._mask_of(f, n), catalog) == want, sorted(f.edges)
         expected.append(want)
     hist = cls.histogram(catalog)
     comps, a_alpha, b_alpha, b_totals = oracles.class_histogram(expected)
@@ -53,7 +61,7 @@ def test_pendant_stats_of_samples():
         f = fl.sample_forest(12, rng=rng)
         for catalog in CATALOGS.values():
             want = oracles.forest_profile(12, f.edges, catalog)[1]
-            assert fl._profile(12, fl._mask_of(f, 12), catalog)[1] == want, sorted(f.edges)
+            assert _profile(12, fl._mask_of(f, 12), catalog)[1] == want, sorted(f.edges)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -119,7 +127,7 @@ def test_equal_sizes_reference_and_small_component_coincide():
     # component are one and the same: the component holding vertex 1
     f = fl.LabeledForest.make(6, [(1, 2), (2, 3), (4, 5), (4, 6)])
     assert f.components() == ({1, 2, 3}, {4, 5, 6})
-    assert fl._profile(6, fl._mask_of(f, 6), CATALOGS[4, 3]) == oracles.forest_profile(
+    assert _profile(6, fl._mask_of(f, 6), CATALOGS[4, 3]) == oracles.forest_profile(
         6, f.edges, CATALOGS[4, 3]
     )
     # with non-isomorphic halves the profile shows which one it read: the
@@ -128,8 +136,8 @@ def test_equal_sizes_reference_and_small_component_coincide():
     f = fl.LabeledForest.make(8, path + [(5, 6), (5, 7), (5, 8)])
     catalog = CATALOGS[4, 3]
     alone = fl.LabeledForest.make(4, path)
-    assert fl._profile(8, fl._mask_of(f, 8), catalog) == (
-        2, fl._profile(4, fl._mask_of(alone, 4), catalog)[1], tk.canonicalize_unrooted(path).code
+    assert _profile(8, fl._mask_of(f, 8), catalog) == (
+        2, _profile(4, fl._mask_of(alone, 4), catalog)[1], tk.canonicalize_unrooted(path).code
     )
 
 
@@ -152,11 +160,9 @@ def test_shape_histogram_totals(n):
     assert hist.b_totals == want
 
 
-def _check_box_counts(cls, catalog):
+def _check_box_counts(cls, catalog, widths=(1, 2)):
     hist = cls.histogram(catalog)
     q = catalog.q_star
-    # a width-w candidate set tries w^|t0| corners per alpha
-    widths = (1, 2) if len(catalog.t0) <= 8 else (1,)
     boxes = [box for w in widths for box in fl._candidate_boxes(hist, catalog, w, q)]
     assert boxes
     codes = list(catalog.u0_index)
@@ -165,16 +171,25 @@ def _check_box_counts(cls, catalog):
         assert hist.box_counts(box, codes) == want, box
 
 
+def _check_candidate_boxes(cls, catalog):
+    hist = cls.histogram(catalog)
+    for w in (2, 3):
+        want = oracles.candidate_boxes(hist.b_alpha, catalog.u0_index, w)
+        assert [box.lower for box in fl._candidate_boxes(hist, catalog, w, catalog.q_star)] == want
+
+
 @pytest.mark.parametrize("catalog", CATALOGS.values(), ids=[f"{t}-{u}" for t, u in CATALOGS])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_box_counts_against_scans(n, catalog):
-    _check_box_counts(fl.all_forests(n), catalog)
-    _check_box_counts(fl.random_closure(n, seed=n), catalog)
+    for cls in (fl.all_forests(n), fl.random_closure(n, seed=n)):
+        _check_box_counts(cls, catalog)
+        _check_candidate_boxes(cls, catalog)
 
 
 def test_box_counts_against_scans_n12():
     for catalog in CATALOGS.values():
-        _check_box_counts(fl.all_forests(12), catalog)
+        # at w = 2 the many boxes of (6, 2) take 20 s of scans
+        _check_box_counts(fl.all_forests(12), catalog, (1, 2) if len(catalog.t0) <= 8 else (1,))
 
 
 def test_centred_roots_at_the_far_centroid():
@@ -185,20 +200,66 @@ def test_centred_roots_at_the_far_centroid():
         assert fl._centred(t.code) == oracles.encode(adj, max(oracles.centroids(adj)))[0], t.code
 
 
+def _rootings(u):
+    """The far-centroid codes of the labelings of the free tree u in the
+    shape tally of every forest on u.size vertices, with their numbers of
+    labelings."""
+    tally = fl._shape_tally(fl.all_forests(u.size))
+    return {code: k for (code, small), k in tally.items()
+            if small is None and tk._unrooted_code(code) == u.code}
+
+
 def test_two_centroid_tie_splits_the_labelings():
     catalog = CATALOGS[4, 3]
     # halves a path and a star on 4 vertices: the pendant side of the
     # central edge is the half holding vertex 1, in half of the labelings
     path, star = [(1, 2), (2, 3), (3, 4)], [(5, 6), (5, 7), (5, 8)]
     u = tk.canonicalize_unrooted(path + star + [(2, 5)])
-    alphas = fl._tree_alphas(u, catalog)
-    assert len(alphas) == 2
-    assert set(alphas.values()) == {factorial(8) // u.aut_u // 2}
-    # equal halves give one alpha, which keeps every labeling
+    rootings = _rootings(u)
+    assert len({fl._pendant_alpha(code, catalog) for code in rootings}) == 2
+    assert set(rootings.values()) == {factorial(8) // u.aut_u // 2}
+    # equal halves give one code, which keeps every labeling
     for edges in ([(1, 2)], path + [(5, 6), (6, 7), (7, 8), (3, 6)]):
         u = tk.canonicalize_unrooted(edges)
         alpha = oracles.forest_profile(u.size, edges, catalog)[1]
-        assert fl._tree_alphas(u, catalog) == {alpha: factorial(u.size) // u.aut_u}
+        assert _rootings(u) == {u.code: factorial(u.size) // u.aut_u}
+        assert fl._pendant_alpha(u.code, catalog) == alpha
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shape_tally_equals_mask_tally(n):
+    # no catalog: the same keys and counts from free trees and from masks
+    assert fl._shape_tally(fl.all_forests(n)) == fl.ForestClass(n, fl._forest_masks(n))._tally
+
+
+def _path5_and_a_tree4():
+    path5 = [(1, 2), (2, 3), (3, 4), (4, 5)]
+    return fl.ForestClass(9, [fl.LabeledForest.make(9, path5 + tree) for tree in (
+        [(6, 7), (7, 8), (8, 9)], [(6, 7), (6, 8), (6, 9)])])
+
+
+# at n = 9 a reference code comes with small components of two shapes
+@pytest.mark.parametrize("make", [lambda: fl.all_forests(9), _path5_and_a_tree4],
+                         ids=["all-forests", "explicit"])
+def test_second_catalog_reuses_the_tally(monkeypatch, make):
+    first, second = CATALOGS[3, 2], CATALOGS[4, 3]
+    want = make().histogram(second)
+    cls = make()
+    cls.histogram(first)
+
+    def refuse(*args):
+        raise AssertionError("tallied again")
+
+    calls = []
+    pendant_alpha = fl._pendant_alpha
+    monkeypatch.setattr(fl, "_shape_key", refuse)
+    monkeypatch.setattr(tk, "enumerate_unrooted", refuse)
+    monkeypatch.setattr(fl, "_pendant_alpha",
+                        lambda code, catalog: calls.append(code) or pendant_alpha(code, catalog))
+    assert cls.histogram(second) == want
+    # one alpha per distinct code, fewer than the tally's keys
+    assert sorted(calls) == sorted({code for code, _ in cls._tally})
+    assert len(calls) < len(cls._tally)
 
 
 def test_all_forests_are_counted_not_enumerated(monkeypatch):

@@ -27,7 +27,7 @@ def cat21():
 
 def _alpha(f, catalog):
     """Pendant statistics of f's reference component, over catalog.t0."""
-    return fl._profile(f.n, fl._mask_of(f, f.n), catalog)[1]
+    return fl._pendant_alpha(fl._shape_key(f.n, fl._mask_of(f, f.n))[1], catalog)
 
 
 def _alpha_counts(f, catalog):
