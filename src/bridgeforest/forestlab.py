@@ -27,18 +27,18 @@ blocks of the rooted code, the root's own aside, that lie in t0.
 A class's tally, built once, counts its connected and two-component
 members by (code of the reference component rooted at its far centroid,
 unrooted code of the small component or None); a catalog only maps each
-code to its alpha.  The class of all forests on n vertices is counted,
-not enumerated: its tally (`_shape_tally`) depends only on shapes.  A free
-tree U on n vertices has n!/aut_u labelings, and its key is its canonical
-code, rooted at a centroid, with one exception: in a two-centroid tree
-the smallest label decides which centroid is the root.  When the halves
-differ no automorphism swaps them, so that label lies in each half in
-exactly half of the labelings, and each rooting gets half the count.  A
-two-component forest with trees U1 on r > n/2 vertices and U2 on n - r
-has C(n, r) r!/aut(U1) (n-r)!/aut(U2) labelings, with its code from U1
-and small component U2.  At r = n/2 the component holding vertex 1 is both
-the reference and the small component; calling it U1 leaves C(n-1, r-1)
-label sets for it, and its own code is the small-component key.
+code to its alpha.  The class of all forests on n vertices is counted, not
+enumerated: its tally (`_shape_tally`) depends only on shapes.  A free
+tree U on n vertices has n!/aut_u labelings, and its key is its code
+rooted at the centroid far from its smallest label.  Its near and far
+centroid rootings (the same one, when it has one centroid) get half of the
+labelings each, so a code that is both gets all: no automorphism swaps two
+unequal halves, and the smallest label lies in each in half of the
+labelings.  A two-component forest with trees U1 on r > n/2 vertices and
+U2 on n - r has C(n, r) r!/aut(U1) (n-r)!/aut(U2) labelings, with its code
+from U1 and small component U2.  At r = n/2 the component holding vertex 1
+is both the reference and the small component; calling it U1 leaves
+C(n-1, r-1) label sets for it, and its code is the small-component key.
 """
 
 from __future__ import annotations
@@ -252,8 +252,7 @@ def _rooted_code(nbr, v: int, away: int) -> str:
 @cache
 def _centred(code: str) -> str:
     """The rooted code `code` rerooted at the centroid farther from its root."""
-    adj = treekit.code_to_adjacency(code)
-    return treekit._encode(adj, treekit._centroids(adj)[1])[0]
+    return treekit._centroid_rootings(treekit.code_to_adjacency(code))[1]
 
 
 def _pendant_alpha(code: str, catalog: Catalog) -> tuple:
@@ -516,28 +515,24 @@ def _shape_tally(c: ForestClass) -> Counter:
     """The tally of every forest on c.n vertices, counted from free trees
     as the module docstring describes."""
     n = c.n
-    by_size: dict = {}
-    for u in treekit.enumerate_unrooted(n):
-        by_size.setdefault(u.size, []).append(u)
-    # two centroids: each rooting gets half the labelings, one code for both gets all
-    rootings = {}
-    for r in range((n + 1) // 2, n + 1):
-        for u in by_size[r]:
-            codes = [u.code, _centred(u.code)] if u.centroid_kind == "two-centroid" else [u.code]
-            labelings = factorial(r) // u.aut_u
-            rootings[u.code] = {code: labelings * k // len(codes) for code, k in Counter(codes).items()}
+    by_size: dict = {}  # size -> (unrooted code, aut_u, {centroid rooting: labelings})
+    for r, aut_u, code in treekit.fold_unrooted(n, treekit.SINGLE_VERTEX_CODE, treekit._hang):
+        near, far, _, _ = treekit._centroid_rootings(treekit.code_to_adjacency(code))
+        # each rooting gets half the labelings, a code that is both gets all
+        rootings = {key: factorial(r) // aut_u * k // 2 for key, k in Counter((near, far)).items()}
+        by_size.setdefault(r, []).append((min(near, far), aut_u, rootings))
     tally = Counter()
-    for u in by_size[n]:
-        for code, k in rootings[u.code].items():
+    for _, _, rootings in by_size[n]:
+        for code, k in rootings.items():
             tally[code, None] += k
     for r in range((n + 1) // 2, n):
-        for u1, u2 in itertools.product(by_size[r], by_size[n - r]):
+        for (u1, _, rootings), (u2, aut2, _) in itertools.product(by_size[r], by_size[n - r]):
             if 2 * r > n:
-                label_sets, key = comb(n, r), u2.code
+                label_sets, key = comb(n, r), u2
             else:  # the component holding vertex 1 is the reference and the small one
-                label_sets, key = comb(n - 1, r - 1), u1.code
-            ways = label_sets * factorial(n - r) // u2.aut_u
-            for code, k in rootings[u1.code].items():
+                label_sets, key = comb(n - 1, r - 1), u1
+            ways = label_sets * factorial(n - r) // aut2
+            for code, k in rootings.items():
                 tally[code, key] += ways * k
     return tally
 

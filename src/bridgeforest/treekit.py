@@ -7,7 +7,8 @@ non-increasing lexicographic order.  Two rooted trees are isomorphic as
 rooted trees iff their codes are equal.  An unrooted tree is encoded by
 rooting it at its weight centroid (the lexicographically smaller of the
 two codes when the tree has a centroid pair), which again makes string
-equality coincide with isomorphism.
+equality coincide with isomorphism.  `_centroid_rootings` gives both
+centroid rootings from one size pass and one encode.
 
 Vertex indices accepted by `attach` and reported by `splits` refer to the
 depth-first preorder of the canonical representative, i.e. the order in
@@ -211,11 +212,10 @@ def _dfs_order(adj, root, away=-1):
     return order, parent
 
 
-def _subtree_codes(adj, root, away=-1):
+def _subtree_codes(adj, root):
     """Preorder, parent array, and the rooted code and root-fixing
-    automorphism count of every vertex's subtree, bottom-up, for the tree
-    rooted at root (only the side of root away from `away`, if given)."""
-    order, parent = _dfs_order(adj, root, away)
+    automorphism count of every vertex's subtree in the tree rooted at root."""
+    order, parent = _dfs_order(adj, root)
     codes = [""] * len(adj)
     auts = [1] * len(adj)
     for v in reversed(order):
@@ -237,10 +237,9 @@ def _subtree_codes(adj, root, away=-1):
     return order, parent, codes, auts
 
 
-def _encode(adj, root, away=-1):
-    """Canonical code and root-fixing automorphism count of the tree rooted
-    at root, or of the side of root away from its neighbour `away`."""
-    _, _, codes, auts = _subtree_codes(adj, root, away)
+def _encode(adj, root):
+    """Canonical code and aut_r of the tree rooted at root."""
+    _, _, codes, auts = _subtree_codes(adj, root)
     return codes[root], auts[root]
 
 
@@ -276,39 +275,35 @@ def _rooted_from_adj(adj, root) -> RootedTreeCode:
     return RootedTreeCode(code=code, size=len(adj), aut_r=aut)
 
 
-def _centroids(adj):
-    """The centroid of the tree nearest vertex 0 and the one farthest from
-    it, the same vertex when the tree has one centroid.  Rooted at 0, the
+def _centroid_rootings(adj):
+    """The codes of the tree rooted at its centroid c nearest vertex 0 and
+    at the one farthest from it (the same code when it has one centroid),
+    aut_r at c, and whether it has two centroids.  Rooted at 0, the
     vertices with more than half of the tree below them form a path down
-    from 0, and the deepest of them, the last in preorder, is a centroid.
-    A child of it with exactly half below it is the other one."""
+    from 0, and the deepest of them, the last in preorder, is c.  A child d
+    of c with exactly half below it is the other centroid; rooted at d, the
+    tree is d's subtree with the rest of c hung below it."""
     n = len(adj)
     order, parent = _dfs_order(adj, 0)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
     c = [v for v in order if 2 * size[v] > n][-1]
-    return c, next((v for v in order if 2 * size[v] == n), c)
+    d = next((v for v in order if 2 * size[v] == n), c)
+    _, _, codes, auts = _subtree_codes(adj, c)
+    if c == d:
+        return codes[c], codes[c], auts[c], False
+    rest = sorted((codes[u] for u in adj[c] if u != d), reverse=True)
+    return codes[c], _hang(codes[d], "(" + "".join(rest) + ")"), auts[c], True
 
 
 def _unrooted_from_adj(adj) -> UnrootedTreeCode:
-    """Canonical unrooted code and aut_u from one size pass and one encode.
-    With two centroids the two halves are encoded away from each other and
-    joined, and aut_u is the product of their aut_r, doubled when they are
-    equal."""
-    n = len(adj)
-    c, d = _centroids(adj)
-    if c == d:
-        code, aut = _encode(adj, c)
-        return UnrootedTreeCode(code=code, size=n, aut_u=aut, centroid_kind="one-centroid")
-    h1, a1 = _encode(adj, c, away=d)
-    h2, a2 = _encode(adj, d, away=c)
-    return UnrootedTreeCode(
-        code=min(_hang(h1, h2), _hang(h2, h1)),
-        size=n,
-        aut_u=a1 * a2 * (2 if h1 == h2 else 1),
-        centroid_kind="two-centroid",
-    )
+    """Canonical unrooted code and aut_u from both centroid rootings: the
+    smaller code, and aut_r at a centroid, doubled when an automorphism
+    swaps two centroids."""
+    near, far, aut, two = _centroid_rootings(adj)
+    kind = "two-centroid" if two else "one-centroid"
+    return UnrootedTreeCode(min(near, far), len(adj), aut * (2 if two and near == far else 1), kind)
 
 
 @cache
@@ -374,11 +369,10 @@ def canonicalize_rooted(edges, root) -> RootedTreeCode:
     Isomorphic rooted inputs yield identical codes; the root-fixing
     automorphism count is computed in the same pass.
     """
-    adj, labels = _build_adjacency(edges, extra_vertices=(root,))
-    index = {v: i for i, v in enumerate(labels)}
-    if root not in index:
+    adj, labels = _build_adjacency(edges, extra_vertices=() if edges else (root,))
+    if root not in labels:
         raise NonTreeError(f"root {root} is not a vertex of the input")
-    return _rooted_from_adj(adj, index[root])
+    return _rooted_from_adj(adj, labels.index(root))
 
 
 def canonicalize_unrooted(edges, vertices=()) -> UnrootedTreeCode:
@@ -565,7 +559,7 @@ def attach(
         raise IndexError(f"v_index {v_index} out of range for size {t_minus.size}")
     if not 0 <= u_index < u.size:
         raise IndexError(f"u_index {u_index} out of range for size {u.size}")
-    hung = _unrooted_orbit_keys(code_to_adjacency(u.code))[u_index]
+    hung = _encode(code_to_adjacency(u.code), u_index)[0]
     at = _block(t_minus.code, v_index).start + 1
     return _rooted_from_adj(code_to_adjacency(t_minus.code[:at] + hung + t_minus.code[at:]), 0)
 

@@ -50,6 +50,9 @@ orbit keys and `weights._orbit_firsts`.
 for the connected count and one per small-component code.
 `candidate_boxes` keeps forestlab's first box sweep: every corner offset
 from each alpha, negative corners dropped afterwards.
+`shape_tally_reference` keeps forestlab's first count of the tally of all
+forests, over `treekit.enumerate_unrooted` with a second encode of every
+two-centroid tree at its other centroid.
 `save_class` writes the class files that `forestlab.load_class` reads.
 """
 
@@ -538,6 +541,45 @@ def candidate_boxes(b_alpha, codes, w):
             if all(x >= 0 for x in lower):
                 lowers.add(lower)
     return sorted(lowers)
+
+
+def shape_tally_reference(n):
+    """The tally of every forest on n vertices as forestlab first counted
+    it: each free tree from `treekit.enumerate_unrooted`, and for a
+    two-centroid tree its code and its rooting at the other centroid, which
+    split its labelings, or one code for both that keeps them all."""
+    from collections import Counter
+
+    from bridgeforest import treekit
+
+    def far_rooting(code):
+        # in preorder a child follows its parent, so the far centroid has the larger index
+        adj = treekit.code_to_adjacency(code)
+        return encode(adj, max(centroids(adj)))[0]
+
+    by_size: dict = {}
+    for u in treekit.enumerate_unrooted(n):
+        by_size.setdefault(u.size, []).append(u)
+    rootings = {}
+    for r in range((n + 1) // 2, n + 1):
+        for u in by_size[r]:
+            codes = [u.code, far_rooting(u.code)] if u.centroid_kind == "two-centroid" else [u.code]
+            labelings = factorial(r) // u.aut_u
+            rootings[u.code] = {code: labelings * k // len(codes) for code, k in Counter(codes).items()}
+    tally = Counter()
+    for u in by_size[n]:
+        for code, k in rootings[u.code].items():
+            tally[code, None] += k
+    for r in range((n + 1) // 2, n):
+        for u1, u2 in itertools.product(by_size[r], by_size[n - r]):
+            if 2 * r > n:
+                label_sets, key = comb(n, r), u2.code
+            else:  # the component holding vertex 1 is the reference and the small one
+                label_sets, key = comb(n - 1, r - 1), u1.code
+            ways = label_sets * factorial(n - r) // u2.aut_u
+            for code, k in rootings[u1.code].items():
+                tally[code, key] += ways * k
+    return tally
 
 
 def bridges(n, edges):

@@ -184,6 +184,20 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "--suite", "aut-identity", "--max-size", "7")
         assert code == 0 and doc["report"]["ok"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "aut-identity", "--max-size", "6", "--t-max", "17"],
+            ["--suite", "simple-counting", "--n", "5", "--u-max", "17"],
+        ],
+        ids=["aut-identity", "simple-counting"],
+    )
+    def test_catalog_bounds_unread_by_the_suite(self, capsys, argv):
+        # these suites build no catalog, so a bound past the exhaustive
+        # limit is not an error
+        code, doc = run_json(capsys, "verify", *argv)
+        assert code == 0 and doc["report"]["ok"]
+
     def test_local_double_counting(self, capsys):
         code, doc = run_json(
             capsys, "verify", "--suite", "local-double-counting",

@@ -232,6 +232,13 @@ def test_shape_tally_equals_mask_tally(n):
     assert fl._shape_tally(fl.all_forests(n)) == fl.ForestClass(n, fl._forest_masks(n))._tally
 
 
+def test_shape_tally_equals_reference():
+    # the tally from both centroid rootings of each folded tree against the
+    # first count, over enumerate_unrooted and a second encode
+    for n in range(1, 15):
+        assert fl._shape_tally(fl.all_forests(n)) == oracles.shape_tally_reference(n), n
+
+
 def _path5_and_a_tree4():
     path5 = [(1, 2), (2, 3), (3, 4), (4, 5)]
     return fl.ForestClass(9, [fl.LabeledForest.make(9, path5 + tree) for tree in (

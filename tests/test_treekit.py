@@ -83,6 +83,10 @@ class TestCanonicalizeRooted:
         with pytest.raises(tk.NonTreeError):
             tk.canonicalize_rooted([(1, 2)], root=9)
 
+    def test_missing_root_is_named(self):
+        with pytest.raises(tk.NonTreeError, match=r"^root 5 is not a vertex of the input$"):
+            tk.canonicalize_rooted([(1, 2)], root=5)
+
 
 class TestCanonicalizeUnrooted:
     def test_path2(self):
@@ -422,14 +426,21 @@ class TestAgainstFirstCodingScheme:
                 assert (u.code, u.aut_u, u.centroid_kind) == oracles.unrooted_code(adj), edges
 
     def test_centroids_nearest_and_farthest_from_vertex_0(self):
-        # every labeled tree with n <= 7: the reference's centroids, and of
-        # two the second is a child of the first when rooted at vertex 0
+        # every labeled tree with n <= 7: the rootings at the reference's
+        # centroids, the nearer to vertex 0 first, and aut_r at that one
         for n in range(1, 8):
             for edges in oracles.all_labeled_trees(n):
                 adj = oracles.adjacency_from_edges(edges, n)
-                near, far = tk._centroids(adj)
-                assert {near, far} == set(oracles.centroids(adj)), edges
-                assert far == near or tk._dfs_order(adj, 0)[1][far] == near, edges
+                depth, queue = {0: 0}, [0]
+                for v in queue:  # breadth first from vertex 0
+                    for u in adj[v]:
+                        if u not in depth:
+                            depth[u] = depth[v] + 1
+                            queue.append(u)
+                cents = sorted(oracles.centroids(adj), key=depth.get)
+                near, near_aut = oracles.encode(adj, cents[0])
+                far = oracles.encode(adj, cents[-1])[0]
+                assert tk._centroid_rootings(adj) == (near, far, near_aut, len(cents) == 2), edges
 
 
 def _catalog_error(check, family):
