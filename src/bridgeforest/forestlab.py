@@ -516,11 +516,11 @@ def _shape_tally(c: ForestClass) -> Counter:
     as the module docstring describes."""
     n = c.n
     by_size: dict = {}  # size -> (unrooted code, aut_u, {centroid rooting: labelings})
-    for r, aut_u, code in treekit.fold_unrooted(n, treekit.SINGLE_VERTEX_CODE, treekit._hang):
-        near, far, _, _ = treekit._centroid_rootings(treekit.code_to_adjacency(code))
+    for r, aut_u, code, halves in treekit.fold_unrooted(n, treekit.SINGLE_VERTEX_CODE, treekit._hang):
+        far = treekit._hang(*halves) if halves else code
         # each rooting gets half the labelings, a code that is both gets all
-        rootings = {key: factorial(r) // aut_u * k // 2 for key, k in Counter((near, far)).items()}
-        by_size.setdefault(r, []).append((min(near, far), aut_u, rootings))
+        rootings = {key: factorial(r) // aut_u * k // 2 for key, k in Counter((code, far)).items()}
+        by_size.setdefault(r, []).append((min(code, far), aut_u, rootings))
     tally = Counter()
     for _, _, rootings in by_size[n]:
         for code, k in rootings.items():

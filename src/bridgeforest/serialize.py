@@ -1,7 +1,7 @@
 """JSON projections of the toolkit's values and reports.
 
-`dumps(obj)` is, byte for byte, `json.dumps(plain, sort_keys=True, indent=2)`
-of obj projected onto JSON types, written in one walk.  A Fraction becomes
+`dump(obj, fh)` writes, byte for byte, `json.dumps(plain, sort_keys=True,
+indent=2)` of obj projected onto JSON types, in one walk.  A Fraction becomes
 {"num": "...", "den": "..."} with string digits, so any precision survives.
 Lists, tuples, sets and generators become lists, sets sorted.  Dicts and
 dataclasses become objects keyed by `str(key)` (the last value wins where
@@ -10,10 +10,10 @@ infinities included, are written as `json` writes them; other types raise
 TypeError.  Keys and sets are sorted, so identical inputs give
 byte-identical documents.
 
-`dump(obj, fh)` writes the same bytes to a stream as they are produced:
-it walks the outer object and any generator among its values, and writes
-the text of each element as soon as that element exists.  A report whose
-long list is a generator is never held whole in memory.
+It writes the text as it is produced: it walks the outer object and any
+generator among its values, and writes the text of each element as soon
+as that element exists.  A report whose long list is a generator is never
+held whole in memory.
 
 `RunConfig` is the run configuration every CLI report embeds.  It is
 defined here rather than in `cli`, so that parsing, `--version` and
@@ -39,12 +39,8 @@ class RunConfig:
     version: str = __version__
 
 
-def dumps(obj) -> str:
-    return _text(obj, "\n")
-
-
 def dump(obj, fh) -> None:
-    """Write dumps(obj) to fh, one outer element at a time."""
+    """Write obj's text to fh, one outer element at a time."""
     for piece in _pieces(obj, "\n", True):
         fh.write(piece)
 

@@ -27,7 +27,8 @@ Trees are generated in one place: `_fold_rooted` builds every rooted tree
 as a root plus a multiset of smaller rooted trees, and `fold_unrooted`
 builds every unrooted tree from a centroid the same way.  Folding `_hang`
 over the child codes gives the canonical codes that `enumerate_rooted` and
-`enumerate_unrooted` list.
+`enumerate_unrooted` list; the fold hands out a two-centroid tree's halves,
+which give its code at the other centroid without re-encoding.
 """
 
 from __future__ import annotations
@@ -189,25 +190,22 @@ def _build_adjacency(edges, extra_vertices=()):
     return adj, labels
 
 
-def _dfs_order(adj, root, away=-1):
-    """Preorder and parent array of the tree reached from root without
-    crossing to its neighbour `away`; parent[root] is `away` (-1 for none).
-
-    Raises NonTreeError if the traversal of the whole tree misses a vertex.
-    """
+def _dfs_order(adj, root):
+    """Preorder and parent array of the tree rooted at root (parent[root] is
+    -1).  Raises NonTreeError if the traversal misses a vertex."""
     n = len(adj)
     parent = [-2] * n
-    parent[root] = away
+    parent[root] = -1
     order = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
         for u in adj[v]:
-            if parent[u] == -2 and u != away:
+            if parent[u] == -2:
                 parent[u] = v
                 stack.append(u)
-    if away < 0 and len(order) != n:
+    if len(order) != n:
         raise NonTreeError("edge list is disconnected")
     return order, parent
 
@@ -421,8 +419,10 @@ def enumerate_unrooted(k: int):
     (size, code)."""
     _check_enumeration_size(k)
     return sorted(
-        _unrooted_from_adj(code_to_adjacency(code))
-        for _, _, code in fold_unrooted(k, SINGLE_VERTEX_CODE, _hang)
+        UnrootedTreeCode(min(code, _hang(*halves)), n, aut, "two-centroid")
+        if halves
+        else UnrootedTreeCode(code, n, aut, "one-centroid")
+        for n, aut, code, halves in fold_unrooted(k, SINGLE_VERTEX_CODE, _hang)
     )
 
 
@@ -466,7 +466,7 @@ def _fold_rooted(m, root, attach):
 
 def fold_unrooted(k: int, root, attach):
     """Fold `attach` over every unrooted tree with 1..k vertices without
-    building codes: an iterator of (size, aut_u, value), one per
+    building codes: an iterator of (size, aut_u, value, halves), one per
     isomorphism class, in no fixed order.
 
     The value of a rooted tree is `root` folded with attach over the values
@@ -477,6 +477,8 @@ def fold_unrooted(k: int, root, attach):
     two-centroid trees an unordered pair of rooted halves of n/2 vertices
     joined at their roots; aut_u is the product of the branches' aut_r
     times m! for each branch repeated m times (times 2 for equal halves).
+    halves is None, or for a two-centroid tree of value attach(a, b) it is
+    (b, a), so that attach(*halves) is the value at the other centroid.
     """
     if k < 1:
         raise ValueError("size bound must be >= 1")
@@ -485,16 +487,17 @@ def fold_unrooted(k: int, root, attach):
     sizes, auts, vals = _fold_rooted(k // 2, root, attach)
 
     def trees():
-        yield 1, 1, root
+        yield 1, 1, root, None
         hi = sum(1 for s in sizes if 2 * s < k) - 1
         for total, largest, val, aut in _child_multisets(sizes, auts, vals, hi, k - 1, root, attach):
             if 2 * largest <= total:
-                yield total + 1, aut, val
+                yield total + 1, aut, val, None
         for i, si in enumerate(sizes):
             if 2 * si > k:
                 break
             for j in range(sizes.index(si), i + 1):
-                yield 2 * si, auts[i] * auts[j] * (2 if i == j else 1), attach(vals[i], vals[j])
+                aut = auts[i] * auts[j] * (2 if i == j else 1)
+                yield 2 * si, aut, attach(vals[i], vals[j]), (vals[j], vals[i])
 
     return trees()
 

@@ -463,7 +463,7 @@ class _Profiles:
     def __init__(self, u0: tuple, k: int):
         states = _PieceStates(u0, k)
         labelings: dict[tuple, int] = {}  # class -> sum of n!/aut_u
-        for n, aut, sid in treekit.fold_unrooted(k, states.root, states.attach):
+        for n, aut, sid, _ in treekit.fold_unrooted(k, states.root, states.attach):
             key = (n, states.profile(sid))
             labelings[key] = labelings.get(key, 0) + factorial(n) // aut
         listed = {key: states.sets.positions(key[1]) for key in labelings}

@@ -810,7 +810,7 @@ class ProfilesReference:
 
         states = PieceStatesReference(u0)
         labelings = {}
-        for n, aut, sid in treekit.fold_unrooted(k, states.root, states.attach):
+        for n, aut, sid, _ in treekit.fold_unrooted(k, states.root, states.attach):
             key = (n, states.profile(sid))
             labelings[key] = labelings.get(key, 0) + factorial(n) // aut
         order = sorted(labelings, key=lambda key: (key[0], sorted(key[1])))
@@ -905,9 +905,12 @@ def split_edge(adj, parent, v):
     (relabeled adjacency, index of its endpoint of the removed edge): v's
     side first.  Relabeling keeps vertex order, so vertex 0, when on the
     parent's side, stays vertex 0 there."""
-    from bridgeforest import treekit
-
-    below = set(treekit._dfs_order(adj, v, away=parent[v])[0])
+    below, stack = {v}, [v]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u != parent[v] and u not in below:
+                below.add(u)
+                stack.append(u)
     sides = []
     for part, end in ((below, v), (set(range(len(adj))) - below, parent[v])):
         index = {x: i for i, x in enumerate(sorted(part))}

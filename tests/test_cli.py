@@ -189,12 +189,13 @@ class TestVerify:
         [
             ["--suite", "aut-identity", "--max-size", "6", "--t-max", "17"],
             ["--suite", "simple-counting", "--n", "5", "--u-max", "17"],
+            ["--suite", "dissymmetry", "--k", "4", "--samples", "1", "--t-max", "17"],
         ],
-        ids=["aut-identity", "simple-counting"],
+        ids=["aut-identity", "simple-counting", "dissymmetry"],
     )
     def test_catalog_bounds_unread_by_the_suite(self, capsys, argv):
-        # these suites build no catalog, so a bound past the exhaustive
-        # limit is not an error
+        # these suites read no catalog, or only its u0, so a bound they do
+        # not read past the exhaustive limit is not an error
         code, doc = run_json(capsys, "verify", *argv)
         assert code == 0 and doc["report"]["ok"]
 

@@ -71,7 +71,7 @@ def test_fold_visits_each_unrooted_tree_once_with_its_aut():
         return tuple(sorted(node + (child,)))
 
     seen = []
-    for size, aut, node in tk.fold_unrooted(K_MAX, (), attach):
+    for size, aut, node, _ in tk.fold_unrooted(K_MAX, (), attach):
         u = tk._unrooted_from_adj(nested_adjacency(node))
         assert u.size == size
         seen.append((u.code, aut))
@@ -83,7 +83,7 @@ def test_rootings_identity_up_to_the_free_tree_limit():
     k = tk.FREE_TREE_MAX_SIZE
     sums = dict.fromkeys(range(1, k + 1), Fraction(0))
     counts = dict.fromkeys(range(1, k + 1), 0)
-    for n, aut, _ in tk.fold_unrooted(k, None, lambda node, child: None):
+    for n, aut, _, _ in tk.fold_unrooted(k, None, lambda node, child: None):
         sums[n] += Fraction(n, aut)
         counts[n] += 1
     for n in range(1, k + 1):

@@ -443,6 +443,27 @@ class TestAgainstFirstCodingScheme:
                 assert tk._centroid_rootings(adj) == (near, far, near_aut, len(cents) == 2), edges
 
 
+class TestFoldAgainstCentroidPass:
+    """The fold's halves against the centroid pass they replaced in
+    enumerate_unrooted and forestlab._shape_tally: each fold code decoded
+    and its centroids found again."""
+
+    def test_halves_give_the_other_centroid_rooting(self):
+        kinds = set()
+        for n, _, code, halves in tk.fold_unrooted(14, tk.SINGLE_VERTEX_CODE, tk._hang):
+            near, far, _, two = tk._centroid_rootings(tk.code_to_adjacency(code))
+            assert (code, tk._hang(*halves) if halves else code) == (near, far), code
+            assert (halves is not None) == two and code.count("(") == n, code
+            kinds.add(two)
+        assert kinds == {False, True}
+
+    def test_enumerate_unrooted_equals_decoded_fold_codes(self):
+        for k in range(1, 13):
+            codes = [c for _, _, c, _ in tk.fold_unrooted(k, tk.SINGLE_VERTEX_CODE, tk._hang)]
+            want = sorted(tk._unrooted_from_adj(tk.code_to_adjacency(c)) for c in codes)
+            assert tk.enumerate_unrooted(k) == want, k
+
+
 def _catalog_error(check, family):
     try:
         check(family)
