@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from functools import partial
@@ -316,10 +315,6 @@ def _cmd_verify(args) -> int:
 def _cmd_optimize(args) -> int:
     if args.k < args.u_max:
         raise _UsageError("argument --k: the truncation order must be >= --u-max")
-    # The run is serial and its one BLAS call is a short dot product, so
-    # OpenBLAS gets one thread (not an idle pool spinning on the other
-    # cores), unless the user set a count.  It must be set before numpy loads.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import optimizer, treekit
 
     if args.cap is None:  # resolved here, so parsing need not load the optimizer

@@ -31,15 +31,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import expm1, inf, log1p, nextafter
-from typing import TYPE_CHECKING
+from operator import mul
 
 from . import treekit, weights
 from .treekit import Catalog
 from .weights import TruncatedSeriesEvaluator, WeightVector
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "OptimizerConfig",
@@ -71,12 +69,12 @@ class OptimizerConfig:
             raise ValueError("truncation order k must be >= u_max")
         if self.budget < 1:
             raise ValueError("the evaluation budget must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < inf:
+            raise ValueError("tol must be positive and finite")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if not self.y_cap > 1.0:
-            raise ValueError("the partition-function cap must exceed 1")
+        if not 1.0 < self.y_cap < inf:
+            raise ValueError("the partition-function cap must exceed 1 and be finite")
 
 
 @dataclass
@@ -233,7 +231,7 @@ def single_var_threshold(k: int, cap: float = DEFAULT_CAP, tol: float = 1e-12) -
     return 0.5 * (lo + hi)
 
 
-def _certify(zv: np.ndarray, config: OptimizerConfig) -> tuple[FeasiblePoint, dict]:
+def _certify(zv, config: OptimizerConfig) -> tuple[FeasiblePoint, dict]:
     """Exact feasible point from a float vector: round to dyadic rationals,
     close exactly, and rescale by cap/Y when the cap is exceeded.
 
@@ -260,6 +258,16 @@ def _certify(zv: np.ndarray, config: OptimizerConfig) -> tuple[FeasiblePoint, di
     return point, per_size
 
 
+def _left_sum(values) -> float:
+    """Float sum from the left: the same on every interpreter (sum() is
+    compensated from Python 3.12 on), and inf where it overflows (math.fsum
+    raises)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
     """Multi-start local search for the constrained maximum.
 
@@ -271,78 +279,79 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
     in exact arithmetic; the result is a certified feasible lower bound for
     the maximum, not a certificate of optimality.
     """
-    import numpy as np
     cat, k = config.catalog, config.k
     ev = TruncatedSeriesEvaluator(cat, k)
     d = len(cat.u0)
-    sizes_u0 = np.array([u.size for u in cat.u0], dtype=np.int64)
-    lin = np.array([1.0 / u.aut_u for u in cat.u0])
+    sizes_u0 = [u.size for u in cat.u0]
+    lin = [1.0 / u.aut_u for u in cat.u0]
     cap = config.y_cap
     state = {"evals": 0}
     trace = []
 
-    def settle(zv):
-        """Close and project; returns (closed projected vector, objective)."""
+    # restarts reach the same closed points and replay the same coordinate
+    # steps, so a vector is closed and projected once
+    @cache
+    def close_and_project(zv: tuple):
+        """The closure of zv projected to the cap, and its objective."""
         om, layers = ev.evaluate(zv)
-        state["evals"] += 1
-        zc = np.zeros(d)
-        zc[ev.u0_zslots] = om[ev.u0_positions]
-        total = float(layers[1:].sum())
-        if total > cap:
+        zc = [0.0] * d
+        for j, c in zip(ev.u0_zslots, ev.u0_positions):
+            zc[j] = om[c]
+        if _left_sum(layers) > cap:
             lam = _scale_to_cap(layers, cap)
-            zc = zc * lam**sizes_u0
-        return zc, float(np.dot(zc, lin))
+            zc = [v * lam**s for v, s in zip(zc, sizes_u0)]
+        return tuple(zc), _left_sum(map(mul, zc, lin))
 
-    starts = []
-    x_embed = single_var_threshold(k, cap=cap)
-    embed = np.zeros(d)
-    embed[cat.u0_index[treekit.SINGLE_VERTEX_CODE]] = x_embed
-    starts.append(embed)
+    def settle(zv: tuple):
+        """Close and project; every call counts as an evaluation."""
+        state["evals"] += 1
+        return close_and_project(zv)
+
+    embed = [0.0] * d
+    embed[cat.u0_index[treekit.SINGLE_VERTEX_CODE]] = single_var_threshold(k, cap=cap)
+    starts = [tuple(embed)]
     for wst in warm_starts:
-        if isinstance(wst, WeightVector):
-            starts.append(wst.to_floats())
-        else:
-            starts.append(np.asarray(wst, dtype=float))
+        start = tuple(wst.to_floats() if isinstance(wst, WeightVector) else map(float, wst))
+        if len(start) != d:
+            raise ValueError(f"warm start {list(start)} has {len(start)} entries, not {d}")
+        if not all(v >= 0 for v in start):  # refuses NaN too
+            raise ValueError(f"warm start {list(start)} has an entry that is not >= 0")
+        starts.append(start)
     for r in range(config.restarts):
         rng = random.Random(f"{config.seed}:{r}")
-        starts.append(np.array([rng.uniform(0.0, 1.0) for _ in range(d)]))
+        starts.append(tuple(rng.uniform(0.0, 1.0) for _ in range(d)))
 
     best_z = None
     best_obj = -1.0
     restarts_used = 0
-    # huge caps overflow the float layers to inf and nan; the projection
-    # and the exact certification handle them, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx, z0 in enumerate(starts):
-            if state["evals"] >= config.budget:
-                break
-            restarts_used += 1
-            zv, obj = settle(z0)
-            improved = True
-            while improved and state["evals"] < config.budget:
-                improved = False
-                for j in range(d):
-                    step = max(abs(zv[j]), 0.25)
-                    while step > config.tol and state["evals"] < config.budget:
-                        moved = False
-                        for sign in (1.0, -1.0):
-                            cand_j = max(0.0, zv[j] + sign * step)
-                            if cand_j == zv[j] or state["evals"] >= config.budget:
-                                continue
-                            cand = zv.copy()
-                            cand[j] = cand_j
-                            new_zv, new_obj = settle(cand)
-                            if new_obj > obj + config.tol:
-                                zv, obj = new_zv, new_obj
-                                moved = True
-                                improved = True
-                                break
-                        if not moved:
-                            step *= 0.5
-            if obj > best_obj:
-                best_obj = obj
-                best_z = zv
-                trace.append({"start": idx, "objective": obj, "evaluations": state["evals"]})
+    for idx, z0 in enumerate(starts):
+        if state["evals"] >= config.budget:
+            break
+        restarts_used += 1
+        zv, obj = settle(z0)
+        improved = True
+        while improved and state["evals"] < config.budget:
+            improved = False
+            for j in range(d):
+                step = max(abs(zv[j]), 0.25)
+                while step > config.tol and state["evals"] < config.budget:
+                    moved = False
+                    for sign in (1.0, -1.0):
+                        cand_j = max(0.0, zv[j] + sign * step)
+                        if cand_j == zv[j] or state["evals"] >= config.budget:
+                            continue
+                        new_zv, new_obj = settle((*zv[:j], cand_j, *zv[j + 1 :]))
+                        if new_obj > obj + config.tol:
+                            zv, obj = new_zv, new_obj
+                            moved = True
+                            improved = True
+                            break
+                    if not moved:
+                        step *= 0.5
+        if obj > best_obj:
+            best_obj = obj
+            best_z = zv
+            trace.append({"start": idx, "objective": obj, "evaluations": state["evals"]})
 
     point, per_size = _certify(best_z, config)
     return MaximizeResult(

@@ -30,9 +30,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, fsum, prod
-from operator import getitem
-from typing import TYPE_CHECKING
+from math import factorial, fsum, inf, isnan, prod
+from operator import getitem, itemgetter, mul
 
 from . import treekit
 from .treekit import (
@@ -43,9 +42,6 @@ from .treekit import (
     SINGLE_VERTEX_CODE,
     code_to_adjacency,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "WeightVector",
@@ -111,9 +107,8 @@ class WeightVector:
     def as_dict(self) -> dict:
         return dict(self.entries)
 
-    def to_floats(self) -> np.ndarray:
-        import numpy as np
-        return np.array([float(v) for _, v in self.entries])
+    def to_floats(self) -> list:
+        return [float(v) for _, v in self.entries]
 
 
 @dataclass(frozen=True)
@@ -640,56 +635,85 @@ def single_variable_layers(x, k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# vectorized float evaluation (optimizer inner loop)
+# float evaluation (optimizer inner loop)
+
+
+def _power(x: float, e: int) -> float:
+    """x**e for a float x >= 0 (or NaN), inf where it overflows."""
+    try:
+        return x**e
+    except OverflowError:
+        return inf
 
 
 class TruncatedSeriesEvaluator:
     """Float evaluation of max weights and size-layered rooted sums for all
-    trees up to k vertices, vectorized over their profile classes.
+    trees up to k vertices, walking the distinct count vectors of their
+    profile classes.
 
     evaluate(zvec) returns (om, y) where om[c] is the max weight of the
     trees in class c (index(code) is a tree's class) and y[s] the
-    contribution of size-s rooted trees to rooted_series.  zvec is ordered
-    like catalog.u0.
+    contribution of size-s rooted trees to rooted_series, as lists.  zvec
+    is ordered like catalog.u0.
     """
 
     def __init__(self, catalog: Catalog, k: int):
-        import numpy as np
         self.k = k
         self._profiles = _profiles(catalog.u0, k)
-        self.sizes = np.array(self._profiles.sizes, dtype=np.int64)
-        self.rooted_coeff = np.array([float(c) for c in self._profiles.coeff])
-        self.u0_positions = np.array(
-            [self.index(u.code) for u in catalog.u0 if u.size <= k], dtype=np.int64
-        )
-        self.u0_zslots = np.array(
-            [j for j, u in enumerate(catalog.u0) if u.size <= k], dtype=np.int64
-        )
-        counts = self._profiles.counts
-        row_class = np.array([c for c, vecs in enumerate(counts) for _ in vecs], dtype=np.int64)
-        row_counts = np.array(
-            [vec for vecs in counts for vec in vecs], dtype=np.int64
-        ).reshape(len(row_class), len(catalog.u0))
-        # row r's monomial is the product over pieces j of
-        # powers[j, row_counts[r, j]], gathered from the flattened table
-        gathers = (row_counts + (k + 1) * np.arange(len(catalog.u0))).T.copy()
-        starts = np.searchsorted(row_class, np.arange(len(counts)))
-        # one pass over every (class, count vector) row; a class's max
-        # weight is the largest monomial over its rows.  perfbench/traced_run.py
-        # reads passes to count the rows.
-        self.passes = [(row_class, gathers, starts)]
-        self._exponents = np.arange(k + 1)
+        self.sizes = self._profiles.sizes
+        self.rooted_coeff = tuple(float(c) for c in self._profiles.coeff)
+        self.u0_positions = tuple(self.index(u.code) for u in catalog.u0 if u.size <= k)
+        self.u0_zslots = tuple(j for j, u in enumerate(catalog.u0) if u.size <= k)
+        # one entry per distinct count vector (its size is the sum of its
+        # pieces' sizes), with a bit mask of the classes whose profiles hold
+        # it, and after them the zero vector of no class, so that every
+        # column has two entries and its gather gives a tuple
+        mask_of: dict[tuple, int] = {}
+        for c, vecs in enumerate(self._profiles.counts):
+            for vec in vecs:
+                mask_of[vec] = mask_of.get(vec, 0) | 1 << c
+        vectors = (*mask_of, (0,) * len(catalog.u0))
+        # column j of the monomials is the power of z_j each entry takes
+        self._columns = [itemgetter(*column) for column in zip(*vectors)]
+        # perfbench/traced_run.py reads passes to count the entries
+        self.passes = [(tuple(mask_of), tuple(mask_of.values()), (1 << len(self.sizes)) - 1)]
+        self._exponents = range(k + 1)
+        self._classes = _BitSets().positions  # the classes of a mask, ascending
 
     def index(self, code: str) -> int:
         return self._profiles.index(code)
 
-    def evaluate(self, zvec: np.ndarray):
-        import numpy as np
-        powers = (np.asarray(zvec, dtype=float)[:, None] ** self._exponents).ravel()
-        ((_, gathers, starts),) = self.passes
-        monomials = powers[gathers[0]]
-        for gather in gathers[1:]:
-            monomials = monomials * powers[gather]
-        om = np.maximum.reduceat(monomials, starts)
-        y = np.bincount(self.sizes, weights=self.rooted_coeff * om, minlength=self.k + 1)
+    def evaluate(self, zvec):
+        """A class's max weight is the largest monomial over its count
+        vectors, NaN if any of them is NaN: the entries are walked from the
+        NaN ones down through the largest, and each class takes the first
+        monomial whose entry holds it."""
+        if len(zvec) != len(self._columns):
+            raise ValueError(f"{len(zvec)} weights for {len(self._columns)} pieces")
+        ((_, masks, left),) = self.passes
+        monomials = None
+        for x, column in zip(zvec, self._columns):
+            try:
+                powers = column([x**e for e in self._exponents])
+            except OverflowError:
+                powers = column([_power(x, e) for e in self._exponents])
+            monomials = powers if monomials is None else map(mul, monomials, powers)
+        monomials = list(monomials)
+        rest, nans = range(len(masks)), []
+        if isnan(sum(monomials)):  # they are >= 0, so only a NaN sums to NaN
+            nans = [i for i in rest if isnan(monomials[i])]
+            rest = [i for i in rest if not isnan(monomials[i])]
+        om, classes = [0.0] * len(self.sizes), self._classes
+        for i in nans + sorted(rest, key=monomials.__getitem__, reverse=True):
+            hit = masks[i] & left
+            if hit:
+                left ^= hit
+                value = monomials[i]
+                for c in classes(hit):
+                    om[c] = value
+                if not left:
+                    break
+        y = [0.0] * (self.k + 1)
+        for size, coeff, value in zip(self.sizes, self.rooted_coeff, om):
+            y[size] += coeff * value
         return om, y

@@ -20,12 +20,14 @@ must still return exactly.  `project_scale` is the optimizer's
 former projection of a whole weight vector, exact or float, which no
 command calls; it borrows the optimizer's bisections and the package's
 series layers.  The float feasibility reference keeps the
-optimizer's first float check: the package's vectorized evaluator (passed
-in) with numpy sums.  The report reference keeps the first serializer:
-project onto plain JSON types, then `json.dumps(..., sort_keys=True,
-indent=2)`.  `mask_components` decodes forest edge masks bit by bit, as
-forestlab first did, and `prufer_edges_heap` keeps the sampler's first
-Prüfer decoder, a heap of leaves.  `sample_forest_reference` keeps the
+optimizer's first float check: the package's float evaluator (passed in)
+with numpy sums.  `TruncatedSeriesEvaluatorReference` keeps the first
+float evaluator, a numpy scan of every (class, count vector) row.  The
+report reference keeps the first serializer: project onto plain JSON
+types, then `json.dumps(..., sort_keys=True, indent=2)`.
+`mask_components` decodes forest edge masks bit by bit, as forestlab
+first did, and `prufer_edges_heap` keeps the sampler's first Prüfer
+decoder, a heap of leaves.  `sample_forest_reference` keeps the
 sampler's first composition: the anchor size by a walk over every size,
 the companions picked as `Random.sample` picks them, a tree on the sorted
 component decoded by that heap, and the edges normalized into a set at the
@@ -691,18 +693,61 @@ def project_scale(z, config):
 
 def float_feasibility(ev, z, config):
     """(feasible, violations, y, objective) of a float weight vector, from
-    the vectorized evaluator `ev` built for (config.catalog, config.k):
-    the cap and closure constraints checked within config.tol."""
-    zv = np.array([float(v) for _, v in z.entries])
+    the float evaluator `ev` built for (config.catalog, config.k), whose
+    om and layers are lists: the cap and closure constraints checked
+    within config.tol."""
+    zv = [float(v) for _, v in z.entries]
     om, layers = ev.evaluate(zv)
-    y = float(layers[1:].sum())
+    y = float(np.sum(layers[1:]))
     violations = []
+    gaps = [abs(om[c] - zv[j]) for c, j in zip(ev.u0_positions, ev.u0_zslots)]
     if y > config.y_cap + config.tol:
         violations.append(f"rooted series {y:.12g} exceeds cap {config.y_cap}")
-    if not np.max(np.abs(om[ev.u0_positions] - zv[ev.u0_zslots])) <= config.tol:
+    if not max(gaps) <= config.tol:
         violations.append("not a closure fixed point (beyond tol)")
     objective = float(sum(zv[j] / u.aut_u for j, u in enumerate(config.catalog.u0)))
     return not violations, violations, y, objective
+
+
+class TruncatedSeriesEvaluatorReference:
+    """The package's first float evaluator, vectorized with numpy over every
+    (class, count vector) row of the profile classes: each row's monomial
+    is gathered from a table of powers, a class's max weight is
+    `np.maximum.reduceat` over its rows (NaN if any row is NaN), and the
+    size layers are a `np.bincount`.  Powers that overflow are inf, as
+    numpy's are.  Built on the package's `weights._profiles`."""
+
+    def __init__(self, catalog, k):
+        from bridgeforest import weights
+
+        self.k = k
+        self._profiles = weights._profiles(catalog.u0, k)
+        self.sizes = np.array(self._profiles.sizes, dtype=np.int64)
+        self.rooted_coeff = np.array([float(c) for c in self._profiles.coeff])
+        counts = self._profiles.counts
+        row_class = np.array([c for c, vecs in enumerate(counts) for _ in vecs], dtype=np.int64)
+        row_counts = np.array(
+            [vec for vecs in counts for vec in vecs], dtype=np.int64
+        ).reshape(len(row_class), len(catalog.u0))
+        # row r's monomial is the product over pieces j of
+        # powers[j, row_counts[r, j]], gathered from the flattened table
+        self.gathers = (row_counts + (k + 1) * np.arange(len(catalog.u0))).T.copy()
+        self.starts = np.searchsorted(row_class, np.arange(len(counts)))
+        self.rows = len(row_class)
+        self._exponents = np.arange(k + 1)
+
+    def index(self, code):
+        return self._profiles.index(code)
+
+    def evaluate(self, zvec):
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = (np.asarray(zvec, dtype=float)[:, None] ** self._exponents).ravel()
+            monomials = powers[self.gathers[0]]
+            for gather in self.gathers[1:]:
+                monomials = monomials * powers[gather]
+            om = np.maximum.reduceat(monomials, self.starts)
+            y = np.bincount(self.sizes, weights=self.rooted_coeff * om, minlength=self.k + 1)
+        return om, y
 
 
 def jsonable(obj):

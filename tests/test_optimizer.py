@@ -44,6 +44,16 @@ class TestConfig:
             with pytest.raises(ValueError, match="budget"):
                 op.OptimizerConfig(catalog=cat1, k=4, budget=budget)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_cap_and_tol_finite(self, value):
+        # an infinite cap once ran the whole search and then failed to
+        # certify, and an infinite tol stopped after two evaluations
+        cat3 = tk.Catalog.standard(1, 3)
+        with pytest.raises(ValueError, match="cap must exceed 1 and be finite"):
+            op.OptimizerConfig(catalog=cat3, k=4, y_cap=value)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            op.OptimizerConfig(catalog=cat3, k=4, tol=value)
+
 
 class TestSingleVarThreshold:
     def test_k1(self):
@@ -196,6 +206,9 @@ class TestScaleToCapAgainstOracle:
             return projection(layers, cap)
 
         monkeypatch.setattr(op, "_scale_to_cap", record)
+        # without the settle memo every evaluation projects, as the search
+        # did before it had one
+        monkeypatch.setattr(op, "cache", lambda fn: fn)
         cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=k, seed=0, **kw)
         op.maximize(cfg)
         assert len(seen) > 400
@@ -330,6 +343,51 @@ class TestMaximize:
         res = op.maximize(config(cat1, 6, budget=10_000))
         assert res.evaluations < 10_000
         assert res.budget_exhausted is False
+
+    @pytest.mark.parametrize(
+        "start, problem",
+        [
+            ([0.1], "has 1 entries, not 3"),
+            ([0.1, 0.2, 0.3, 0.4], "has 4 entries, not 3"),
+            ([-1.0, 0.1, 0.1], "not >= 0"),
+            ([math.nan] * 3, "not >= 0"),
+        ],
+    )
+    def test_warm_starts_are_checked(self, start, problem):
+        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=4, budget=2000)
+        with pytest.raises(ValueError, match=problem) as info:
+            op.maximize(cfg, warm_starts=[[0.1, 0.1, 0.1], start])
+        assert str(info.value).startswith(f"warm start {start}")
+
+    def test_warm_start_weight_vector_over_another_catalog(self, cat2):
+        z = wt.WeightVector.over(cat2, {"()": 0.2})
+        with pytest.raises(ValueError, match="has 2 entries, not 3"):
+            op.maximize(op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=4), warm_starts=[z])
+
+    @pytest.mark.parametrize("k", [8, 11])
+    def test_settle_memo_changes_nothing(self, monkeypatch, k):
+        # a repeated vector is closed and projected once; bypassing the
+        # memo gives the same run, one evaluator call per evaluation
+        calls = []
+        evaluate = wt.TruncatedSeriesEvaluator.evaluate
+
+        def counted(self, zvec):
+            calls.append(zvec)
+            return evaluate(self, zvec)
+
+        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", counted)
+        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=k, seed=0)
+        memo = op.maximize(cfg)
+        memo_calls = len(calls)
+        monkeypatch.setattr(op, "cache", lambda fn: fn)
+        calls.clear()
+        bare = op.maximize(cfg)
+        assert len(calls) == bare.evaluations
+        assert memo_calls == len(set(calls)) < bare.evaluations
+        assert (memo.evaluations, memo.restarts_used, memo.budget_exhausted, memo.trace) == (
+            bare.evaluations, bare.restarts_used, bare.budget_exhausted, bare.trace
+        )
+        assert memo.point == bare.point and memo.y_per_size == bare.y_per_size
 
 
 class TestBoundCheck:

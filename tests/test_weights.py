@@ -386,3 +386,60 @@ class TestEvaluator:
         for u in tk.enumerate_unrooted(8):
             val = om[ev.index(u.code)]
             assert abs(val - float(table.value(u.code))) <= 1e-12 * (1 + val)
+
+
+def evaluator_inputs(catalog, k):
+    """Seeded float vectors over catalog.u0, piece U drawn below
+    scale**|U|: each as it is, with one and two zero coordinates, with a
+    1e200 entry (powers overflow to inf, and inf times a zero power is
+    NaN), with 1e200 on the single vertex, and with a NaN entry and a NaN
+    on the single vertex."""
+    rng = random.Random(f"{catalog.u_max}:{k}")
+    d = len(catalog.u0)
+    for scale in (0.3, 0.6, 1.5):
+        z = [rng.random() * scale**u.size for u in catalog.u0]
+        i, j = rng.randrange(d), rng.randrange(d)
+        yield z
+        yield [0.0 if m == i else v for m, v in enumerate(z)]
+        yield [0.0 if m in (i, j) else v for m, v in enumerate(z)]
+        yield [1e200 if m == i else v for m, v in enumerate(z)]
+        yield [1e200 if m == i else 0.0 if m == j else v for m, v in enumerate(z)]
+        yield [1e200, *z[1:]]
+        yield [math.nan if m == i else v for m, v in enumerate(z)]
+        yield [math.nan, *z[1:]]
+
+
+def same_float(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "u_max, k",
+    [(u_max, k) for u_max in (1, 2, 3) for k in range(1, 15)] + [(4, k) for k in range(1, 13)],
+)
+def test_evaluator_matches_numpy_reference(u_max, k):
+    # the walk over distinct count vectors against the first evaluator, a
+    # numpy scan of every (class, count vector) row
+    catalog = tk.Catalog.standard(1, u_max)
+    ev = wt.TruncatedSeriesEvaluator(catalog, k)
+    ref = oracles.TruncatedSeriesEvaluatorReference(catalog, k)
+    assert len(ev.passes[0][0]) <= ref.rows
+    kinds = set()
+    for z in evaluator_inputs(catalog, k):
+        om, y = ev.evaluate(z)
+        om_ref, y_ref = ref.evaluate(z)
+        assert len(om) == len(om_ref) and len(y) == k + 1
+        for c, (a, b) in enumerate(zip(om, om_ref)):
+            assert same_float(a, float(b)), (z, c, a, b)
+        for s, (a, b) in enumerate(zip(y, y_ref)):
+            assert same_float(a, float(b)), (z, s, a, b)
+        kinds.update(math.inf if math.isinf(v) else "nan" if math.isnan(v) else 0 for v in om)
+    # the inputs reach finite and NaN max weights, and infinite ones once
+    # the single vertex can be taken twice
+    assert kinds == {0, "nan", *[math.inf] * (k > 1)}
+
+
+def test_evaluator_refuses_a_vector_of_another_length():
+    ev = wt.TruncatedSeriesEvaluator(tk.Catalog.standard(1, 3), 5)
+    with pytest.raises(ValueError, match="2 weights for 3 pieces"):
+        ev.evaluate([0.1, 0.2])
