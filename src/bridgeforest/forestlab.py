@@ -804,17 +804,18 @@ def boxing_search(c: ForestClass, catalog: Catalog, w: int, epsilon: float) -> B
         """alpha lies in a box of the grid shifted by `shift`."""
         return all(a >= b and (a - b) % period < w for a, b in zip(alpha, shift))
 
-    best_min, ok = -1.0, False
+    eps = Fraction(str(epsilon))  # read decimally: 0.18 means 9/50
+    best_min, ok = -1, False
     for shift in shift_space:
         cap = {
             code: sum(cnt for alpha, cnt in amap.items() if good(alpha, shift))
             for code, amap in relevant.items()
         }
-        fracs = [cap[code] / totals[code] for code in cap if totals[code] > 0]
-        min_frac = min(fracs) if fracs else 1.0
+        fracs = [Fraction(cap[code], totals[code]) for code in cap if totals[code] > 0]
+        min_frac = min(fracs, default=Fraction(1))
         if min_frac > best_min:
             best_min, best_shift, best_capture = min_frac, tuple(shift), cap
-        if min_frac >= 1.0 - epsilon:
+        if min_frac >= 1 - eps:
             ok = True
             break
 
@@ -827,8 +828,8 @@ def boxing_search(c: ForestClass, catalog: Catalog, w: int, epsilon: float) -> B
     box_list = [Box(lower=l, width=w, q=q) for l in sorted(boxes)]
 
     n = c.n
-    lhs = 1.0 - (1.0 - (w + 2 * q) / n) ** d * (1.0 + 2 * q / w) ** (-d)
-    guarantee = lhs <= epsilon / len(catalog.u0)
+    lhs = 1 - (1 - Fraction(w + 2 * q, n)) ** d / (1 + Fraction(2 * q, w)) ** d
+    guarantee = lhs <= eps / len(catalog.u0)
 
     return BoxingReport(
         ok=ok,
@@ -839,7 +840,7 @@ def boxing_search(c: ForestClass, catalog: Catalog, w: int, epsilon: float) -> B
         shift=best_shift,
         boxes=box_list,
         capture={code: (best_capture.get(code, 0), totals[code]) for code in totals},
-        min_fraction=best_min,
+        min_fraction=float(best_min),
         search_mode=search_mode,
         guarantee_applies=guarantee,
     )

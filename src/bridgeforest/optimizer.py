@@ -124,7 +124,7 @@ def feasibility(z: WeightVector, config: OptimizerConfig) -> FeasibilityResult:
         cap, tol, unclosed = config.y_cap, config.tol, "not a closure fixed point (beyond tol)"
     violations = []
     y = weights.rooted_series(z, config.k, cat)
-    if y > cap + tol:
+    if not y <= cap + tol:  # a float series is NaN where an overflowed power meets a 0 one
         violations.append(f"rooted series {float(y):.12g} exceeds cap {config.y_cap}")
     closed_vec = weights.closure(z, cat)
     closed = all(abs(c - v) <= tol for (_, c), (_, v) in zip(closed_vec.entries, z.entries))

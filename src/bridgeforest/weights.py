@@ -17,11 +17,12 @@ Partition functions:
     unrooted_series(z, k)      same over unrooted trees with aut_u
     piece_series_linear(z)     sum of z[U]/aut_u(U) over u0
 
-The series run over unrooted trees only, up to
-treekit.FREE_TREE_MAX_SIZE vertices: a tree's rootings contribute
-sum 1/aut_r = size/aut_u.  All sums are exact when the weight vector holds
-Fractions; float vectors are accepted for approximate work and flagged by
-WeightVector.exact.
+The series run over unrooted trees only, up to treekit.FREE_TREE_MAX_SIZE
+vertices (a tree's rootings contribute sum 1/aut_r = size/aut_u), grouped
+into profile classes that share one max weight.  One walk over a table of
+the classes' distinct piece-count vectors gives every max weight: in ints
+over a common denominator for a vector of Fractions (WeightVector.exact),
+in floats for a float one, where a power or sum past the largest float is inf.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, fsum, inf, isnan, prod
-from operator import getitem, itemgetter, mul
+from math import factorial, fsum, inf, isnan, lcm
+from operator import itemgetter, mul
 
 from . import treekit
 from .treekit import (
@@ -446,6 +447,14 @@ class _PieceStates:
         return state
 
 
+def _power(x: float, e: int) -> float:
+    """x**e for a float x >= 0 (or NaN), inf where it overflows."""
+    try:
+        return x**e
+    except OverflowError:
+        return inf
+
+
 class _Profiles:
     """The trees with 1..k vertices grouped by (size, profile).
 
@@ -472,7 +481,22 @@ class _Profiles:
             tuple(tuple(v // place % radix for place, radix in digits) for v in listed[key])
             for key in order
         )
+        self.float_coeff = tuple(float(c) for c in self.coeff)
         self._class = {key: c for c, key in enumerate(order)}
+        # one entry per distinct count vector, with a bit mask of the classes
+        # whose profiles hold it, and after them the zero vector of no class,
+        # so that every column has two entries and its gather gives a tuple
+        mask_of: dict[tuple, int] = {}
+        for c, vecs in enumerate(self.counts):
+            for vec in vecs:
+                mask_of[vec] = mask_of.get(vec, 0) | 1 << c
+        self.vectors = tuple(mask_of)
+        self.masks = tuple(mask_of.values())
+        self.every = (1 << len(order)) - 1
+        # column j of the monomials is the power of piece j each entry takes
+        self._columns = [itemgetter(*column) for column in zip(*self.vectors, (0,) * len(u0))]
+        self._exponents = [range(radix) for radix in states.radices]
+        self._classes = _BitSets().positions  # the classes of a mask, ascending
 
     def index(self, code: str) -> int:
         """Class of the unrooted tree with this code (at most k vertices)."""
@@ -480,6 +504,44 @@ class _Profiles:
         if not 1 <= size <= self.k:
             raise ValueError(f"tree of size {size} outside 1..{self.k}")
         return self._class[(size, self.states.profile(self.states.state_of(code)))]
+
+    def max_weights(self, values, coeff) -> tuple:
+        """(om, y) at the weights `values` over u0, all ints or all floats:
+        om[c] is the largest monomial prod_j values[j]**vec[j] over class
+        c's count vectors (NaN if any is NaN), and y[s] is the sum of
+        coeff[c] om[c] over the classes c of size s.  The entries are walked
+        from the NaN ones down through the largest, each class taking the
+        first monomial whose entry holds it."""
+        if len(values) != len(self._columns):
+            raise ValueError(f"{len(values)} weights for {len(self._columns)} pieces")
+        masks, left, classes = self.masks, self.every, self._classes
+        monomials = None
+        for x, column, exponents in zip(values, self._columns, self._exponents):
+            try:
+                powers = column([x**e for e in exponents])
+            except OverflowError:
+                powers = column([_power(x, e) for e in exponents])
+            monomials = powers if monomials is None else map(mul, monomials, powers)
+        monomials = list(monomials)
+        rest, nans = range(len(masks)), []
+        total = sum(monomials)  # all >= 0: NaN only if one is NaN, and ints never are
+        if isinstance(total, float) and isnan(total):
+            nans = [i for i in rest if isnan(monomials[i])]
+            rest = [i for i in rest if not isnan(monomials[i])]
+        om = [0] * len(self.sizes)  # u0 holds the single vertex, so every class is reached
+        for i in nans + sorted(rest, key=monomials.__getitem__, reverse=True):
+            hit = masks[i] & left
+            if hit:
+                left ^= hit
+                value = monomials[i]
+                for c in classes(hit):
+                    om[c] = value
+                if not left:
+                    break
+        y = [0 * coeff[0]] * (self.k + 1)
+        for size, c, value in zip(self.sizes, coeff, om):
+            y[size] += c * value
+        return om, y
 
 
 @cache
@@ -499,37 +561,32 @@ def layers(z: WeightVector, k: int, catalog: Catalog) -> list:
 
     Summed over unrooted trees U as |U| maxweight(U)/aut_u(U), since the
     rootings of U contribute sum 1/aut_r = |U|/aut_u (orbit-stabilizer),
-    and over the trees' profile classes, which share one max weight.
+    and over one walk of the profile classes' table.  Exact z = a/D over a
+    common denominator walks the ints a_j D^(|U_j|-1): the monomials of a
+    size-s class are then N/D^s, so its max weight is a max of ints.
     """
     if k < 1:
         raise ValueError("truncation order must be >= 1")
     _check_domain(z, catalog)
     table = _profiles(catalog.u0, k)
-    # monomials as (numerator, denominator) integer pairs, compared by
-    # cross-multiplying: much cheaper than reducing every product
-    if z.exact:
-        ratios = [Fraction(value).as_integer_ratio() for _, value in z.entries]
-    else:
-        ratios = [(float(value), 1) for _, value in z.entries]
-    nums = [[n**e for e in range(k + 1)] for n, _ in ratios]
-    dens = [[d**e for e in range(k + 1)] for _, d in ratios]
-    out = [Fraction(0) if z.exact else 0.0] * (k + 1)
-    for size, coeff, counts in zip(table.sizes, table.coeff, table.counts):
-        best_n, best_d = 0, 1
-        for vec in counts:
-            n = prod(map(getitem, nums, vec))
-            d = prod(map(getitem, dens, vec))
-            if n * best_d > best_n * d:
-                best_n, best_d = n, d
-        out[size] += coeff * Fraction(best_n, best_d) if z.exact else float(coeff) * best_n
-    return out
+    if not z.exact:
+        return table.max_weights(z.to_floats(), table.float_coeff)[1]
+    den = lcm(*(Fraction(value).denominator for _, value in z.entries))
+    ints = [int(value * den) * den ** (u.size - 1) for (_, value), u in zip(z.entries, catalog.u0)]
+    return [Fraction(t, den**s) for s, t in enumerate(table.max_weights(ints, table.coeff)[1])]
 
 
 def _total(terms):
     """Sum of series terms: exact for Fractions, math.fsum for floats (the
-    correctly rounded sum on every interpreter, where sum() is not)."""
+    correctly rounded sum on every interpreter, where sum() is not), and
+    inf where finite float terms, all >= 0, sum past the largest float."""
     terms = list(terms)
-    return sum(terms) if all(isinstance(t, (int, Fraction)) for t in terms) else fsum(terms)
+    if all(isinstance(t, (int, Fraction)) for t in terms):
+        return sum(terms)
+    try:
+        return fsum(terms)
+    except OverflowError:
+        return inf
 
 
 def rooted_series(z: WeightVector, k: int, catalog: Catalog):
@@ -638,82 +695,23 @@ def single_variable_layers(x, k: int) -> list:
 # float evaluation (optimizer inner loop)
 
 
-def _power(x: float, e: int) -> float:
-    """x**e for a float x >= 0 (or NaN), inf where it overflows."""
-    try:
-        return x**e
-    except OverflowError:
-        return inf
-
-
 class TruncatedSeriesEvaluator:
-    """Float evaluation of max weights and size-layered rooted sums for all
-    trees up to k vertices, walking the distinct count vectors of their
-    profile classes.
+    """Float max weights and size-layered rooted sums for all trees up to k
+    vertices, from the walk that layers takes (_Profiles.max_weights).
 
     evaluate(zvec) returns (om, y) where om[c] is the max weight of the
     trees in class c (index(code) is a tree's class) and y[s] the
     contribution of size-s rooted trees to rooted_series, as lists.  zvec
-    is ordered like catalog.u0.
+    is ordered like catalog.u0; a power past the largest float is inf.
     """
 
     def __init__(self, catalog: Catalog, k: int):
-        self.k = k
         self._profiles = _profiles(catalog.u0, k)
-        self.sizes = self._profiles.sizes
-        self.rooted_coeff = tuple(float(c) for c in self._profiles.coeff)
+        self.index = self._profiles.index
         self.u0_positions = tuple(self.index(u.code) for u in catalog.u0 if u.size <= k)
         self.u0_zslots = tuple(j for j, u in enumerate(catalog.u0) if u.size <= k)
-        # one entry per distinct count vector (its size is the sum of its
-        # pieces' sizes), with a bit mask of the classes whose profiles hold
-        # it, and after them the zero vector of no class, so that every
-        # column has two entries and its gather gives a tuple
-        mask_of: dict[tuple, int] = {}
-        for c, vecs in enumerate(self._profiles.counts):
-            for vec in vecs:
-                mask_of[vec] = mask_of.get(vec, 0) | 1 << c
-        vectors = (*mask_of, (0,) * len(catalog.u0))
-        # column j of the monomials is the power of z_j each entry takes
-        self._columns = [itemgetter(*column) for column in zip(*vectors)]
         # perfbench/traced_run.py reads passes to count the entries
-        self.passes = [(tuple(mask_of), tuple(mask_of.values()), (1 << len(self.sizes)) - 1)]
-        self._exponents = range(k + 1)
-        self._classes = _BitSets().positions  # the classes of a mask, ascending
-
-    def index(self, code: str) -> int:
-        return self._profiles.index(code)
+        self.passes = [(self._profiles.vectors, self._profiles.masks, self._profiles.every)]
 
     def evaluate(self, zvec):
-        """A class's max weight is the largest monomial over its count
-        vectors, NaN if any of them is NaN: the entries are walked from the
-        NaN ones down through the largest, and each class takes the first
-        monomial whose entry holds it."""
-        if len(zvec) != len(self._columns):
-            raise ValueError(f"{len(zvec)} weights for {len(self._columns)} pieces")
-        ((_, masks, left),) = self.passes
-        monomials = None
-        for x, column in zip(zvec, self._columns):
-            try:
-                powers = column([x**e for e in self._exponents])
-            except OverflowError:
-                powers = column([_power(x, e) for e in self._exponents])
-            monomials = powers if monomials is None else map(mul, monomials, powers)
-        monomials = list(monomials)
-        rest, nans = range(len(masks)), []
-        if isnan(sum(monomials)):  # they are >= 0, so only a NaN sums to NaN
-            nans = [i for i in rest if isnan(monomials[i])]
-            rest = [i for i in rest if not isnan(monomials[i])]
-        om, classes = [0.0] * len(self.sizes), self._classes
-        for i in nans + sorted(rest, key=monomials.__getitem__, reverse=True):
-            hit = masks[i] & left
-            if hit:
-                left ^= hit
-                value = monomials[i]
-                for c in classes(hit):
-                    om[c] = value
-                if not left:
-                    break
-        y = [0.0] * (self.k + 1)
-        for size, coeff, value in zip(self.sizes, self.rooted_coeff, om):
-            y[size] += coeff * value
-        return om, y
+        return self._profiles.max_weights(zvec, self._profiles.float_coeff)

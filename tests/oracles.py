@@ -22,7 +22,10 @@ command calls; it borrows the optimizer's bisections and the package's
 series layers.  The float feasibility reference keeps the
 optimizer's first float check: the package's float evaluator (passed in)
 with numpy sums.  `TruncatedSeriesEvaluatorReference` keeps the first
-float evaluator, a numpy scan of every (class, count vector) row.  The
+float evaluator, a numpy scan of every (class, count vector) row, and
+`layers_reference` the first layered sum, which scans the same rows and
+compares exact monomials as (numerator, denominator) pairs by
+cross-multiplying; both borrow `weights._profiles`.  The
 report reference keeps the first serializer: project onto plain JSON
 types, then `json.dumps(..., sort_keys=True, indent=2)`.
 `mask_components` decodes forest edge masks bit by bit, as forestlab
@@ -66,7 +69,8 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, log
+from math import ceil, comb, factorial, log, prod
+from operator import getitem
 
 import numpy as np
 
@@ -748,6 +752,37 @@ class TruncatedSeriesEvaluatorReference:
             om = np.maximum.reduceat(monomials, self.starts)
             y = np.bincount(self.sizes, weights=self.rooted_coeff * om, minlength=self.k + 1)
         return om, y
+
+
+def layers_reference(z, k, catalog):
+    """The package's first `weights.layers`: entry s is the sum of
+    maxweight(T)/aut_r(T) over the rooted trees T with s vertices, each
+    profile class's max weight the largest monomial over its rows, found
+    as (numerator, denominator) pairs compared by cross-multiplying.
+    Exact for exact z; float powers that overflow raise, and NaN
+    monomials never win."""
+    from bridgeforest import weights
+
+    if k < 1:
+        raise ValueError("truncation order must be >= 1")
+    weights._check_domain(z, catalog)
+    table = weights._profiles(catalog.u0, k)
+    if z.exact:
+        ratios = [Fraction(value).as_integer_ratio() for _, value in z.entries]
+    else:
+        ratios = [(float(value), 1) for _, value in z.entries]
+    nums = [[n**e for e in range(k + 1)] for n, _ in ratios]
+    dens = [[d**e for e in range(k + 1)] for _, d in ratios]
+    out = [Fraction(0) if z.exact else 0.0] * (k + 1)
+    for size, coeff, counts in zip(table.sizes, table.coeff, table.counts):
+        best_n, best_d = 0, 1
+        for vec in counts:
+            n = prod(map(getitem, nums, vec))
+            d = prod(map(getitem, dens, vec))
+            if n * best_d > best_n * d:
+                best_n, best_d = n, d
+        out[size] += coeff * Fraction(best_n, best_d) if z.exact else float(coeff) * best_n
+    return out
 
 
 def jsonable(obj):

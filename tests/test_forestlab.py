@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -697,6 +698,29 @@ class TestBoxingSearch:
         rep = fl.boxing_search(fl.all_forests(6), cat21, w=2, epsilon=0.5)
         for code, (got, total) in rep.capture.items():
             assert 0 <= got <= total
+
+    @staticmethod
+    def search(monkeypatch, catalog, n, b_alpha, w, epsilon):
+        """boxing_search on a class of n vertices whose histogram is b_alpha."""
+        hist = fl.ClassHistogram(n=n, size=0, component_counts={}, a_alpha={}, b_alpha=b_alpha)
+        monkeypatch.setattr(fl, "_box_setup", lambda c, cat, w: (cat.q_star, hist))
+        return fl.boxing_search(types.SimpleNamespace(n=n), catalog, w=w, epsilon=epsilon)
+
+    def test_capture_of_exactly_one_minus_epsilon_is_enough(self, cat21, monkeypatch):
+        # 41 of 50 members in one box and 9 a box width away (w = 2 <= 2q):
+        # no shift captures both, so the best capture is 41/50 = 1 - 0.18,
+        # which the float test 41/50 >= 1.0 - 0.18 (0.8200000000000001) missed
+        b_alpha = {"()": {(4, 4): 41, (6, 4): 9}}
+        rep = self.search(monkeypatch, cat21, 8, b_alpha, w=2, epsilon=0.18)
+        assert rep.ok and rep.capture == {"()": (41, 50)} and rep.min_fraction == 0.82
+        assert not self.search(monkeypatch, cat21, 8, b_alpha, w=2, epsilon=0.17).ok
+
+    def test_guarantee_at_equality(self, cat21, monkeypatch):
+        # at n = 15, w = 4, q = 1, d = 2: 1 - (1 - 6/15)^2 / (1 + 2/4)^2 is
+        # exactly 21/25 = 0.84, which float powers put above 0.84
+        assert (cat21.q_star, len(cat21.t0), len(cat21.u0)) == (1, 2, 1)
+        assert self.search(monkeypatch, cat21, 15, {}, w=4, epsilon=0.84).guarantee_applies
+        assert not self.search(monkeypatch, cat21, 15, {}, w=4, epsilon=0.83).guarantee_applies
 
 
 class TestSweepWriters:

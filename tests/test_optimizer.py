@@ -98,6 +98,24 @@ class TestFeasibility:
         assert not res.feasible
         assert any("cap" in v for v in res.violations)
 
+    @pytest.mark.parametrize(
+        "z, k",
+        [
+            # powers past the largest float (they raised OverflowError)
+            ((1e200, 1e200, 1e200), 6),
+            # finite layers [0, 0, 1e308, 1.5e308] whose sum overflows (fsum raised)
+            ((0.0, 1e308, 1e308), 3),
+            # 1e200**2 overflows to inf and meets 0.0**1, so the series is NaN
+            ((0.0, 1e200, 1e200), 5),
+        ],
+    )
+    def test_float_series_past_the_largest_float_exceeds_the_cap(self, z, k):
+        cat = tk.Catalog.standard(1, 3)
+        vec = wt.WeightVector(tuple((u.code, v) for u, v in zip(cat.u0, z)))
+        res = op.feasibility(vec, config(cat, k))
+        assert not res.feasible and res.point is None
+        assert any(v.startswith("rooted series") and "exceeds cap" in v for v in res.violations)
+
     def test_exact_mode_closure_violation(self, cat2):
         cfg = config(cat2, 4)
         z = wt.WeightVector.over(cat2, {"()": Fraction(1, 4), "(())": Fraction(0)})

@@ -443,3 +443,56 @@ def test_evaluator_refuses_a_vector_of_another_length():
     ev = wt.TruncatedSeriesEvaluator(tk.Catalog.standard(1, 3), 5)
     with pytest.raises(ValueError, match="2 weights for 3 pieces"):
         ev.evaluate([0.1, 0.2])
+
+
+def layers_inputs(catalog, k):
+    """Seeded weight vectors over catalog.u0: exact dyadic ones, exact ones
+    whose coordinates have denominators 3, 24 and 7 * 2**17, int ones, and
+    finite float ones with no power past the largest float; each as it is
+    and with one and two zero coordinates."""
+    rng = random.Random(f"layers:{catalog.u_max}:{k}")
+    d = len(catalog.u0)
+    odd = (3, 24, 7 << 17)
+    kinds = [
+        lambda j: Fraction(rng.randrange(0, 1 << 12), 1 << 11),
+        lambda j: Fraction(rng.randrange(0, 2 * odd[j % 3] + 1), odd[j % 3]),
+        lambda j: Fraction(rng.randrange(0, 24), 24),
+        lambda j: rng.randrange(0, 4),
+        lambda j: rng.random() * 1.5 ** catalog.u0[j].size,
+    ]
+    for draw in kinds:
+        z = [draw(j) for j in range(d)]
+        i, j = rng.randrange(d), rng.randrange(d)
+        for zeros in ((), (i,), (i, j)):
+            values = [0 * v if m in zeros else v for m, v in enumerate(z)]
+            yield wt.WeightVector(tuple((u.code, v) for u, v in zip(catalog.u0, values)))
+
+
+@pytest.mark.parametrize(
+    "u_max, k",
+    [(u_max, k) for u_max in (1, 2, 3) for k in range(1, 15)] + [(4, k) for k in range(1, 13)],
+)
+def test_layers_match_the_cross_multiplying_reference(u_max, k):
+    # one walk of the distinct count vectors, in ints over a common
+    # denominator for exact z, against the first row scan, which compared
+    # (numerator, denominator) pairs by cross-multiplying
+    catalog = tk.Catalog.standard(1, u_max)
+    for z in layers_inputs(catalog, k):
+        got, ref = wt.layers(z, k, catalog), oracles.layers_reference(z, k, catalog)
+        if z.exact:
+            assert got == ref and all(type(v) is Fraction for v in got), z.entries
+        else:
+            assert [v.hex() for v in got] == [v.hex() for v in ref], z.entries
+
+
+def test_float_series_past_the_largest_float_are_inf():
+    cat = tk.Catalog.standard(1, 3)
+    huge = wt.WeightVector(tuple((u.code, 1e200) for u in cat.u0))
+    assert wt.layers(huge, 6, cat) == [0.0, 1e200] + [math.inf] * 5
+    assert wt.rooted_series(huge, 6, cat) == wt.unrooted_series(huge, 6, cat) == math.inf
+    # finite terms whose sum overflows: math.fsum raises there
+    z = wt.WeightVector(tuple((u.code, v) for u, v in zip(cat.u0, (0.0, 1e308, 1e308))))
+    assert wt.layers(z, 3, cat) == [0.0, 0.0, 1e308, 1.5e308]
+    assert wt.rooted_series(z, 3, cat) == math.inf
+    big = wt.WeightVector(tuple((u.code, 1.7e308) for u in cat.u0))
+    assert wt.piece_series_linear(big, cat) == math.inf
