@@ -177,9 +177,15 @@ def _cmd_forests(args) -> int:
             raise _UsageError(f"argument {missing}: --count needs --n and --k")
         if args.k > args.n:
             raise _UsageError(f"argument --k: --count needs --k <= --n, got --n {args.n} --k {args.k}")
-        value = forests.forest_count(args.n, args.k)
+        n, k, m = args.n, args.k, args.n - args.k + 1
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and value >= 10**limit:
+        # f(n, k) >= C(n, k - 1) m^(m - 2) for m > 1 (k - 1 isolated vertices and a tree on
+        # the rest); lgamma errs far below a digit to n = 10^12, and past it only c^(c - 2) counts
+        c = min(m, 10**12)
+        binomial = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(m + 1) if n <= 10**12 else 0
+        floor = ((c - 2) * math.log(c) + binomial) / math.log(10) if m > 1 else 0
+        value = None if limit and floor > limit + 1 else forests.forest_count(n, k)
+        if value is None or limit and value >= 10**limit:
             raise CapacityError(f"the count has more than {limit} digits, "
                                 "the limit for writing an integer")
         _emit({"config": config, "count": value}, args.output)

@@ -93,6 +93,9 @@ DEFAULT_EXHAUSTIVE_N = 8
 # at n = 9 reach about 715,000 (7 s); at n = 10 one reaches 7.7 million in
 # 91 s, and at n >= 11 memory runs out first.
 CLOSURE_MAX_MEMBERS = 1_000_000
+# Explicit classes build pair tables of O(n^2) entries (`_pairs` and those from it):
+# a one-tree class checks in 0.07 s and 45 MB at n = 64, 0.7 s and 355 MB at n = 128.
+EXPLICIT_MAX_N = 64
 
 
 class BridgeAddabilityViolation(ValueError):
@@ -113,6 +116,8 @@ class BridgeAddabilityViolation(ValueError):
 
 @cache
 def _pairs(n: int):
+    if n > EXPLICIT_MAX_N:
+        raise CapacityError(f"explicit forest classes are capped at n={EXPLICIT_MAX_N}")
     return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
@@ -446,6 +451,7 @@ def random_closure(n: int, seed: int) -> ForestClass:
     1/2, which spreads the component counts (uniform forests alone are
     almost always near-trees and give tiny closures).
     """
+    _pairs(n)  # refuses an n past EXPLICIT_MAX_N before the draws
     rng = random.Random(seed)
     seeds = []
     for _ in range(3):
@@ -586,16 +592,11 @@ def ratio_weights(c: ForestClass, catalog: Catalog, box: Box):
     entries = {}
     for u in catalog.u0:
         b_count = b_counts[u.code]
-        if b_count == 0:
-            entries[u.code] = Fraction(0)
-            continue
-        if a_count == 0:
+        if b_count and not a_count:
             raise BridgeAddabilityViolation(
                 f"B^{u.code} is {b_count} on {box} but the connected count is 0"
             )
-        entries[u.code] = (
-            Fraction(u.aut_u * b_count, a_count) * Fraction(c.n - u.size, c.n)
-        )
+        entries[u.code] = Fraction(u.aut_u * b_count, a_count or 1) * Fraction(c.n - u.size, c.n)
     return WeightVector.over(catalog, entries)
 
 
@@ -639,8 +640,7 @@ def _admissible_splits(catalog: Catalog):
                                  s.m_edge, s.m_vminus, s.n_vplus))
         u_code = treekit._unrooted_code(t.code)
         if u_code in catalog.u0_index:
-            keys = treekit._unrooted_orbit_keys(treekit.code_to_adjacency(t.code))
-            rows.append(("degenerate", t.code, None, u_code, 1, None, keys.count(keys[0])))
+            rows.append(("degenerate", t.code, None, u_code, 1, None, treekit._orbits(u_code)[t.code][1]))
     return tuple(rows)
 
 

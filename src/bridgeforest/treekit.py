@@ -21,7 +21,8 @@ Vertex orbits come from the same codes, with no re-encoding per vertex.
 Under root-fixing automorphisms a vertex's orbit key is the subtree codes
 along its path from the root, joined; under all automorphisms it is the
 code of the tree rooted at that vertex.  Two vertices share an orbit iff
-their keys are equal.
+their keys are equal.  `_orbits` records each free tree's orbit sizes and
+first vertices once, for `splits`, `weights` and `forestlab`.
 
 Trees are generated in one place: `_fold_rooted` builds every rooted tree
 as a root plus a multiset of smaller rooted trees, and `fold_unrooted`
@@ -347,6 +348,14 @@ def _unrooted_orbit_keys(adj):
     return _reroot(adj)[2]
 
 
+@cache
+def _orbits(code: str) -> dict:
+    """Orbit key -> (preorder index of the orbit's first vertex, orbit size)
+    in the canonical representative of the unrooted tree `code`."""
+    keys = _unrooted_orbit_keys(code_to_adjacency(code))
+    return {key: (keys.index(key), keys.count(key)) for key in dict.fromkeys(keys)}
+
+
 def _block(code: str, v: int) -> slice:
     """The slice of `code` holding the block of preorder vertex v."""
     start = [j for j, ch in enumerate(code) if ch == "("][v]
@@ -523,20 +532,19 @@ def splits(t: RootedTreeCode):
     out = []
     for members in orbits.values():  # in order of their first vertex
         v = members[0]
-        # U+ is v's block; in T-, v's parent (first in adj[v]) keeps its index
+        # U+ is v's block, also v's orbit key in U+; in T-, v's parent (first in adj[v]) keeps its index
         cut = _block(t.code, v)
-        sub_u = code_to_adjacency(t.code[cut])
+        u_plus = _unrooted_from_adj(code_to_adjacency(t.code[cut]))
         sub_t = code_to_adjacency(t.code[: cut.start] + t.code[cut.stop :])
-        u_keys = _unrooted_orbit_keys(sub_u)
         t_keys, t_aut = _rooted_vertex_orbit_keys(sub_t, 0)
         out.append(
             EdgeSplit(
                 parent=t,
                 t_minus=RootedTreeCode(code=t_keys[0], size=len(sub_t), aut_r=t_aut),
-                u_plus=_unrooted_from_adj(sub_u),
+                u_plus=u_plus,
                 m_edge=len(members),
                 m_vminus=t_keys.count(t_keys[adj[v][0]]),
-                n_vplus=u_keys.count(u_keys[0]),
+                n_vplus=_orbits(u_plus.code)[t.code[cut]][1],
             )
         )
     return out

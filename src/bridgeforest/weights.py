@@ -161,23 +161,13 @@ def _moves(code: str):
     return tuple((*key, tuple(sorted(found[key]))) for key in sorted(found))
 
 
-@cache
-def _orbit_firsts(code: str) -> dict:
-    """Orbit key -> canonical index of the first vertex of the canonical
-    representative of the unrooted tree `code` in that orbit."""
-    index: dict = {}
-    for i, key in enumerate(treekit._unrooted_orbit_keys(code_to_adjacency(code))):
-        index.setdefault(key, i)
-    return index
-
-
 def _attachments(moves: tuple):
     """Canonical attachment indices of the given moves, as tuples
     (piece_code, piece_idx, rest_code, rest_idx) ordered by the orbit keys
     of the two attachment vertices.  Edges whose attachment vertices share
     both orbits give one tuple."""
     return tuple(
-        (piece, _orbit_firsts(piece)[pk], rest, _orbit_firsts(rest)[rk])
+        (piece, treekit._orbits(piece)[pk][0], rest, treekit._orbits(rest)[rk][0])
         for (pk, rk), piece, rest in sorted(
             (ends, piece, rest) for piece, rest, pairs in moves for ends in pairs
         )
@@ -212,22 +202,15 @@ class MaxWeightTable:
         cached = self._value.get(code)
         if cached is not None:
             return cached
-        best = self._zero
-        best_move = None
-        if code in self.catalog.u0_index:
-            zv = self.z[code]
-            if zv > best:
-                best = zv
-                best_move = ("base",)
+        best, best_move = self._zero, None
+        if code in self.catalog.u0_index and self.z[code] > best:
+            best, best_move = self.z[code], ("base",)
         for move in _moves(code):
             piece, rest, _ = move
-            if piece not in self.catalog.u0_index:
-                continue
-            zp = self.z[piece]
-            cand = zp * self.value(rest)
-            if cand > best:
-                best = cand
-                best_move = ("step", move)
+            if piece in self.catalog.u0_index:
+                cand = self.z[piece] * self.value(rest)
+                if cand > best:
+                    best, best_move = cand, ("step", move)
         self._value[code] = best
         self._best[code] = best_move
         return best
@@ -599,7 +582,8 @@ def rooted_series_family(z: WeightVector, family, catalog: Catalog):
     """Sum of maxweight(T)/aut_r(T) over an explicit, inclusion-closed
     family of rooted trees."""
     family = tuple(family)
-    treekit.check_inclusion_closed(family)
+    if family != catalog.t0:  # the catalog checked its own t0
+        treekit.check_inclusion_closed(family)
     table = MaxWeightTable(catalog, z)
     total = Fraction(0) if z.exact else 0.0
     for t in family:

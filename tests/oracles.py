@@ -50,7 +50,8 @@ the first bodies built on it: `treekit.splits`, `weights._moves` (with the
 (vertex, below) edges it first listed), `weights._attachments`,
 `treekit.check_inclusion_closed`, and `treekit.attach`, which joined two
 adjacency lists by an index offset; they borrow treekit's encoders and
-orbit keys and `weights._orbit_firsts`.
+orbit keys, and find an attachment index as the first vertex of the side's
+canonical representative whose rooted code is the side's orbit key.
 `box_counts` keeps forestlab's first box reads, one scan of every alpha
 for the connected count and one per small-component code.
 `candidate_boxes` keeps forestlab's first box sweep: every corner offset
@@ -1049,16 +1050,17 @@ def attachments_reference(code, moves):
     """weights._attachments as first built, from moves_reference(code): each
     side of each edge cut again and encoded at its endpoint for its orbit
     key, whose first vertex in the side's canonical representative is the
-    attachment index."""
+    attachment index: the first vertex at which that representative encodes
+    to the key."""
     from bridgeforest import treekit as tk
-    from bridgeforest import weights
 
     adj = tk.code_to_adjacency(code)
     _, parent = tk._dfs_order(adj, 0)
 
     def orbit_index(side_code, side):
         key = tk._encode(*side)[0]
-        return key, weights._orbit_firsts(side_code)[key]
+        rep = tk.code_to_adjacency(side_code)
+        return key, next(i for i in range(len(rep)) if tk._encode(rep, i)[0] == key)
 
     oriented = {}
     for piece, rest, edges in moves:

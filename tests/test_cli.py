@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -161,6 +162,40 @@ class TestForests:
         assert f"{sys.get_int_max_str_digits()} digits" in captured.err
         assert "set_int_max_str_digits" not in captured.err
 
+    @pytest.mark.parametrize("n, k", [(100000, 50000), (10**13, 1)])
+    def test_count_far_past_digit_limit_is_refused_uncounted(self, capsys, monkeypatch, n, k):
+        # C(n, k - 1) m^(m - 2) <= f(n, k) has far more than 4,300 digits;
+        # counting exactly takes minutes or more, the bound milliseconds
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        start = time.perf_counter()
+        code = cli.main(["forests", "--count", "--n", str(n), "--k", str(k)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: the count has more than 4300 digits, "
+                                "the limit for writing an integer\n")
+        assert elapsed < 2
+
+    def test_count_just_under_digit_limit_prints(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        code, out = run(capsys, "forests", "--count", "--n", "1370", "--k", "1")
+        assert code == 0
+        assert json.loads(out)["count"] == 1370**1368  # Cayley: 4,291 digits
+
+    def test_count_refused_exactly_when_too_long(self, capsys, monkeypatch):
+        # at Python's lowest digit limit, around m^(m - 2) = 10^640 (m near
+        # 266), the early refusal and the exact count agree on every request
+        limit = 640
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        refused = set()
+        for n in (200, 266, 300, 400):
+            for k in (1, 2, 3, 10, 40, 100, 134, 135, 150, n - 1, n):
+                code = cli.main(["forests", "--count", "--n", str(n), "--k", str(k)])
+                capsys.readouterr()
+                assert code == (1 if forestlab.forest_count(n, k) >= 10**limit else 0), (n, k)
+                refused.add(code)
+        assert refused == {0, 1}
+
     def test_exact_cap_is_1000(self, capsys):
         code, doc = run_json(capsys, "forests", "--conn-prob", "--n", "1000")
         assert code == 0 and doc["n"] == 1000
@@ -255,6 +290,30 @@ class TestVerify:
             "--n", "3", "--class", f"file:{path}",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("cls", ["file", "random-closure:1"])
+    def test_explicit_class_past_cap_exit1_at_once(self, capsys, tmp_path, cls):
+        # explicit classes build pair tables of O(n^2) entries: 355 MB at n = 128
+        path = tmp_path / "one.json"
+        path.write_text('{"n": 200000, "forests": [[]]}')
+        name = f"file:{path}" if cls == "file" else cls
+        start = time.perf_counter()
+        code = cli.main(["verify", "--suite", "simple-counting", "--n", "200000", "--class", name])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: explicit forest classes are capped at n={forestlab.EXPLICIT_MAX_N}\n"
+        assert elapsed < 1
+
+    def test_sum_bound_checks_inclusion_closure_once(self, capsys, monkeypatch):
+        # the catalog checks its t0 when it is built; the boxes do not again
+        from bridgeforest import treekit as tk
+
+        calls, check = [], tk.check_inclusion_closed
+        monkeypatch.setattr(tk, "check_inclusion_closed", lambda family: calls.append(1) or check(family))
+        code, doc = run_json(capsys, "verify", "--suite", "sum-bound", "--n", "8")
+        assert code == 0 and doc["report"]["boxes_checked"] == 21
+        assert len(calls) == 1
 
     def test_violated_class_exit1(self, capsys, tmp_path):
         # a non-bridge-addable explicit class is rejected with exit 1

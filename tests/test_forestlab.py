@@ -510,6 +510,14 @@ class TestClasses:
         with pytest.raises(ValueError, match=r"^class file .*dup\.json: edge \(1, 2\) is given twice$"):
             fl.load_class(path)
 
+    def test_explicit_classes_stop_past_the_cap(self, cat32):
+        n = fl.EXPLICIT_MAX_N
+        path = fl.LabeledForest.make(n, [(v, v + 1) for v in range(1, n)])
+        rep = fl.verify_local_double_counting(fl.ForestClass(n, [path]), cat32)
+        assert rep.ok and rep.boxes_checked == 0  # a tree class has no two-component mass
+        with pytest.raises(fl.CapacityError, match=rf"^explicit forest classes are capped at n={n}$"):
+            fl.ForestClass(n + 1, [fl.LabeledForest.make(n + 1, [])])
+
     def test_file_round_trip(self, tmp_path):
         cls = fl.random_closure(4, seed=9)
         path = tmp_path / "class.json"

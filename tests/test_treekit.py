@@ -416,6 +416,18 @@ class TestMarkedOrbits:
                     assert [keys.index(k) for k in keys] == [marked.index(m) for m in marked]
 
 
+def test_orbit_record_matches_brute_force():
+    # each orbit's first preorder index and size in the canonical
+    # representative, on every free tree with at most 7 vertices
+    for u in tk.enumerate_unrooted(7):
+        adj = tk.code_to_adjacency(u.code)
+        orbits = {frozenset(o) for o in _brute_force_orbits(adj).values()}
+        record = tk._orbits(u.code)
+        assert sorted(record.values()) == sorted((min(o), len(o)) for o in orbits)
+        for key, (first, _) in record.items():
+            assert tk._encode(adj, first)[0] == key
+
+
 class TestAgainstFirstCodingScheme:
     def test_unrooted_from_adj_equals_reference(self):
         # every labeled tree with n <= 7, two-centroid trees included
