@@ -223,12 +223,14 @@ def _cmd_forests(args) -> int:
 
     rng = random.Random(args.seed)
     # Drawn one at a time as the writer reaches them, so one forest is held
-    # at once.  Nothing else draws from rng, so the draws are the same as
-    # drawing them all first.
-    samples = (
-        sorted(forests.sample_forest(args.n, rng=rng).edges)
-        for _ in range(args.num_samples)
-    )
+    # at once; the first before anything is written, so a refused draw
+    # writes nothing.  Nothing else draws from rng, so the draws are the
+    # same as drawing them all first.
+    def draw():
+        return sorted(forests.sample_forest(args.n, rng=rng).edges)
+
+    drawn = [draw()]
+    samples = (drawn.pop() if drawn else draw() for _ in range(args.num_samples))
     _emit(
         {"config": config, "n": args.n, "seed": args.seed, "samples": samples},
         args.output,

@@ -640,7 +640,7 @@ def _admissible_splits(catalog: Catalog):
                                  s.m_edge, s.m_vminus, s.n_vplus))
         u_code = treekit._unrooted_code(t.code)
         if u_code in catalog.u0_index:
-            rows.append(("degenerate", t.code, None, u_code, 1, None, treekit._orbits(u_code)[t.code][1]))
+            rows.append(("degenerate", t.code, None, u_code, 1, None, treekit._orbits(u_code)[1][t.code][1]))
     return tuple(rows)
 
 

@@ -25,7 +25,9 @@ __all__ = [
 # that long, so JSON reports and CSV sweeps would fail; the cap stays a
 # round margin below that.
 EXACT_PROB_MAX_N = 1_000
-LOGFLOAT_MAX_N = 100_000
+# Every request that computes forest_total(n), an int of about n log10 n
+# digits, exactly: logfloat probabilities and the sampler's first draw.
+FOREST_TOTAL_MAX_N = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +166,8 @@ def connectivity_prob(n: int, mode: str = "exact"):
             raise CapacityError(f"exact mode capped at n={EXACT_PROB_MAX_N}")
         return Fraction(labeled_tree_count(n), forest_total(n))
     if mode == "logfloat":
-        if n > LOGFLOAT_MAX_N:
-            raise CapacityError(f"logfloat mode capped at n={LOGFLOAT_MAX_N}")
+        if n > FOREST_TOTAL_MAX_N:
+            raise CapacityError(f"logfloat mode capped at n={FOREST_TOTAL_MAX_N}")
         return labeled_tree_count(n) / forest_total(n)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -207,6 +209,8 @@ def sample_component_sizes(n: int, rng=None, seed=None):
     sample_forest, for statistics that need no edges, such as connectivity
     (the sizes are [n])."""
     _check_n(n)
+    if n > FOREST_TOTAL_MAX_N:
+        raise CapacityError(f"sampling capped at n={FOREST_TOTAL_MAX_N}")
     if rng is None:
         rng = random.Random(seed)
     sizes = []
@@ -297,6 +301,8 @@ def sample_forest(n: int, rng=None, seed=None) -> LabeledForest:
     weights, so the output distribution is exactly uniform.
     """
     _check_n(n)
+    if n > FOREST_TOTAL_MAX_N:
+        raise CapacityError(f"sampling capped at n={FOREST_TOTAL_MAX_N}")
     if rng is None:
         rng = random.Random(seed)
     remaining = list(range(1, n + 1))

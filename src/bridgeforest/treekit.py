@@ -21,8 +21,8 @@ Vertex orbits come from the same codes, with no re-encoding per vertex.
 Under root-fixing automorphisms a vertex's orbit key is the subtree codes
 along its path from the root, joined; under all automorphisms it is the
 code of the tree rooted at that vertex.  Two vertices share an orbit iff
-their keys are equal.  `_orbits` records each free tree's orbit sizes and
-first vertices once, for `splits`, `weights` and `forestlab`.
+their keys are equal.  `_orbits` records each free tree and its orbit sizes
+and first vertices from one decode, for `splits`, `weights` and `forestlab`.
 
 Trees are generated in one place: `_fold_rooted` builds every rooted tree
 as a root plus a multiset of smaller rooted trees, and `fold_unrooted`
@@ -257,6 +257,8 @@ def code_to_adjacency(code: str):
             if stack:
                 adj[stack[-1]].append(v)
                 adj[v].append(stack[-1])
+            elif v:  # the root closed before the end
+                raise ValueError(f"unbalanced code {code!r}")
             stack.append(v)
         elif ch == ")":
             if not stack:
@@ -349,21 +351,13 @@ def _unrooted_orbit_keys(adj):
 
 
 @cache
-def _orbits(code: str) -> dict:
-    """Orbit key -> (preorder index of the orbit's first vertex, orbit size)
-    in the canonical representative of the unrooted tree `code`."""
-    keys = _unrooted_orbit_keys(code_to_adjacency(code))
-    return {key: (keys.index(key), keys.count(key)) for key in dict.fromkeys(keys)}
-
-
-def _block(code: str, v: int) -> slice:
-    """The slice of `code` holding the block of preorder vertex v."""
-    start = [j for j, ch in enumerate(code) if ch == "("][v]
-    depth = 0
-    for j in range(start, len(code)):
-        depth += 1 if code[j] == "(" else -1
-        if depth == 0:
-            return slice(start, j + 1)
+def _orbits(code: str):
+    """The unrooted tree `code` and its orbit map, from one decode: orbit
+    key -> (preorder index of the orbit's first vertex, orbit size) in the
+    canonical representative."""
+    adj = code_to_adjacency(code)
+    keys = _unrooted_orbit_keys(adj)
+    return _unrooted_from_adj(adj), {key: (keys.index(key), keys.count(key)) for key in dict.fromkeys(keys)}
 
 
 # ---------------------------------------------------------------------------
@@ -524,27 +518,33 @@ def splits(t: RootedTreeCode):
     """
     if t.size < 2:
         raise ValueError("single-vertex tree has no edges to split")
-    adj = code_to_adjacency(t.code)
-    keys, _ = _rooted_vertex_orbit_keys(adj, 0)
-    orbits: dict[str, list[int]] = {}
-    for v in range(1, len(adj)):
-        orbits.setdefault(keys[v], []).append(v)
+    code, parent, start, end, stack = t.code, [], [], [0] * t.size, [-1]
+    for j, ch in enumerate(code):  # each vertex's parent and block, from one scan
+        if ch == "(":
+            parent.append(stack[-1])
+            stack.append(len(start))
+            start.append(j)
+        else:
+            end[stack.pop()] = j + 1
+    keys = [code]
+    for v in range(1, t.size):  # root-fixing orbit keys, in preorder
+        keys.append(keys[parent[v]] + code[start[v] : end[v]])
     out = []
-    for members in orbits.values():  # in order of their first vertex
-        v = members[0]
-        # U+ is v's block, also v's orbit key in U+; in T-, v's parent (first in adj[v]) keeps its index
-        cut = _block(t.code, v)
-        u_plus = _unrooted_from_adj(code_to_adjacency(t.code[cut]))
-        sub_t = code_to_adjacency(t.code[: cut.start] + t.code[cut.stop :])
+    for key in dict.fromkeys(keys[1:]):  # in order of their first vertex
+        v = keys.index(key)
+        # U+ is v's block, also v's orbit key in U+; in T-, v's parent keeps its index
+        block = code[start[v] : end[v]]
+        u_plus, u_orbits = _orbits(_unrooted_code(block))
+        sub_t = code_to_adjacency(code[: start[v]] + code[end[v] :])
         t_keys, t_aut = _rooted_vertex_orbit_keys(sub_t, 0)
         out.append(
             EdgeSplit(
                 parent=t,
                 t_minus=RootedTreeCode(code=t_keys[0], size=len(sub_t), aut_r=t_aut),
                 u_plus=u_plus,
-                m_edge=len(members),
-                m_vminus=t_keys.count(t_keys[adj[v][0]]),
-                n_vplus=_orbits(u_plus.code)[t.code[cut]][1],
+                m_edge=keys.count(key),
+                m_vminus=t_keys.count(t_keys[parent[v]]),
+                n_vplus=u_orbits[block][1],
             )
         )
     return out
@@ -571,7 +571,7 @@ def attach(
     if not 0 <= u_index < u.size:
         raise IndexError(f"u_index {u_index} out of range for size {u.size}")
     hung = _encode(code_to_adjacency(u.code), u_index)[0]
-    at = _block(t_minus.code, v_index).start + 1
+    at = [j for j, ch in enumerate(t_minus.code) if ch == "("][v_index] + 1
     return _rooted_from_adj(code_to_adjacency(t_minus.code[:at] + hung + t_minus.code[at:]), 0)
 
 

@@ -167,7 +167,7 @@ def _attachments(moves: tuple):
     of the two attachment vertices.  Edges whose attachment vertices share
     both orbits give one tuple."""
     return tuple(
-        (piece, treekit._orbits(piece)[pk][0], rest, treekit._orbits(rest)[rk][0])
+        (piece, treekit._orbits(piece)[1][pk][0], rest, treekit._orbits(rest)[1][rk][0])
         for (pk, rk), piece, rest in sorted(
             (ends, piece, rest) for piece, rest, pairs in moves for ends in pairs
         )

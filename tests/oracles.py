@@ -49,9 +49,12 @@ into fresh adjacency lists, and the `*_reference` functions after it keep
 the first bodies built on it: `treekit.splits`, `weights._moves` (with the
 (vertex, below) edges it first listed), `weights._attachments`,
 `treekit.check_inclusion_closed`, and `treekit.attach`, which joined two
-adjacency lists by an index offset; they borrow treekit's encoders and
-orbit keys, and find an attachment index as the first vertex of the side's
-canonical representative whose rooted code is the side's orbit key.
+adjacency lists by an index offset.  `splits_reference` borrows only
+treekit's decoder: it codes both sides with `encode` and `unrooted_code`
+and finds every orbit by comparing marked codes.  The others borrow
+treekit's encoders and orbit keys, and find an attachment index as the
+first vertex of the side's canonical representative whose rooted code is
+the side's orbit key.
 `box_counts` keeps forestlab's first box reads, one scan of every alpha
 for the connected count and one per small-component code.
 `candidate_boxes` keeps forestlab's first box sweep: every corner offset
@@ -1000,29 +1003,38 @@ def split_edge(adj, parent, v):
 
 
 def splits_reference(t):
-    """treekit.splits with both sides of each edge cut by split_edge."""
+    """treekit.splits with both sides of each edge cut by split_edge, coded
+    by `encode` and `unrooted_code`, and every orbit found by comparing
+    marked codes."""
     from bridgeforest import treekit as tk
 
     adj = tk.code_to_adjacency(t.code)
-    _, parent = tk._dfs_order(adj, 0)
-    keys, _ = tk._rooted_vertex_orbit_keys(adj, 0)
+    parent, stack = [-1] * len(adj), [0]
+    while stack:
+        x = stack.pop()
+        for u in adj[x]:
+            if u != parent[x]:
+                parent[u] = x
+                stack.append(u)
     orbits = {}
     for v in range(1, len(adj)):
-        orbits.setdefault(keys[v], []).append(v)
+        orbits.setdefault(rooted_marked_code(adj, 0, v), []).append(v)
     out = []
     for members in orbits.values():
         v = members[0]
         (sub_u, v_in_u), (sub_t, p_in_t) = split_edge(adj, parent, v)
-        u_keys = tk._unrooted_orbit_keys(sub_u)
-        t_keys, _ = tk._rooted_vertex_orbit_keys(sub_t, 0)
+        t_marked = [rooted_marked_code(sub_t, 0, x) for x in range(len(sub_t))]
+        u_marked = [unrooted_marked_code(sub_u, x) for x in range(len(sub_u))]
+        t_code, t_aut = encode(sub_t, 0)
+        u_code, u_aut, kind = unrooted_code(sub_u)
         out.append(
             tk.EdgeSplit(
                 parent=t,
-                t_minus=tk._rooted_from_adj(sub_t, 0),
-                u_plus=tk._unrooted_from_adj(sub_u),
+                t_minus=tk.RootedTreeCode(t_code, len(sub_t), t_aut),
+                u_plus=tk.UnrootedTreeCode(u_code, len(sub_u), u_aut, kind),
                 m_edge=len(members),
-                m_vminus=t_keys.count(t_keys[p_in_t]),
-                n_vplus=u_keys.count(u_keys[v_in_u]),
+                m_vminus=t_marked.count(t_marked[p_in_t]),
+                n_vplus=u_marked.count(u_marked[v_in_u]),
             )
         )
     return out

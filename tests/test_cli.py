@@ -116,6 +116,20 @@ class TestForests:
         output_line = f'      "output": {json.dumps(str(path))},\n'
         assert written.replace(output_line, "", 1) == out
 
+    def test_sample_past_cap_is_refused_before_writing(self, capsys, tmp_path):
+        # the first forest is drawn before the report starts, so a refused
+        # draw leaves no half report on stdout or in --output
+        path = tmp_path / "F"
+        for output in ([], ["--output", str(path)]):
+            start = time.perf_counter()
+            code = cli.main(["forests", "--sample", "--n", "100001", *output])
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == "error: sampling capped at n=100000\n"
+            assert elapsed < 2
+        assert not path.exists()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB on Linux")
     def test_sample_peak_memory_is_flat_in_num_samples(self):
         # Measured from a small interpreter: a child's ru_maxrss starts at
@@ -600,6 +614,10 @@ _PINNED_REPORTS = {
     "sample": (
         "forests --sample --n 40 --num-samples 5 --seed 2",
         "fdf97bfec9167b9ab6a1b724687578fb99cc246458552f8d65730c8cf069f30e",
+    ),
+    "sample-400": (  # the first forest drawn before the report starts
+        "forests --sample --n 300 --num-samples 400",
+        "f7ab86697be7364ad2d18ef3782c7773ddf652925f5164d08ce7f904f07eda6b",
     ),
     "aut-identity": (
         "verify --suite aut-identity --max-size 8",

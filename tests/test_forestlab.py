@@ -220,6 +220,15 @@ class TestSampler:
                 sample(n, rng=rng)
         assert rng.getstate() == state
 
+    def test_past_the_forest_total_cap_is_refused_before_any_draw(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        n = forests.FOREST_TOTAL_MAX_N + 1
+        for sample in (forests.sample_forest, forests.sample_component_sizes):
+            with pytest.raises(tk.CapacityError, match=rf"^sampling capped at n={n - 1}$"):
+                sample(n, rng=rng)
+        assert rng.getstate() == state
+
     def test_component_sizes_match_forest_stage(self):
         # Both samplers draw the size of vertex 1's component first, so on
         # the same seed that size agrees.  Later sizes need not agree:

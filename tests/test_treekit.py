@@ -416,13 +416,32 @@ class TestMarkedOrbits:
                     assert [keys.index(k) for k in keys] == [marked.index(m) for m in marked]
 
 
+def test_orbit_record_holds_its_free_tree():
+    for u in tk.enumerate_unrooted(11):
+        assert tk._orbits(u.code)[0] == u
+
+
+def test_every_pinned_rooted_code_decodes_to_itself():
+    for t in tk.enumerate_rooted(12):
+        assert tk._rooted_from_adj(tk.code_to_adjacency(t.code), 0) == t
+
+
+@pytest.mark.parametrize("code", ["()()", "(())()"])
+def test_code_with_two_top_level_blocks_is_refused(code):
+    with pytest.raises(ValueError, match="unbalanced code"):
+        tk.code_to_adjacency(code)
+    catalog = tk.Catalog.standard(2, 2)
+    with pytest.raises(ValueError, match="unbalanced code"):
+        weights.max_weight(code, weights.WeightVector.zero(catalog), catalog)
+
+
 def test_orbit_record_matches_brute_force():
     # each orbit's first preorder index and size in the canonical
     # representative, on every free tree with at most 7 vertices
     for u in tk.enumerate_unrooted(7):
         adj = tk.code_to_adjacency(u.code)
         orbits = {frozenset(o) for o in _brute_force_orbits(adj).values()}
-        record = tk._orbits(u.code)
+        record = tk._orbits(u.code)[1]
         assert sorted(record.values()) == sorted((min(o), len(o)) for o in orbits)
         for key, (first, _) in record.items():
             assert tk._encode(adj, first)[0] == key
