@@ -244,7 +244,8 @@ def _certify(zv, config: OptimizerConfig) -> tuple[FeasiblePoint, dict]:
     rounded = WeightVector.over(
         cat,
         {
-            u.code: Fraction(max(0, round(float(v) * denom)), denom)
+            # rounded exactly: float(v) * denom overflows past 2**984
+            u.code: Fraction(max(0, round(Fraction(v) * denom)), denom)
             for u, v in zip(cat.u0, zv)
         },
     )
@@ -277,7 +278,8 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
     deterministic embedding of the single-variable threshold, any supplied
     warm starts, and seeded random vectors.  The best point is re-validated
     in exact arithmetic; the result is a certified feasible lower bound for
-    the maximum, not a certificate of optimality.
+    the maximum, not a certificate of optimality.  Raises ValueError when
+    no start settles to a finite objective within the budget.
     """
     cat, k = config.catalog, config.k
     ev = TruncatedSeriesEvaluator(cat, k)
@@ -353,6 +355,8 @@ def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
             best_z = zv
             trace.append({"start": idx, "objective": obj, "evaluations": state["evals"]})
 
+    if best_z is None:  # every settled start's objective was NaN
+        raise ValueError(f"no start settled to a finite objective in {state['evals']} evaluations")
     point, per_size = _certify(best_z, config)
     return MaximizeResult(
         point=point,

@@ -191,30 +191,27 @@ def _build_adjacency(edges, extra_vertices=()):
     return adj, labels
 
 
-def _dfs_order(adj, root):
-    """Preorder and parent array of the tree rooted at root (parent[root] is
-    -1).  Raises NonTreeError if the traversal misses a vertex."""
-    n = len(adj)
-    parent = [-2] * n
+def _tree_order(adj, root):
+    """Breadth-first order (every parent before its children) and parent
+    array of the tree rooted at root (parent[root] is -1).  Raises
+    NonTreeError if the traversal misses a vertex."""
+    parent = [-2] * len(adj)
     parent[root] = -1
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
+    order = [root]
+    for v in order:
         for u in adj[v]:
             if parent[u] == -2:
                 parent[u] = v
-                stack.append(u)
-    if len(order) != n:
+                order.append(u)
+    if len(order) != len(adj):
         raise NonTreeError("edge list is disconnected")
     return order, parent
 
 
 def _subtree_codes(adj, root):
-    """Preorder, parent array, and the rooted code and root-fixing
-    automorphism count of every vertex's subtree in the tree rooted at root."""
-    order, parent = _dfs_order(adj, root)
+    """Breadth-first order and parents (`_tree_order`), and the rooted code
+    and aut_r of every vertex's subtree in the tree rooted at root."""
+    order, parent = _tree_order(adj, root)
     codes = [""] * len(adj)
     auts = [1] * len(adj)
     for v in reversed(order):
@@ -279,13 +276,13 @@ def _rooted_from_adj(adj, root) -> RootedTreeCode:
 def _centroid_rootings(adj):
     """The codes of the tree rooted at its centroid c nearest vertex 0 and
     at the one farthest from it (the same code when it has one centroid),
-    aut_r at c, and whether it has two centroids.  Rooted at 0, the
-    vertices with more than half of the tree below them form a path down
-    from 0, and the deepest of them, the last in preorder, is c.  A child d
-    of c with exactly half below it is the other centroid; rooted at d, the
-    tree is d's subtree with the rest of c hung below it."""
+    aut_r at c, and whether it has two centroids.  Rooted at 0, the vertices
+    with more than half of the tree below them form a path down from 0; c is
+    the deepest, the last breadth-first (every parent before its children).
+    A child d of c with exactly half below it is the other centroid; rooted
+    at d, the tree is d's subtree with the rest of c hung below it."""
     n = len(adj)
-    order, parent = _dfs_order(adj, 0)
+    order, parent = _tree_order(adj, 0)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]

@@ -44,6 +44,9 @@ decomposition references (`enumerate_decompositions`, `replay_trace`,
 search, rebuild a tree from a trace with `treekit.attach`, and compare
 the package's max weights across each edge; they borrow the edge-removal
 tables `weights._moves` and `_attachments` and the trace types.
+`code_parents` reads every vertex's parent from a code with its own stack
+scan, so `PieceStatesReference` and the references below walk each tree
+parents first without treekit's traversal.
 `split_edge` keeps the package's first edge cut, which relabels both sides
 into fresh adjacency lists, and the `*_reference` functions after it keep
 the first bodies built on it: `treekit.splits`, `weights._moves` (with the
@@ -875,12 +878,10 @@ class PieceStatesReference:
         return self._profile[sid]
 
     def state_of(self, code):
-        adj = self.tk.code_to_adjacency(code)
-        order, parent = self.tk._dfs_order(adj, 0)
-        state = [self.root] * len(adj)
-        for v in reversed(order):
-            if parent[v] >= 0:
-                state[parent[v]] = self.attach(state[parent[v]], state[v])
+        parent = code_parents(code)
+        state = [self.root] * len(parent)
+        for v in reversed(range(1, len(parent))):
+            state[parent[v]] = self.attach(state[parent[v]], state[v])
         return state[0]
 
 
@@ -984,6 +985,21 @@ def verify_supermultiplicativity(u, z, catalog):
 # the first move builder: edge cuts by relabeling
 
 
+def code_parents(code):
+    """Parent of each vertex of a code's representative (-1 for the root),
+    read with a plain stack scan.  Vertices are numbered in the order their
+    "(" appear, as `treekit.code_to_adjacency` numbers them, so every parent
+    comes before its children."""
+    parent, stack = [], []
+    for ch in code:
+        if ch == "(":
+            parent.append(stack[-1] if stack else -1)
+            stack.append(len(parent) - 1)
+        else:
+            stack.pop()
+    return parent
+
+
 def split_edge(adj, parent, v):
     """The two trees left by removing the edge from v to parent[v], each as
     (relabeled adjacency, index of its endpoint of the removed edge): v's
@@ -1008,14 +1024,7 @@ def splits_reference(t):
     marked codes."""
     from bridgeforest import treekit as tk
 
-    adj = tk.code_to_adjacency(t.code)
-    parent, stack = [-1] * len(adj), [0]
-    while stack:
-        x = stack.pop()
-        for u in adj[x]:
-            if u != parent[x]:
-                parent[u] = x
-                stack.append(u)
+    adj, parent = tk.code_to_adjacency(t.code), code_parents(t.code)
     orbits = {}
     for v in range(1, len(adj)):
         orbits.setdefault(rooted_marked_code(adj, 0, v), []).append(v)
@@ -1046,8 +1055,7 @@ def moves_reference(code):
     from v to its parent leaves the piece on v's side when below is true."""
     from bridgeforest import treekit as tk
 
-    adj = tk.code_to_adjacency(code)
-    _, parent = tk._dfs_order(adj, 0)
+    adj, parent = tk.code_to_adjacency(code), code_parents(code)
     found = {}
     for v in range(1, len(adj)):
         (sub_a, _), (sub_b, _) = split_edge(adj, parent, v)
@@ -1066,8 +1074,7 @@ def attachments_reference(code, moves):
     to the key."""
     from bridgeforest import treekit as tk
 
-    adj = tk.code_to_adjacency(code)
-    _, parent = tk._dfs_order(adj, 0)
+    adj, parent = tk.code_to_adjacency(code), code_parents(code)
 
     def orbit_index(side_code, side):
         key = tk._encode(*side)[0]
@@ -1108,8 +1115,7 @@ def inclusion_closed_reference(rooted_family):
     for t in rooted_family:
         if t.size == 1:
             continue
-        adj = tk.code_to_adjacency(t.code)
-        _, parent = tk._dfs_order(adj, 0)
+        adj, parent = tk.code_to_adjacency(t.code), code_parents(t.code)
         for v in range(1, len(adj)):
             if len(adj[v]) == 1:
                 code, _ = tk._encode(split_edge(adj, parent, v)[1][0], 0)

@@ -375,6 +375,27 @@ class TestOptimize:
         y = Fraction(int(doc["y_value"]["num"]), int(doc["y_value"]["den"]))
         assert y <= Fraction(float(cap))
 
+    @pytest.mark.parametrize("budget", ["1", "20", "200", None])
+    @pytest.mark.parametrize("cap", ["1e300", "1.7976931348623157e308"])
+    @pytest.mark.parametrize("u_max,k", [(u, k) for u in range(1, 5) for k in (u, u + 1)])
+    def test_huge_cap_certifies_or_refuses_in_one_line(self, capsys, u_max, k, cap, budget):
+        # near the float limit the best point's largest weight times the
+        # certificate's 2^40 overflows, and a small budget can end with
+        # every settled objective NaN; either way no exception escapes
+        argv = ["optimize", "--u-max", str(u_max), "--k", str(k), "--cap", cap, "--restarts", "2"]
+        code = cli.main(argv + (["--budget", budget] if budget else []))
+        out, err = capsys.readouterr()
+        if out:
+            doc = json.loads(out)
+            assert code == (0 if doc["bound_check"]["ok"] else 1)
+            assert err == ""
+            assert doc["closed"] is True
+            y = Fraction(int(doc["y_value"]["num"]), int(doc["y_value"]["den"]))
+            assert y <= Fraction(float(cap))
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_capacity_error_exit1(self, capsys):
         # the free-tree series stop at treekit.FREE_TREE_MAX_SIZE = 18
         code = cli.main(["optimize", "--u-max", "3", "--k", "19"])

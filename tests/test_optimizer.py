@@ -407,6 +407,29 @@ class TestMaximize:
         )
         assert memo.point == bare.point and memo.y_per_size == bare.y_per_size
 
+    def test_no_finite_start_raises(self, cat2):
+        # the embedded start closes to an edge weight of inf and projects to
+        # a NaN objective; the budget ends before any random start
+        cfg = config(cat2, 2, budget=20, restarts=2, y_cap=1.7976931348623157e308)
+        with pytest.raises(ValueError, match="no start settled to a finite objective"):
+            op.maximize(cfg)
+
+    def test_certificate_rounds_as_the_float_product_did(self, cat1):
+        # each weight is rounded to a multiple of 2^-40 exactly; wherever
+        # v * 2^40 is a finite float that product was exact, so the exact
+        # rounding gives what rounding the product gave
+        cfg = config(cat1, 1, y_cap=1.7976931348623157e308)
+        rng = random.Random(0)
+        values = [rng.uniform(1.0, 2.0) * 2.0**e for e in range(-1074, 984, 7)]
+        values += [(2 * m + 1) * 2.0**-41 for m in [*range(64), *range(2**51, 2**51 + 64)]]
+        values += [math.nextafter(2.0**984, 0.0), 0.0]
+        for v in values:
+            assert math.isfinite(v * 2**40)
+            point, _ = op._certify((v,), cfg)
+            assert point.z["()"] == Fraction(round(v * 2**40), 2**40), v
+        # past 2^984 the float product overflows; the exact one does not
+        assert op._certify((1e300,), cfg)[0].z["()"] == Fraction(1e300)
+
 
 class TestBoundCheck:
     def test_zero_objective_passes(self, cat1):
