@@ -264,13 +264,10 @@ def _pendant_alpha(code: str, catalog: Catalog) -> tuple:
     """Pendant-copy counts over t0 of a tree rooted at its far centroid:
     its proper balanced blocks with codes in t0, one per non-root vertex."""
     t0_index, longest = catalog.t0_index, 2 * catalog.t_max
-    counts, starts = [0] * len(catalog.t0), []
-    for j, ch in enumerate(code):
-        if ch == "(":
-            starts.append(j)
-            continue
-        i = starts.pop()
-        slot = t0_index.get(code[i : j + 1]) if starts and j - i < longest else None
+    counts = [0] * len(catalog.t0)
+    _, start, end = treekit._blocks(code)
+    for i, j in zip(start[1:], end[1:]):
+        slot = t0_index.get(code[i:j]) if j - i <= longest else None
         if slot is not None:
             counts[slot] += 1
     return tuple(counts)

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import expm1, inf, log1p, nextafter
+from math import expm1, inf, isfinite, log1p, nextafter
 from operator import mul
 
 from . import treekit, weights
@@ -228,7 +228,10 @@ def single_var_threshold(k: int, cap: float = DEFAULT_CAP, tol: float = 1e-12) -
         raise ValueError("k must be >= 1")
     coeffs = weights.single_variable_layers(1.0, k)
     lo, hi = _bisect(coeffs, cap, cap, lambda lo, hi, _: hi - lo <= tol or _resolved(lo, hi, _))
-    return 0.5 * (lo + hi)
+    mid, val = 0.5 * (lo + hi), 0.0
+    for c in reversed(coeffs):  # near the float limit, mid can round up to a hi that overflows
+        val = val * mid + c
+    return mid if isfinite(val) else lo
 
 
 def _certify(zv, config: OptimizerConfig) -> tuple[FeasiblePoint, dict]:

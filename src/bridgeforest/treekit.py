@@ -12,8 +12,10 @@ centroid rootings from one size pass and one encode.
 
 Vertex indices accepted by `attach` and reported by `splits` refer to the
 depth-first preorder of the canonical representative, i.e. the order in
-which the ``"("`` characters appear in the code string.  `code_to_adjacency`
-recovers the representative, and reads any balanced code, canonical or not.
+which the ``"("`` characters appear in the code string.  `_blocks` is the
+one place that reads the code format and numbers the vertices so: it gives
+each one's parent and balanced block, and refuses any other string.
+`code_to_adjacency` recovers the representative from it, canonical or not.
 A subtree is one balanced block of the code, so cutting an edge and hanging
 a subtree are string edits that keep the index of every earlier vertex.
 
@@ -239,32 +241,36 @@ def _encode(adj, root):
     return codes[root], auts[root]
 
 
-def code_to_adjacency(code: str):
-    """Adjacency list of the canonical representative of a code string.
-
-    Vertices are numbered 0..size-1 in depth-first preorder, the canonical
-    vertex indexing used throughout this module.
-    """
-    adj = []
-    stack = []
-    for ch in code:
-        if ch == "(":
-            v = len(adj)
-            adj.append([])
-            if stack:
-                adj[stack[-1]].append(v)
-                adj[v].append(stack[-1])
-            elif v:  # the root closed before the end
-                raise ValueError(f"unbalanced code {code!r}")
-            stack.append(v)
-        elif ch == ")":
-            if not stack:
-                raise ValueError(f"unbalanced code {code!r}")
-            stack.pop()
+def _blocks(code: str):
+    """Parent (-1 for the root), start and end of every vertex of a code's
+    representative in preorder: v's subtree is code[start[v]:end[v]].
+    Raises ValueError unless code is one balanced block."""
+    parent, start, end, v = [], [], [0] * code.count("("), -1  # v: the innermost open vertex
+    for j, ch in enumerate(code):
+        if ch == "(" and (v >= 0 or not start):  # not a second root
+            parent.append(v)
+            v = len(start)
+            start.append(j)
+        elif ch == ")" and v >= 0:
+            end[v] = j + 1
+            v = parent[v]
+        elif ch in "()":
+            raise ValueError(f"unbalanced code {code!r}")
         else:
             raise ValueError(f"unexpected character {ch!r} in code {code!r}")
-    if stack or not adj:
+    if v >= 0 or not start:
         raise ValueError(f"unbalanced code {code!r}")
+    return parent, start, end
+
+
+def code_to_adjacency(code: str):
+    """Adjacency list of the canonical representative of a code string, in
+    the vertex numbering of `_blocks`."""
+    parent = _blocks(code)[0]
+    adj = [[p] for p in parent]  # each vertex's parent first, then its children
+    adj[0].pop()
+    for v in range(1, len(parent)):
+        adj[parent[v]].append(v)
     return adj
 
 
@@ -341,19 +347,13 @@ def _reroot(adj):
     return down, up, keys
 
 
-def _unrooted_orbit_keys(adj):
-    """Orbit key of every vertex under all automorphisms: the canonical code
-    of the tree rooted at that vertex."""
-    return _reroot(adj)[2]
-
-
 @cache
 def _orbits(code: str):
     """The unrooted tree `code` and its orbit map, from one decode: orbit
     key -> (preorder index of the orbit's first vertex, orbit size) in the
     canonical representative."""
     adj = code_to_adjacency(code)
-    keys = _unrooted_orbit_keys(adj)
+    keys = _reroot(adj)[2]  # v's key under all automorphisms: the tree rooted at v
     return _unrooted_from_adj(adj), {key: (keys.index(key), keys.count(key)) for key in dict.fromkeys(keys)}
 
 
@@ -515,14 +515,8 @@ def splits(t: RootedTreeCode):
     """
     if t.size < 2:
         raise ValueError("single-vertex tree has no edges to split")
-    code, parent, start, end, stack = t.code, [], [], [0] * t.size, [-1]
-    for j, ch in enumerate(code):  # each vertex's parent and block, from one scan
-        if ch == "(":
-            parent.append(stack[-1])
-            stack.append(len(start))
-            start.append(j)
-        else:
-            end[stack.pop()] = j + 1
+    code = t.code
+    parent, start, end = _blocks(code)
     keys = [code]
     for v in range(1, t.size):  # root-fixing orbit keys, in preorder
         keys.append(keys[parent[v]] + code[start[v] : end[v]])
@@ -568,7 +562,7 @@ def attach(
     if not 0 <= u_index < u.size:
         raise IndexError(f"u_index {u_index} out of range for size {u.size}")
     hung = _encode(code_to_adjacency(u.code), u_index)[0]
-    at = [j for j, ch in enumerate(t_minus.code) if ch == "("][v_index] + 1
+    at = _blocks(t_minus.code)[1][v_index] + 1
     return _rooted_from_adj(code_to_adjacency(t_minus.code[:at] + hung + t_minus.code[at:]), 0)
 
 
@@ -582,9 +576,10 @@ def check_inclusion_closed(rooted_family) -> None:
     leaf, a "()" after the root's "(")."""
     codes = {t.code for t in rooted_family}
     for t in rooted_family:
-        for j in range(1, len(t.code) - 1):
-            if t.code.startswith("()", j):
-                code, _ = _encode(code_to_adjacency(t.code[:j] + t.code[j + 2 :]), 0)
+        _, start, end = _blocks(t.code)
+        for j, e in zip(start[1:], end[1:]):
+            if e - j == 2:
+                code, _ = _encode(code_to_adjacency(t.code[:j] + t.code[e:]), 0)
                 if code not in codes:
                     raise CatalogError(
                         f"family is not closed under rooted inclusion: removing a "

@@ -417,18 +417,6 @@ class _PieceStates:
             self._profile[sid] = found
         return found
 
-    def state_of(self, code: str) -> int:
-        """Root state of a tree given by any code."""
-        stack = []  # the states of the open vertices, children folded in
-        for ch in code:
-            if ch == "(":
-                stack.append(self.root)
-            else:
-                state = stack.pop()
-                if stack:
-                    stack[-1] = self.attach(stack[-1], state)
-        return state
-
 
 def _power(x: float, e: int) -> float:
     """x**e for a float x >= 0 (or NaN), inf where it overflows."""
@@ -482,11 +470,17 @@ class _Profiles:
         self._classes = _BitSets().positions  # the classes of a mask, ascending
 
     def index(self, code: str) -> int:
-        """Class of the unrooted tree with this code (at most k vertices)."""
-        size = code.count("(")
-        if not 1 <= size <= self.k:
-            raise ValueError(f"tree of size {size} outside 1..{self.k}")
-        return self._class[(size, self.states.profile(self.states.state_of(code)))]
+        """Class of the unrooted tree with this code (at most k vertices), by
+        its root state: each vertex's state, its children folded in, is
+        folded into its parent's, in reverse preorder."""
+        parent = treekit._blocks(code)[0]
+        states = self.states
+        if len(parent) > self.k:
+            raise ValueError(f"tree of size {len(parent)} outside 1..{self.k}")
+        state = [states.root] * len(parent)
+        for v in range(len(parent) - 1, 0, -1):
+            state[parent[v]] = states.attach(state[parent[v]], state[v])
+        return self._class[(len(parent), states.profile(state[0]))]
 
     def max_weights(self, values, coeff) -> tuple:
         """(om, y) at the weights `values` over u0, all ints or all floats:

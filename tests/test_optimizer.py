@@ -407,12 +407,31 @@ class TestMaximize:
         )
         assert memo.point == bare.point and memo.y_per_size == bare.y_per_size
 
-    def test_no_finite_start_raises(self, cat2):
-        # the embedded start closes to an edge weight of inf and projects to
-        # a NaN objective; the budget ends before any random start
+    def test_embedded_start_kept_at_the_largest_cap(self, cat2):
+        # the threshold's last midpoint rounds up to a bracket end whose
+        # series overflows, so the threshold is the end below it: the
+        # embedded start settles, and certifies a closed point near cap/2
+        # before the budget ends
         cfg = config(cat2, 2, budget=20, restarts=2, y_cap=1.7976931348623157e308)
-        with pytest.raises(ValueError, match="no start settled to a finite objective"):
-            op.maximize(cfg)
+        assert op.single_var_threshold(2, cap=cfg.y_cap) == math.nextafter(2.0**512, 0.0)
+        res = op.maximize(cfg)
+        assert res.point.closed and [t["start"] for t in res.trace] == [0]
+        assert res.point.y_value <= Fraction(cfg.y_cap)
+        assert 8.9e307 < res.objective_float < 9e307
+        assert not op.bound_check(res.point, 0.1).ok
+
+    def test_no_finite_start_raises(self, cat2, monkeypatch):
+        # every max weight NaN: none of the three starts settles to a finite
+        # objective, and a NaN iterate takes no coordinate step
+        evaluate = wt.TruncatedSeriesEvaluator.evaluate
+
+        def nan_weights(self, zvec):
+            om, layers = evaluate(self, zvec)
+            return [math.nan] * len(om), layers
+
+        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", nan_weights)
+        with pytest.raises(ValueError, match="no start settled to a finite objective in 3 evaluations"):
+            op.maximize(config(cat2, 2, budget=20, restarts=2))
 
     def test_certificate_rounds_as_the_float_product_did(self, cat1):
         # each weight is rounded to a multiple of 2^-40 exactly; wherever

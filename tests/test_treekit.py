@@ -396,7 +396,7 @@ class TestMarkedOrbits:
         for _ in range(30):
             n = rng.randrange(1, 8)
             adj, _ = tk._build_adjacency(_random_tree(rng, n), extra_vertices=[1])
-            keys = tk._unrooted_orbit_keys(adj)
+            keys = tk._reroot(adj)[2]
             orbit_of = _brute_force_orbits(adj)
             for v in range(n):
                 assert {u for u in range(n) if keys[u] == keys[v]} == orbit_of[v]
@@ -410,7 +410,7 @@ class TestMarkedOrbits:
                 for keys, marked in (
                     (tk._rooted_vertex_orbit_keys(adj, 0)[0],
                      [oracles.rooted_marked_code(adj, 0, v) for v in range(n)]),
-                    (tk._unrooted_orbit_keys(adj),
+                    (tk._reroot(adj)[2],
                      [oracles.unrooted_marked_code(adj, v) for v in range(n)]),
                 ):
                     assert [keys.index(k) for k in keys] == [marked.index(m) for m in marked]
@@ -433,6 +433,39 @@ def test_code_with_two_top_level_blocks_is_refused(code):
     catalog = tk.Catalog.standard(2, 2)
     with pytest.raises(ValueError, match="unbalanced code"):
         weights.max_weight(code, weights.WeightVector.zero(catalog), catalog)
+    with pytest.raises(ValueError, match="unbalanced code"):
+        weights.TruncatedSeriesEvaluator(catalog, 4).index(code)
+
+
+def _one_block(s):
+    """Whether s is one balanced block of parentheses, by depth counts."""
+    depths = list(itertools.accumulate(1 if ch == "(" else -1 for ch in s))
+    return set(s) <= set("()") and depths[-1] == 0 and min(depths[:-1], default=1) > 0
+
+
+def test_blocks_match_code_parents():
+    # every rooted tree with at most 10 vertices, and every T- code (mostly
+    # not canonical) that splits cuts from the rooted trees on at most 8
+    codes = [t.code for t in tk.enumerate_rooted(10)]
+    for t in tk.enumerate_rooted(8):
+        opens = [j for j, ch in enumerate(t.code) if ch == "("]
+        for j in opens[1:]:
+            e = next(e for e in range(j + 2, len(t.code) + 1, 2) if _one_block(t.code[j:e]))
+            codes.append(t.code[:j] + t.code[e:])
+    for code in codes:
+        parent, start, end = tk._blocks(code)
+        assert parent == oracles.code_parents(code)
+        assert start == [j for j, ch in enumerate(code) if ch == "("]
+        assert all(_one_block(code[s:e]) for s, e in zip(start, end))
+
+
+def test_blocks_refuse_every_other_string():
+    for n in range(7):
+        for chars in itertools.product("()x", repeat=n):
+            s = "".join(chars)
+            if not (s and _one_block(s)):
+                with pytest.raises(ValueError, match=None if "x" in s else "unbalanced code"):
+                    tk._blocks(s)
 
 
 def test_orbit_record_matches_brute_force():
