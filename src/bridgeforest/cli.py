@@ -334,11 +334,9 @@ def _cmd_optimize(args) -> int:
         k=args.k,
         budget=args.budget,
         tol=args.tol,
-        restarts=args.restarts,
-        seed=args.seed,
         y_cap=args.cap,
     )
-    result = optimizer.maximize(cfg)
+    result = optimizer.bracket(cfg)
     check = optimizer.bound_check(result.point, args.epsilon)
     payload = {
         "config": config,
@@ -346,15 +344,14 @@ def _cmd_optimize(args) -> int:
         "u0": [u.code for u in catalog.u0],
         "objective": result.point.objective,
         "objective_float": result.objective_float,
+        "upper_float": result.upper_float,
         "y_value": result.point.y_value,
         "y_per_size": result.y_per_size,
         "closed": result.point.closed,
         "z": result.point.z.as_dict(),
-        "restarts_used": result.restarts_used,
         "evaluations": result.evaluations,
         "budget_exhausted": result.budget_exhausted,
         "bound_check": check,
-        "trace": result.trace,
     }
     _emit(payload, args.output)
     return 0 if check.ok else 1
@@ -442,10 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-max", type=_positive_int, default=3)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--epsilon", type=_finite_float(lambda v: v >= 0, ">= 0"), default=0.5)
-    p.add_argument("--restarts", type=_positive_int, default=32)
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--tol", type=_finite_float(lambda v: v > 0, "> 0"), default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="echoed in the report; the search draws nothing")
     # default None: _cmd_optimize reads optimizer.DEFAULT_CAP
     p.add_argument("--cap", type=_finite_float(lambda v: v > 1, "> 1"))
     common(p)

@@ -8,17 +8,23 @@ points z[U] = maxweight(U, z).
 
 Closing a vector never changes the partition function and never lowers the
 objective, and the scaled multiplication lam*z with Y(lam*z) =
-sum lam^s y_s maps closed points to closed points; the search alternates
-closure, a scaling projection back to the cap, and coordinate ascent.
-Returned objectives are certified lower bounds for the true maximum: the
-final point is re-validated in exact rational arithmetic, never claimed
-optimal.
+sum lam^s y_s maps closed points to closed points.  Every max weight, the
+closure and Y are nondecreasing in each coordinate.  `bracket`, the search
+the `optimize` command runs, is a best-first branch and bound over boxes
+of weight vectors that returns a certified point and an upper end on the
+maximum.  `maximize`, the multistart coordinate ascent it replaces, stays
+as its reference: it alternates closure, a scaling projection back to the
+cap, and coordinate ascent.  Returned objectives are certified lower
+bounds for the true maximum: the final point is re-validated in exact
+rational arithmetic, never claimed optimal; `bracket`'s upper end is a
+float computation, not a proof.
 
 Every scaling projection solves sum lam^s y_s = cap for lam, an increasing
 polynomial in lam, with one float bisection that evaluates the polynomial
 by Horner: to within tol for the single-variable threshold, and in the
-search loop until no float splits the bracket, which there starts from a
-bracket found by Newton's method rather than from [0, 1].
+searches until no float splits the bracket, which starts from a bracket
+found by Newton's method when scaling down and from [1, the tangent's
+root] when scaling up.
 
 Float arithmetic drives the inner loop; the exact re-validation rounds the
 float vector to dyadic rationals, closes it exactly, and scales by the
@@ -28,10 +34,12 @@ sum y_s, so one exact scaling restores feasibility).
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import expm1, inf, isfinite, log1p, nextafter
 from operator import mul
 
@@ -44,14 +52,17 @@ __all__ = [
     "FeasiblePoint",
     "FeasibilityResult",
     "MaximizeResult",
+    "BracketResult",
     "BoundCheck",
     "feasibility",
     "single_var_threshold",
     "maximize",
+    "bracket",
     "bound_check",
 ]
 
 DEFAULT_CAP = 1.5
+_MAX_FLOAT = 1.7976931348623157e308
 
 
 @dataclass
@@ -104,6 +115,16 @@ class MaximizeResult:
 
 
 @dataclass
+class BracketResult:
+    point: FeasiblePoint
+    objective_float: float
+    upper_float: float  # the float search's upper end on the maximum, unproved
+    evaluations: int
+    budget_exhausted: bool  # the search stopped with its gap still open
+    y_per_size: dict  # exact per-size contributions at the certified point
+
+
+@dataclass
 class BoundCheck:
     ok: bool
     objective: object
@@ -151,7 +172,7 @@ def _bisect(layers, cap, hi, stop, lo=None, val_lo=None):
     if lo is None:
         lo = val_lo = 0 * hi
     while not stop(lo, hi, val_lo):
-        mid = (lo + hi) / 2
+        mid = _mid(lo, hi)
         val = 0 * mid
         for c in reversed(layers):
             val = val * mid + c
@@ -162,9 +183,16 @@ def _bisect(layers, cap, hi, stop, lo=None, val_lo=None):
     return lo, hi
 
 
+def _mid(lo, hi):
+    """(lo + hi) / 2, or lo + (hi - lo) / 2 where that sum overflows: every
+    bracket short of the largest float keeps its bits."""
+    mid = (lo + hi) / 2
+    return mid if mid != inf else lo + (hi - lo) / 2
+
+
 def _resolved(lo, hi, _):
     """Float stop rule: no float lies strictly between lo and hi."""
-    return not lo < (lo + hi) / 2 < hi
+    return not lo < _mid(lo, hi) < hi
 
 
 _NEWTON_STEPS = 64
@@ -228,7 +256,7 @@ def single_var_threshold(k: int, cap: float = DEFAULT_CAP, tol: float = 1e-12) -
         raise ValueError("k must be >= 1")
     coeffs = weights.single_variable_layers(1.0, k)
     lo, hi = _bisect(coeffs, cap, cap, lambda lo, hi, _: hi - lo <= tol or _resolved(lo, hi, _))
-    mid, val = 0.5 * (lo + hi), 0.0
+    mid, val = _mid(lo, hi), 0.0
     for c in reversed(coeffs):  # near the float limit, mid can round up to a hi that overflows
         val = val * mid + c
     return mid if isfinite(val) else lo
@@ -270,6 +298,161 @@ def _left_sum(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def _knapsack(lo, hi, room, cost, lin, greedy):
+    """The box [lo, hi] cut by sum_j cost_j z_j <= room: hi lowered to the
+    cut, and the fractional-knapsack maximum of sum_j lin_j z_j over the cut
+    box, filled in the order `greedy` (largest lin_j / cost_j first).  None
+    when lo itself breaks the cut."""
+    slack = room - _left_sum(map(mul, cost, lo))
+    if not slack >= 0:
+        return None
+    hi = tuple(min(h, v + slack / w) for v, h, w in zip(lo, hi, cost))
+    bound = _left_sum(map(mul, lin, lo))
+    for j in greedy:
+        take = min(hi[j] - lo[j], slack / cost[j])
+        bound += lin[j] * take
+        slack -= cost[j] * take
+    return hi, bound
+
+
+def bracket(config: OptimizerConfig) -> BracketResult:
+    """Best-first branch and bound over boxes of weight vectors: a certified
+    feasible closed point, and the float search's upper end on the maximum.
+
+    A closed feasible z has z_j <= cap / w_j, where w_j = |U_j|/aut_u(U_j):
+    the tree U_j alone adds w_j z_j to Y.  So the search starts from the box
+    [0, cap / w], each end at most the largest float.  Each box popped
+    (largest bound first) has its lower corner evaluated once.  Y(lo) > cap
+    prunes it, as does a closure c of lo that is not <= hi: every closed
+    z >= lo is >= c.  Otherwise lo is raised to c, and c scaled up to the
+    cap is a candidate point.  The box is then bisected on the coordinate
+    with the widest objective range; the child whose lower corner is c
+    inherits its evaluation.
+
+    The bound is a knapsack: trees outside u0 only gain weight as z grows
+    past c, and each piece U_j gives at least w_j z_j, so every z >= c has
+    Y(z) >= R + sum w_j z_j with R = Y(c) - sum w_j c_j >= 0.  A feasible z
+    in the box therefore has sum w_j z_j <= cap - R, which lowers each hi_j
+    and bounds the objective sum z_j/aut_u by the fractional knapsack,
+    filled greedily by smallest |U_j| (value per unit weight 1/|U_j|).
+
+    The first candidate is the embedded single-variable threshold x_k,
+    closed and scaled to the cap, so one evaluation certifies at least its
+    objective.  The best float point is certified exactly (_certify), which
+    rounds it and can lose a little objective.  The search stops when the
+    largest bound left is within tol * max(1, lower) of lower, the smaller
+    of the best point's float and certified objectives, or when the budget
+    or the boxes run out.  The upper end is a float computation, not a
+    proof."""
+    cat, k, cap = config.catalog, config.k, config.y_cap
+    ev = TruncatedSeriesEvaluator(cat, k)
+    d = len(cat.u0)
+    sizes = [u.size for u in cat.u0]
+    lin = [1.0 / u.aut_u for u in cat.u0]
+    cost = [u.size / u.aut_u for u in cat.u0]
+    greedy = sorted(range(d), key=sizes.__getitem__)
+    evals = 0
+    best, best_obj = (0.0,) * d, 0.0  # the zero vector is closed and feasible
+
+    def corner(lo):
+        """The closure of lo, its layers and their sum; one evaluation."""
+        nonlocal evals
+        evals += 1
+        om, layers = ev.evaluate(lo)
+        return tuple(om[c] for c in ev.u0_positions), layers, _left_sum(layers)
+
+    def scaled(c, lam):
+        """c under the scaled multiplication by lam (0 stays 0)."""
+        return tuple(v * weights._power(lam, s) if v else v for v, s in zip(c, sizes))
+
+    def offer(c, layers, y):
+        """Take c scaled to the cap as the best point if its objective is
+        larger."""
+        nonlocal best, best_obj
+        if y == 0:
+            return
+        if y <= cap:
+            # sum lam^s layers[s] is convex in lam, so its tangent at 1
+            # reaches the cap at a grow at or above the scale
+            grow = min(1 + (cap - y) / _left_sum(map(mul, range(k + 1), layers)), _MAX_FLOAT)
+            if _left_sum(map(mul, scaled(c, grow), lin)) <= best_obj:
+                return
+            lam = _bisect(layers, cap, grow, _resolved, 1.0, y)[0]
+        else:
+            lam = _scale_to_cap(layers, cap)
+        z = scaled(c, lam)
+        obj = _left_sum(map(mul, z, lin))
+        if best_obj < obj < inf:  # never a NaN or an overflowed objective
+            best, best_obj = z, obj
+
+    heap, order = [], count()
+
+    def push(lo, hi, r, evaluated):
+        cut = _knapsack(lo, hi, cap - r, cost, lin, greedy)
+        if cut is not None:
+            heapq.heappush(heap, (-cut[1], next(order), lo, cut[0], r, evaluated))
+
+    embed = [0.0] * d
+    embed[cat.u0_index[treekit.SINGLE_VERTEX_CODE]] = single_var_threshold(k, cap=cap)
+    offer(*corner(embed))
+    push((0.0,) * d, tuple(min(cap / w, _MAX_FLOAT) for w in cost), 0.0, False)
+    unsplit = -inf  # the largest bound of a box too narrow to bisect
+    floor = inf  # the least certified objective so far
+
+    def closed():
+        """Whether the largest bound left is within tol of the best point
+        and of its certificate."""
+        lower = min(best_obj, floor)
+        return max(unsplit, -heap[0][0] if heap else -inf) <= lower + config.tol * max(1.0, lower)
+
+    def search():
+        """Pop boxes until the gap closes; False if the budget or the boxes
+        run out first."""
+        nonlocal unsplit
+        while not closed():
+            if not heap:
+                return False
+            neg, _, lo, hi, r, evaluated = heap[0]
+            if not evaluated and evals >= config.budget:
+                return False
+            heapq.heappop(heap)
+            bound = -neg
+            if not evaluated:
+                c, layers, y = corner(lo)
+                if not (y <= cap and all(v <= h for v, h in zip(c, hi))):
+                    continue
+                offer(c, layers, y)
+                lo, r = c, y - _left_sum(map(mul, cost, c))
+                cut = _knapsack(lo, hi, cap - r, cost, lin, greedy)
+                if cut is None:
+                    continue
+                hi, bound = cut
+            j = max(range(d), key=lambda i: lin[i] * (hi[i] - lo[i]))
+            mid = _mid(lo[j], hi[j])
+            if not lo[j] < mid < hi[j]:  # no float splits the box
+                unsplit = max(unsplit, bound)
+                continue
+            push(lo, (*hi[:j], mid, *hi[j + 1 :]), r, True)
+            push((*lo[:j], mid, *lo[j + 1 :]), hi, r, False)
+        return True
+
+    while True:
+        searched = search()
+        point, per_size = _certify(best, config)
+        floor = min(floor, float(point.objective))
+        if closed() or not searched:
+            break
+    objective_float = float(point.objective)
+    return BracketResult(
+        point=point,
+        objective_float=objective_float,
+        upper_float=max(best_obj, objective_float, unsplit, -heap[0][0] if heap else -inf),
+        evaluations=evals,
+        budget_exhausted=not closed(),
+        y_per_size=per_size,
+    )
 
 
 def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:

@@ -485,10 +485,12 @@ class _Profiles:
     def max_weights(self, values, coeff) -> tuple:
         """(om, y) at the weights `values` over u0, all ints or all floats:
         om[c] is the largest monomial prod_j values[j]**vec[j] over class
-        c's count vectors (NaN if any is NaN), and y[s] is the sum of
-        coeff[c] om[c] over the classes c of size s.  The entries are walked
-        from the NaN ones down through the largest, each class taking the
-        first monomial whose entry holds it."""
+        c's count vectors (NaN if any is NaN; a monomial with a positive
+        power of a zero weight and none of a NaN one is 0, never inf * 0),
+        and y[s] is the sum of coeff[c] om[c] over the classes c of size s.
+        The entries are walked from the NaN ones down through the largest,
+        each class taking the first monomial whose entry holds it, and the
+        walk stops at the first zero monomial."""
         if len(values) != len(self._columns):
             raise ValueError(f"{len(values)} weights for {len(self._columns)} pieces")
         masks, left, classes = self.masks, self.every, self._classes
@@ -503,14 +505,31 @@ class _Profiles:
         rest, nans = range(len(masks)), []
         total = sum(monomials)  # all >= 0: NaN only if one is NaN, and ints never are
         if isinstance(total, float) and isnan(total):
+            # an overflowed power times a zero weight's power is inf * 0.0,
+            # but the monomial holds an exact 0 factor: it is 0 unless it
+            # also takes a NaN weight
+            zeros = [j for j, x in enumerate(values) if x == 0.0]
+            undefined = [j for j, x in enumerate(values) if isnan(x)]
+            for i in rest:
+                vec = self.vectors[i]
+                if (
+                    isnan(monomials[i])
+                    and any(vec[j] for j in zeros)
+                    and not any(vec[j] for j in undefined)
+                ):
+                    monomials[i] = 0.0
             nans = [i for i in rest if isnan(monomials[i])]
             rest = [i for i in rest if not isnan(monomials[i])]
-        om = [0] * len(self.sizes)  # u0 holds the single vertex, so every class is reached
+        # a class the walk stops before has max weight 0 (u0 holds the
+        # single vertex, so every class is reached by some monomial)
+        om = [0 * coeff[0]] * len(self.sizes)
         for i in nans + sorted(rest, key=monomials.__getitem__, reverse=True):
+            value = monomials[i]
+            if not value:  # the rest are 0 too: every class still open keeps 0
+                break
             hit = masks[i] & left
             if hit:
                 left ^= hit
-                value = monomials[i]
                 for c in classes(hit):
                     om[c] = value
                 if not left:

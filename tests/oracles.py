@@ -25,7 +25,10 @@ with numpy sums.  `TruncatedSeriesEvaluatorReference` keeps the first
 float evaluator, a numpy scan of every (class, count vector) row, and
 `layers_reference` the first layered sum, which scans the same rows and
 compares exact monomials as (numerator, denominator) pairs by
-cross-multiplying; both borrow `weights._profiles`.  The
+cross-multiplying; both borrow `weights._profiles`.  `knapsack_floor`
+and `grid_maximum` check the optimizer's box search in Fractions over
+`layers_reference`: the lower bound on the series that its knapsack cut
+uses, and the best closed feasible point of a brute-force grid.  The
 report reference keeps the first serializer: project onto plain JSON
 types, then `json.dumps(..., sort_keys=True, indent=2)`.
 `mask_components` decodes forest edge masks bit by bit, as forestlab
@@ -726,7 +729,9 @@ class TruncatedSeriesEvaluatorReference:
     is gathered from a table of powers, a class's max weight is
     `np.maximum.reduceat` over its rows (NaN if any row is NaN), and the
     size layers are a `np.bincount`.  Powers that overflow are inf, as
-    numpy's are.  Built on the package's `weights._profiles`."""
+    numpy's are; a row with a positive power of a zero weight and none of
+    a NaN one is 0 (inf times a zero power is not NaN here).  Built on the
+    package's `weights._profiles`."""
 
     def __init__(self, catalog, k):
         from bridgeforest import weights
@@ -743,6 +748,7 @@ class TruncatedSeriesEvaluatorReference:
         # row r's monomial is the product over pieces j of
         # powers[j, row_counts[r, j]], gathered from the flattened table
         self.gathers = (row_counts + (k + 1) * np.arange(len(catalog.u0))).T.copy()
+        self.row_counts = row_counts
         self.starts = np.searchsorted(row_class, np.arange(len(counts)))
         self.rows = len(row_class)
         self._exponents = np.arange(k + 1)
@@ -756,6 +762,13 @@ class TruncatedSeriesEvaluatorReference:
             monomials = powers[self.gathers[0]]
             for gather in self.gathers[1:]:
                 monomials = monomials * powers[gather]
+            # a row with a positive power of a zero weight has a 0 factor, so
+            # its monomial is 0 where an overflowed power made it inf * 0;
+            # a row that also takes a NaN weight stays NaN
+            z = np.asarray(zvec, dtype=float)
+            takes = self.row_counts > 0
+            zeroed = takes[:, z == 0.0].any(axis=1) & ~takes[:, np.isnan(z)].any(axis=1)
+            monomials = np.where(zeroed, 0.0, monomials)
             om = np.maximum.reduceat(monomials, self.starts)
             y = np.bincount(self.sizes, weights=self.rooted_coeff * om, minlength=self.k + 1)
         return om, y
@@ -790,6 +803,51 @@ def layers_reference(z, k, catalog):
                 best_n, best_d = n, d
         out[size] += coeff * Fraction(best_n, best_d) if z.exact else float(coeff) * best_n
     return out
+
+
+def knapsack_floor(c, z, k, catalog):
+    """(R, R + sum_j w_j z_j) in Fractions, where w_j = |U_j|/aut_u(U_j) is
+    piece U_j's own share of the rooted series Y and R = Y(c) - sum_j w_j
+    c_j: the lower bound on Y(z) for z >= a closed c that the optimizer's
+    box search cuts with.  Y is summed from `layers_reference`."""
+    w = [Fraction(u.size, u.aut_u) for u in catalog.u0]
+    r = sum(layers_reference(c, k, catalog)) - sum(wj * v for wj, (_, v) in zip(w, c.entries))
+    return r, r + sum(wj * v for wj, (_, v) in zip(w, z.entries))
+
+
+def grid_maximum(catalog, k, cap, steps):
+    """A lower bound on the maximum by brute force, in Fractions: over the
+    grid points z_j = (i_j/steps) cap aut_u(U_j)/|U_j|, i_j = 0..steps,
+    whose rooted series is at most cap, the closure c of z scaled by the
+    largest lam = m/2^40 with sum lam^s y_s <= cap (y the layers of z,
+    which are those of c), and the largest objective sum lam^|U| c_U/aut_u
+    found.  Every such point is closed and feasible.  Closure is the
+    package's removal recursion (`weights.closure`), the layers
+    `layers_reference`, and lam is found by doubling and 40 halvings."""
+    from bridgeforest import weights
+
+    cap = Fraction(cap)
+    axes = [[cap * u.aut_u / u.size * Fraction(i, steps) for i in range(steps + 1)] for u in catalog.u0]
+    best = Fraction(0)
+    for values in itertools.product(*axes):
+        z = weights.WeightVector(tuple((u.code, v) for u, v in zip(catalog.u0, values)))
+        layers = layers_reference(z, k, catalog)
+        if not 0 < sum(layers) <= cap:
+            continue
+
+        def series(lam):
+            return sum(y * lam**s for s, y in enumerate(layers))
+
+        lo, hi = Fraction(1), Fraction(2)
+        while series(hi) <= cap:
+            lo, hi = hi, 2 * hi
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if series(mid) <= cap else (lo, mid)
+        closed = weights.closure(z, catalog)
+        objective = sum(lo**u.size * Fraction(v, u.aut_u) for u, (_, v) in zip(catalog.u0, closed.entries))
+        best = max(best, objective)
+    return best
 
 
 def jsonable(obj):

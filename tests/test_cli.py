@@ -346,18 +346,24 @@ class TestOptimize:
     def test_single_var_k8(self, capsys):
         from bridgeforest import optimizer as op
 
-        code, doc = run_json(
-            capsys, "optimize", "--u-max", "1", "--k", "8", "--restarts", "2"
-        )
+        code, doc = run_json(capsys, "optimize", "--u-max", "1", "--k", "8")
         assert code == 0
         assert abs(doc["objective_float"] - op.single_var_threshold(8)) < 1e-8
         assert doc["bound_check"]["ok"] is True
 
+    def test_report_brackets_the_maximum(self, capsys):
+        code, doc = run_json(capsys, "optimize", "--u-max", "3", "--k", "11", "--budget", "1000")
+        assert code == 0
+        assert set(doc) == {
+            "config", "k", "u0", "objective", "objective_float", "upper_float", "y_value",
+            "y_per_size", "closed", "z", "evaluations", "budget_exhausted", "bound_check",
+        }
+        assert 0 <= doc["upper_float"] - doc["objective_float"] <= 1e-9
+        assert doc["evaluations"] <= 200 and doc["budget_exhausted"] is False
+
     def test_bound_failure_exit1(self, capsys):
         # epsilon=0 demands objective <= 1/2; x_4 ~ 0.578 exceeds it
-        code = cli.main(
-            ["optimize", "--u-max", "1", "--k", "4", "--restarts", "1", "--epsilon", "0"]
-        )
+        code = cli.main(["optimize", "--u-max", "1", "--k", "4", "--epsilon", "0"])
         assert code == 1
 
     @pytest.mark.parametrize("cap", ["1e200", "1e308"])
@@ -380,9 +386,10 @@ class TestOptimize:
     @pytest.mark.parametrize("u_max,k", [(u, k) for u in range(1, 5) for k in (u, u + 1)])
     def test_huge_cap_certifies_or_refuses_in_one_line(self, capsys, u_max, k, cap, budget):
         # near the float limit the best point's largest weight times the
-        # certificate's 2^40 overflows, and a small budget can end with
-        # every settled objective NaN; either way no exception escapes
-        argv = ["optimize", "--u-max", str(u_max), "--k", str(k), "--cap", cap, "--restarts", "2"]
+        # certificate's 2^40 overflows, and float candidates can be NaN or
+        # inf; the report is certified or the refusal is one line, and no
+        # exception escapes
+        argv = ["optimize", "--u-max", str(u_max), "--k", str(k), "--cap", cap]
         code = cli.main(argv + (["--budget", budget] if budget else []))
         out, err = capsys.readouterr()
         if out:
@@ -496,7 +503,8 @@ class TestUsageErrors:
             (["verify", "--suite", "sum-bound", "--u-max", "0"], "--u-max"),
             (["optimize", "--k", "4", "--u-max", "0"], "--u-max"),
             (["optimize", "--k", "4", "--t-max", "0"], "unrecognized arguments: --t-max 0"),
-            (["optimize", "--k", "4", "--restarts", "0"], "--restarts"),
+            # the search has no restarts: the option went with the multistart ascent
+            (["optimize", "--k", "4", "--restarts", "0"], "unrecognized arguments: --restarts 0"),
             (["verify", "--suite", "dissymmetry", "--samples", "-3"], "--samples"),
             (["optimize", "--k", "4", "--tol", "0"], "--tol"),
             (["optimize", "--k", "4", "--tol", "nan"], "--tol"),

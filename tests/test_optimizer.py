@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -77,6 +78,20 @@ class TestSingleVarThreshold:
             y = sum(wt.single_variable_layers(x, k))
             assert abs(y - 1.5) < 1e-9
 
+    def test_cap_near_the_float_limit(self):
+        # lo + hi passes the largest float there: (lo + hi) / 2 was inf,
+        # and the bisection stopped near 8.76e307
+        assert abs(op.single_var_threshold(1, cap=1e308) - 1e308) <= math.ulp(1e308)
+
+    def test_midpoints_keep_their_bits_and_never_overflow(self):
+        rng = random.Random(0)
+        for _ in range(1000):
+            lo, hi = sorted(rng.uniform(0, 10) ** rng.randint(1, 300) for _ in range(2))
+            assert op._mid(lo, hi) == (lo + hi) / 2
+        big = 1.7976931348623157e308
+        for lo in (big / 2, 1.7e308, math.nextafter(big, 0)):
+            assert lo <= op._mid(lo, big) <= big
+
 
 class TestFeasibility:
     def test_zero_vector_feasible(self, cat1):
@@ -105,7 +120,7 @@ class TestFeasibility:
             ((1e200, 1e200, 1e200), 6),
             # finite layers [0, 0, 1e308, 1.5e308] whose sum overflows (fsum raised)
             ((0.0, 1e308, 1e308), 3),
-            # 1e200**2 overflows to inf and meets 0.0**1, so the series is NaN
+            # 1e200**2 overflows to inf and meets 0.0**1, a monomial that is 0
             ((0.0, 1e200, 1e200), 5),
         ],
     )
@@ -448,6 +463,152 @@ class TestMaximize:
             assert point.z["()"] == Fraction(round(v * 2**40), 2**40), v
         # past 2^984 the float product overflows; the exact one does not
         assert op._certify((1e300,), cfg)[0].z["()"] == Fraction(1e300)
+
+
+# the configurations bracket is compared with maximize at: (u_max, k,
+# maximize's keywords)
+_MAXIMIZE_CONFIGS = (
+    [(3, 11, {"budget": 1000, "seed": seed}) for seed in range(10)]
+    + [(3, 14, {"restarts": 4, "seed": seed}) for seed in range(4)]
+    + [(3, 14, {}), (3, 8, {}), (3, 16, {}), (3, 18, {}), (1, 11, {}), (2, 11, {})]
+    + [(4, 12, {}), (4, 14, {}), (2, 14, {"seed": 3})]
+)
+
+
+@pytest.fixture(scope="module")
+def brackets():
+    """bracket's result per (u_max, k, budget); it draws nothing, so a seed
+    or a restart count does not change it."""
+    found = {}
+
+    def get(u_max, k, budget=10_000):
+        key = (u_max, k, budget)
+        if key not in found:
+            cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, u_max), k=k, budget=budget)
+            found[key] = op.bracket(cfg)
+        return found[key]
+
+    return get
+
+
+class TestBracket:
+    @pytest.mark.parametrize("u_max, k, kw", _MAXIMIZE_CONFIGS)
+    def test_at_least_the_multistart_ascent(self, brackets, u_max, k, kw):
+        # the certified lower end is never below maximize's, and maximize's
+        # point is never above the search's upper end
+        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, u_max), k=k, **kw)
+        ascent = op.maximize(cfg)
+        res = brackets(u_max, k, cfg.budget)
+        assert res.point.closed and res.point.y_value <= Fraction(3, 2)
+        assert res.point.objective >= ascent.point.objective
+        assert ascent.point.objective <= Fraction(res.upper_float)
+        assert not res.budget_exhausted and res.evaluations < ascent.evaluations
+        assert res.upper_float - res.objective_float <= cfg.tol
+
+    def test_certified_point_is_exactly_feasible(self, brackets):
+        res = brackets(3, 11, 1000)
+        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=11)
+        recheck = op.feasibility(res.point.z, cfg)
+        assert recheck.feasible and recheck.point.objective == res.point.objective
+        assert sum(res.y_per_size.values()) == res.point.y_value
+        assert res.evaluations <= 200
+
+    @pytest.mark.parametrize("u_max", [1, 2, 3])
+    def test_knapsack_cut_holds_exactly(self, u_max):
+        # for z >= a closed c, Y(z) >= R(c) + sum_j w_j z_j with R(c) >= 0:
+        # the inequality the search prunes and bounds boxes with
+        cat = tk.Catalog.standard(1, u_max)
+        rng = random.Random(u_max)
+        for k in range(u_max, 9):
+            for _ in range(6):
+                z0 = wt.WeightVector.over(cat, {u.code: Fraction(rng.randrange(0, 65), 64) for u in cat.u0})
+                c = wt.closure(z0, cat)
+                z = wt.WeightVector(tuple((code, v + Fraction(rng.randrange(0, 33), 32)) for code, v in c.entries))
+                r, floor = oracles.knapsack_floor(c, z, k, cat)
+                assert r >= 0
+                assert sum(oracles.layers_reference(z, k, cat)) >= floor
+
+    @pytest.mark.parametrize("u_max", [2, 3])
+    def test_knapsack_keeps_every_feasible_point(self, u_max):
+        # a feasible z >= a closed corner c stays in the box the cut leaves,
+        # and its objective stays under the cut's bound
+        cat, k, cap = tk.Catalog.standard(1, u_max), 8, 1.5
+        ev = wt.TruncatedSeriesEvaluator(cat, k)
+        cost = [u.size / u.aut_u for u in cat.u0]
+        lin = [1 / u.aut_u for u in cat.u0]
+        greedy = sorted(range(len(cat.u0)), key=lambda j: cat.u0[j].size)
+        rng = random.Random(u_max)
+        kept = 0
+        for _ in range(400):
+            om, layers = ev.evaluate([rng.uniform(0, 0.35) for _ in cat.u0])
+            c = [om[p] for p in ev.u0_positions]
+            z = [v + rng.uniform(0, 0.15) for v in c]
+            y, y_z = sum(layers), sum(ev.evaluate(z)[1])
+            if y_z > cap:
+                continue
+            r = y - sum(map(operator.mul, cost, c))
+            hi, bound = op._knapsack(c, (math.inf,) * len(c), cap - r, cost, lin, greedy)
+            assert all(v <= h * (1 + 1e-12) for v, h in zip(z, hi))
+            assert sum(map(operator.mul, lin, z)) <= bound * (1 + 1e-12)
+            kept += 1
+        assert kept >= 30
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_no_grid_point_above_the_upper_end(self, k):
+        cat = tk.Catalog.standard(1, 2)
+        res = op.bracket(op.OptimizerConfig(catalog=cat, k=k))
+        best = oracles.grid_maximum(cat, k, 1.5, 16)
+        assert best <= Fraction(res.upper_float)
+        assert res.objective_float >= float(best) - 1e-9
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 12])
+    def test_single_variable_bracket_holds_the_threshold(self, cat1, k):
+        res = op.bracket(config(cat1, k))
+        x = op.single_var_threshold(k)
+        assert res.objective_float - 1e-12 <= x <= res.upper_float + 1e-12
+
+    @pytest.mark.parametrize("u_max, k", [(2, 6), (3, 11), (4, 8)])
+    def test_boxes_reach_the_maximum_without_the_embedded_start(self, brackets, monkeypatch, u_max, k):
+        # with the zero vector as the first candidate, only the boxes can
+        # find the maximum: a knapsack cut that is too deep prunes it
+        best = brackets(u_max, k)
+        monkeypatch.setattr(op, "single_var_threshold", lambda k, cap: 0.0)
+        res = op.bracket(op.OptimizerConfig(catalog=tk.Catalog.standard(1, u_max), k=k))
+        assert not res.budget_exhausted
+        assert abs(res.objective_float - best.objective_float) <= 1e-9
+        assert best.objective_float <= res.upper_float
+
+    def test_budget_of_one_certifies_the_embedded_point(self):
+        cat = tk.Catalog.standard(1, 3)
+        res = op.bracket(op.OptimizerConfig(catalog=cat, k=11, budget=1))
+        assert res.evaluations == 1 and res.budget_exhausted
+        x = Fraction(op.single_var_threshold(11))
+        embedded = x + x**2 / 2 + x**3 / 2  # the closed embedded point's objective
+        assert res.point.objective >= embedded * (1 - Fraction(1, 10**9))
+        assert res.point.y_value <= Fraction(3, 2)
+
+    def test_nan_candidates_are_never_taken(self, cat2, monkeypatch):
+        # every max weight NaN: no candidate is finite and every box's
+        # closure fails c <= hi, so the zero vector is what is certified
+        evaluate = wt.TruncatedSeriesEvaluator.evaluate
+
+        def nan_weights(self, zvec):
+            om, layers = evaluate(self, zvec)
+            return [math.nan] * len(om), layers
+
+        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", nan_weights)
+        res = op.bracket(config(cat2, 4))
+        assert res.point.objective == 0 and res.point.closed
+        assert res.evaluations == 2 and not res.budget_exhausted
+
+    def test_largest_float_cap(self, cat2):
+        # the box splits past lo + hi = the largest float, and the embedded
+        # start is the best point a budget of 20 finds
+        cfg = config(cat2, 2, budget=20, y_cap=1.7976931348623157e308)
+        res = op.bracket(cfg)
+        assert res.point.closed and res.point.y_value <= Fraction(cfg.y_cap)
+        assert 8.9e307 < res.objective_float <= res.upper_float < 1.8e308
+        assert not op.bound_check(res.point, 0.1).ok
 
 
 class TestBoundCheck:

@@ -152,7 +152,7 @@ def test_generators_are_written_as_lists(build):
         ["forests", "--conn-prob", "--n-range", "1:6"],
         ["verify", "--suite", "local-double-counting", "--n", "5"],
         ["verify", "--suite", "dissymmetry", "--k", "6", "--samples", "2"],
-        ["optimize", "--u-max", "2", "--k", "5", "--restarts", "2"],
+        ["optimize", "--u-max", "2", "--k", "5"],
     ],
 )
 def test_stream_matches_reference_on_reports(monkeypatch, argv):

@@ -392,7 +392,7 @@ def evaluator_inputs(catalog, k):
     """Seeded float vectors over catalog.u0, piece U drawn below
     scale**|U|: each as it is, with one and two zero coordinates, with a
     1e200 entry (powers overflow to inf, and inf times a zero power is
-    NaN), with 1e200 on the single vertex, and with a NaN entry and a NaN
+    0), with 1e200 on the single vertex, and with a NaN entry and a NaN
     on the single vertex."""
     rng = random.Random(f"{catalog.u_max}:{k}")
     d = len(catalog.u0)
@@ -496,3 +496,22 @@ def test_float_series_past_the_largest_float_are_inf():
     assert wt.rooted_series(z, 3, cat) == math.inf
     big = wt.WeightVector(tuple((u.code, 1.7e308) for u in cat.u0))
     assert wt.piece_series_linear(big, cat) == math.inf
+
+
+def test_zero_weight_times_an_overflowed_power_is_zero():
+    # 1e200**2 is inf and meets 0.0**1: the monomial is 0, not inf * 0 = NaN
+    # (the layers once ended inf, nan and the rooted series read nan)
+    cat = tk.Catalog.standard(1, 3)
+
+    def vector(*values):
+        return wt.WeightVector(tuple((u.code, v) for u, v in zip(cat.u0, values)))
+
+    z = vector(0.0, 1e200, 1e200)
+    assert wt.layers(z, 5, cat) == [0.0, 0.0, 1e200, 1.5e200, math.inf, math.inf]
+    check = wt.verify_dissymmetry_trunc(z, 5, cat)
+    assert check.rooted == check.unrooted == math.inf
+    # what stays NaN: an underflowed power times an overflowed one
+    # ((1e-200)**2 * (1e200)**2 at size 6), and a NaN weight
+    assert math.isnan(wt.layers(vector(1e-200, 1e200, 1e200), 6, cat)[6])
+    om, y = wt.TruncatedSeriesEvaluator(cat, 5).evaluate([math.nan, 0.0, 1e200])
+    assert all(map(math.isnan, y[1:]))
