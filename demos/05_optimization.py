@@ -3,9 +3,10 @@ as possible while the truncated rooted partition function stays at or
 below 1.5 and the vector remains a closure fixed point.
 
 With a single piece the answer is the threshold x_k solving the
-one-variable equation; richer catalogs start from its closed embedding and
-climb from there.  The returned point is always re-certified in exact
-rational arithmetic, so the reported objective is a true feasible value.
+one-variable equation; for richer catalogs a best-first box search starts
+from its closed embedding and brackets the maximum.  The returned point is
+always re-certified in exact rational arithmetic, so the reported
+objective is a true feasible value.
 """
 
 import math
@@ -21,18 +22,19 @@ def main():
     for k in (2, 4, 6, 8, 10, 12, 14):
         print(f"  {k:>2d} -> {op.single_var_threshold(k):.9f}")
 
-    print("\n== maximize with u0 = {single vertex}, k = 10 ==")
+    print("\n== bracket with u0 = {single vertex}, k = 10 ==")
     cat1 = tk.Catalog.standard(1, 1)
-    res = op.maximize(op.OptimizerConfig(catalog=cat1, k=10, restarts=4, seed=0))
+    res = op.bracket(op.OptimizerConfig(catalog=cat1, k=10))
     print(f"  objective {res.objective_float:.9f} "
           f"(threshold {op.single_var_threshold(10):.9f}), "
           f"evaluations {res.evaluations}")
 
-    print("\n== maximize with u0 = unrooted trees up to 3 vertices, k = 12 ==")
+    print("\n== bracket with u0 = unrooted trees up to 3 vertices, k = 12 ==")
     cat3 = tk.Catalog.standard(1, 3)
-    cfg = op.OptimizerConfig(catalog=cat3, k=12, restarts=8, seed=0)
-    res = op.maximize(cfg)
-    print(f"  certified objective {res.objective_float:.9f}")
+    cfg = op.OptimizerConfig(catalog=cat3, k=12)
+    res = op.bracket(cfg)
+    print(f"  certified objective {res.objective_float:.9f}, "
+          f"float upper end {res.upper_float:.9f}")
     print(f"  certified series value {float(res.point.y_value):.12f} <= 1.5")
     print(f"  weights: {[(c, float(v)) for c, v in res.point.z.entries]}")
     recheck = op.feasibility(res.point.z, cfg)

@@ -12,19 +12,15 @@ sum lam^s y_s maps closed points to closed points.  Every max weight, the
 closure and Y are nondecreasing in each coordinate.  `bracket`, the search
 the `optimize` command runs, is a best-first branch and bound over boxes
 of weight vectors that returns a certified point and an upper end on the
-maximum.  `maximize`, the multistart coordinate ascent it replaces, stays
-as its reference: it alternates closure, a scaling projection back to the
-cap, and coordinate ascent.  Returned objectives are certified lower
-bounds for the true maximum: the final point is re-validated in exact
-rational arithmetic, never claimed optimal; `bracket`'s upper end is a
-float computation, not a proof.
+maximum.  Its objective is a certified lower bound for the true maximum:
+the final point is re-validated in exact rational arithmetic, never
+claimed optimal; the upper end is a float computation, not a proof.
 
 Every scaling projection solves sum lam^s y_s = cap for lam, an increasing
 polynomial in lam, with one float bisection that evaluates the polynomial
 by Horner: to within tol for the single-variable threshold, and in the
-searches until no float splits the bracket, which starts from a bracket
-found by Newton's method when scaling down and from [1, the tangent's
-root] when scaling up.
+search until no float splits the bracket, which starts from [0, 1] when
+scaling down and from [1, the tangent's root] when scaling up.
 
 Float arithmetic drives the inner loop; the exact re-validation rounds the
 float vector to dyadic rationals, closes it exactly, and scales by the
@@ -35,12 +31,10 @@ sum y_s, so one exact scaling restores feasibility).
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import count
-from math import expm1, inf, isfinite, log1p, nextafter
+from math import inf, isfinite
 from operator import mul
 
 from . import treekit, weights
@@ -51,12 +45,10 @@ __all__ = [
     "OptimizerConfig",
     "FeasiblePoint",
     "FeasibilityResult",
-    "MaximizeResult",
     "BracketResult",
     "BoundCheck",
     "feasibility",
     "single_var_threshold",
-    "maximize",
     "bracket",
     "bound_check",
 ]
@@ -71,8 +63,6 @@ class OptimizerConfig:
     k: int
     budget: int = 10_000
     tol: float = 1e-9
-    restarts: int = 32
-    seed: int = 0
     y_cap: float = DEFAULT_CAP
 
     def __post_init__(self):
@@ -82,8 +72,6 @@ class OptimizerConfig:
             raise ValueError("the evaluation budget must be >= 1")
         if not 0 < self.tol < inf:
             raise ValueError("tol must be positive and finite")
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
         if not 1.0 < self.y_cap < inf:
             raise ValueError("the partition-function cap must exceed 1 and be finite")
 
@@ -101,17 +89,6 @@ class FeasibilityResult:
     feasible: bool
     point: FeasiblePoint | None
     violations: list
-
-
-@dataclass
-class MaximizeResult:
-    point: FeasiblePoint
-    objective_float: float
-    trace: list
-    evaluations: int
-    restarts_used: int
-    budget_exhausted: bool
-    y_per_size: dict  # exact per-size contributions at the certified point
 
 
 @dataclass
@@ -195,57 +172,16 @@ def _resolved(lo, hi, _):
     return not lo < _mid(lo, hi) < hi
 
 
-_NEWTON_STEPS = 64
-
-
 def _scale_to_cap(layers, cap: float) -> float:
     """Largest float lam in (0, 1) with sum lam^s layers[s] <= cap, for
-    float layers whose sum exceeds the cap.
-
-    The answer is the float that bisecting [0, 1] to adjacency gives, and
-    a narrower bracket gives it too.  Float Horner H with non-negative
-    coefficients is non-decreasing in x >= 0, because rounded + and * are
-    monotone, so H(x) <= cap holds for the floats up to one threshold t and
-    for none above it.  Bisection keeps lo at or below the cap and hi above
-    it, never evaluates its starting lo = 0 and hi = 1.0, and stops when
-    they are adjacent: from [0, 1] it returns min(t, 1 - 2^-53), and so it
-    does from any bracket with H(lo) <= cap < H(hi).
-
-    Newton's method narrows [0, 1] to such a bracket, starting at x = 1.
-    H is convex in x and log H is convex in log x (a log-sum-exp), so a
-    Newton step in x from a point at or below the cap, and a Newton step
-    on log H against log x from a point above it, both land at or above
-    the root; the second is exact for a single power, so the iterates come
-    down from above in a few steps.  Each iterate is clamped strictly
-    inside the bracket, which therefore shrinks by at least one float per
-    step.  The search ends when no float splits the bracket, and on inf,
-    nan, a zero slope or too many steps it hands the bracket it has, still
-    a valid one, to the bisection."""
-    cs = [float(c) for c in layers]
-    lo = val_lo = 0.0
-    x = hi = 1.0
-    for _ in range(_NEWTON_STEPS):
-        val = der = 0.0
-        for c in reversed(cs):
-            der = der * x + val
-            val = val * x + c
-        if val <= cap:
-            if x == 1.0:
-                return nextafter(1.0, 0.0)
-            lo, val_lo = x, val
-            if not 0.0 < der < inf:
-                break
-            x += (cap - val) / der
-        else:
-            slope = x * der  # val times d(log H)/d(log x)
-            if not (val < inf and 0.0 < slope < inf):
-                break
-            hi = x
-            x += x * expm1(-log1p((val - cap) / cap) * val / slope)
-        x = min(max(x, nextafter(lo, 1.0)), nextafter(hi, 0.0))
-        if not lo < x < hi:
-            break
-    return _bisect(cs, cap, hi, _resolved, lo, val_lo)[0]
+    float layers whose sum exceeds the cap: the bisection of [0, 1] to
+    adjacent floats.  Float Horner H with non-negative coefficients is
+    non-decreasing in x >= 0, because rounded + and * are monotone, so
+    H(x) <= cap holds for the floats up to one threshold t and for none
+    above it.  Bisection keeps lo at or below the cap and hi above it,
+    never evaluates its starting lo = 0 and hi = 1.0, and returns
+    min(t, 1 - 2^-53)."""
+    return _bisect([float(c) for c in layers], cap, 1.0, _resolved)[0]
 
 
 def single_var_threshold(k: int, cap: float = DEFAULT_CAP, tol: float = 1e-12) -> float:
@@ -451,106 +387,6 @@ def bracket(config: OptimizerConfig) -> BracketResult:
         upper_float=max(best_obj, objective_float, unsplit, -heap[0][0] if heap else -inf),
         evaluations=evals,
         budget_exhausted=not closed(),
-        y_per_size=per_size,
-    )
-
-
-def maximize(config: OptimizerConfig, warm_starts=()) -> MaximizeResult:
-    """Multi-start local search for the constrained maximum.
-
-    Each restart settles its iterate (closure, then scaling projection to
-    the cap) and runs coordinate ascent with step halving on the linear
-    objective until no coordinate improves by more than tol.  Starts are a
-    deterministic embedding of the single-variable threshold, any supplied
-    warm starts, and seeded random vectors.  The best point is re-validated
-    in exact arithmetic; the result is a certified feasible lower bound for
-    the maximum, not a certificate of optimality.  Raises ValueError when
-    no start settles to a finite objective within the budget.
-    """
-    cat, k = config.catalog, config.k
-    ev = TruncatedSeriesEvaluator(cat, k)
-    d = len(cat.u0)
-    sizes_u0 = [u.size for u in cat.u0]
-    lin = [1.0 / u.aut_u for u in cat.u0]
-    cap = config.y_cap
-    state = {"evals": 0}
-    trace = []
-
-    # restarts reach the same closed points and replay the same coordinate
-    # steps, so a vector is closed and projected once
-    @cache
-    def close_and_project(zv: tuple):
-        """The closure of zv projected to the cap, and its objective."""
-        om, layers = ev.evaluate(zv)
-        zc = [0.0] * d
-        for j, c in zip(ev.u0_zslots, ev.u0_positions):
-            zc[j] = om[c]
-        if _left_sum(layers) > cap:
-            lam = _scale_to_cap(layers, cap)
-            zc = [v * lam**s for v, s in zip(zc, sizes_u0)]
-        return tuple(zc), _left_sum(map(mul, zc, lin))
-
-    def settle(zv: tuple):
-        """Close and project; every call counts as an evaluation."""
-        state["evals"] += 1
-        return close_and_project(zv)
-
-    embed = [0.0] * d
-    embed[cat.u0_index[treekit.SINGLE_VERTEX_CODE]] = single_var_threshold(k, cap=cap)
-    starts = [tuple(embed)]
-    for wst in warm_starts:
-        start = tuple(wst.to_floats() if isinstance(wst, WeightVector) else map(float, wst))
-        if len(start) != d:
-            raise ValueError(f"warm start {list(start)} has {len(start)} entries, not {d}")
-        if not all(v >= 0 for v in start):  # refuses NaN too
-            raise ValueError(f"warm start {list(start)} has an entry that is not >= 0")
-        starts.append(start)
-    for r in range(config.restarts):
-        rng = random.Random(f"{config.seed}:{r}")
-        starts.append(tuple(rng.uniform(0.0, 1.0) for _ in range(d)))
-
-    best_z = None
-    best_obj = -1.0
-    restarts_used = 0
-    for idx, z0 in enumerate(starts):
-        if state["evals"] >= config.budget:
-            break
-        restarts_used += 1
-        zv, obj = settle(z0)
-        improved = True
-        while improved and state["evals"] < config.budget:
-            improved = False
-            for j in range(d):
-                step = max(abs(zv[j]), 0.25)
-                while step > config.tol and state["evals"] < config.budget:
-                    moved = False
-                    for sign in (1.0, -1.0):
-                        cand_j = max(0.0, zv[j] + sign * step)
-                        if cand_j == zv[j] or state["evals"] >= config.budget:
-                            continue
-                        new_zv, new_obj = settle((*zv[:j], cand_j, *zv[j + 1 :]))
-                        if new_obj > obj + config.tol:
-                            zv, obj = new_zv, new_obj
-                            moved = True
-                            improved = True
-                            break
-                    if not moved:
-                        step *= 0.5
-        if obj > best_obj:
-            best_obj = obj
-            best_z = zv
-            trace.append({"start": idx, "objective": obj, "evaluations": state["evals"]})
-
-    if best_z is None:  # every settled start's objective was NaN
-        raise ValueError(f"no start settled to a finite objective in {state['evals']} evaluations")
-    point, per_size = _certify(best_z, config)
-    return MaximizeResult(
-        point=point,
-        objective_float=float(point.objective),
-        trace=trace,
-        evaluations=state["evals"],
-        restarts_used=restarts_used,
-        budget_exhausted=state["evals"] >= config.budget,
         y_per_size=per_size,
     )
 

@@ -706,7 +706,6 @@ class TruncatedSeriesEvaluator:
         self._profiles = _profiles(catalog.u0, k)
         self.index = self._profiles.index
         self.u0_positions = tuple(self.index(u.code) for u in catalog.u0 if u.size <= k)
-        self.u0_zslots = tuple(j for j, u in enumerate(catalog.u0) if u.size <= k)
         # perfbench/traced_run.py reads passes to count the entries
         self.passes = [(self._profiles.vectors, self._profiles.masks, self._profiles.every)]
 

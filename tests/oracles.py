@@ -15,14 +15,16 @@ scheme: the quadratic recurrence on the component of vertex 1, in integers
 and in log-space floats.  The scale projection references keep the
 optimizer's first two projections: 80 numpy bisection steps
 (`scale_to_cap`), and a Horner bisection of [0, 1] run until no float
-splits the bracket (`scale_to_cap_bisect`), whose float the optimizer
-must still return exactly.  `project_scale` is the optimizer's
-former projection of a whole weight vector, exact or float, which no
-command calls; it borrows the optimizer's bisections and the package's
-series layers.  The float feasibility reference keeps the
-optimizer's first float check: the package's float evaluator (passed in)
-with numpy sums.  `TruncatedSeriesEvaluatorReference` keeps the first
-float evaluator, a numpy scan of every (class, count vector) row, and
+splits the bracket (`scale_to_cap_bisect`), written out here apart from
+the optimizer's shared `_bisect`, whose float the optimizer's projection
+must return exactly.  `project_scale` is the optimizer's former
+projection of a whole weight vector, exact or float, which no command
+calls; it borrows the optimizer's bisections and the package's series
+layers.  The float feasibility reference keeps the optimizer's first
+float check: the package's float evaluator (passed in) with numpy sums,
+reading the u0 slots it checks from the catalog.
+`TruncatedSeriesEvaluatorReference` keeps the first float evaluator, a
+numpy scan of every (class, count vector) row, and
 `layers_reference` the first layered sum, which scans the same rows and
 compares exact monomials as (numerator, denominator) pairs by
 cross-multiplying; both borrow `weights._profiles`.  `knapsack_floor`
@@ -687,7 +689,7 @@ def project_scale(z, config):
     increasing polynomial in lam, solved by the optimizer's Horner
     bisection.  Exact vectors bisect in Fractions until the series is
     within config.tol below the cap; float vectors take the optimizer's
-    Newton-bracketed float bisection.  Either way the scaled series stays
+    float bisection of [0, 1].  Either way the scaled series stays
     at or below the cap."""
     from bridgeforest import optimizer, weights
 
@@ -714,7 +716,8 @@ def float_feasibility(ev, z, config):
     om, layers = ev.evaluate(zv)
     y = float(np.sum(layers[1:]))
     violations = []
-    gaps = [abs(om[c] - zv[j]) for c, j in zip(ev.u0_positions, ev.u0_zslots)]
+    zslots = [j for j, u in enumerate(config.catalog.u0) if u.size <= config.k]
+    gaps = [abs(om[c] - zv[j]) for c, j in zip(ev.u0_positions, zslots)]
     if y > config.y_cap + config.tol:
         violations.append(f"rooted series {y:.12g} exceeds cap {config.y_cap}")
     if not max(gaps) <= config.tol:

@@ -358,17 +358,21 @@ def test_criterion_11_optimizer():
     for k in (6, 10, 12):
         x_k = op.single_var_threshold(k)
         thresholds[k] = x_k
-        res = op.maximize(op.OptimizerConfig(catalog=cat1, k=k, restarts=8, seed=0))
+        res = op.bracket(op.OptimizerConfig(catalog=cat1, k=k))
         if abs(res.objective_float - x_k) >= 1e-8:
             problems.append(f"k={k}: objective {res.objective_float} vs x_k {x_k}")
+        if res.budget_exhausted:
+            problems.append(f"k={k}: the search ran out of budget with its gap open")
     if not thresholds[6] > thresholds[10] > thresholds[12]:
         problems.append("thresholds not strictly decreasing")
     if not all(x > E_INV for x in thresholds.values()):
         problems.append("thresholds not above 1/e")
     cat3 = tk.Catalog.standard(1, 3)
     k = MULTIVARIATE_K
-    cfg = op.OptimizerConfig(catalog=cat3, k=k, restarts=32, seed=0)
-    res = op.maximize(cfg)
+    cfg = op.OptimizerConfig(catalog=cat3, k=k)
+    res = op.bracket(cfg)
+    if res.budget_exhausted:
+        problems.append(f"k={k}: the search ran out of budget with its gap open")
     recheck = op.feasibility(res.point.z, cfg)
     if not recheck.feasible:
         problems.append(f"exact feasibility recheck failed: {recheck.violations}")
@@ -409,8 +413,9 @@ def test_regression_multivariate_objective_value():
     check first passes near eps = 0.131.
     """
     cat3 = tk.Catalog.standard(1, 3)
-    cfg = op.OptimizerConfig(catalog=cat3, k=14, restarts=4, seed=0)
-    res = op.maximize(cfg)
+    cfg = op.OptimizerConfig(catalog=cat3, k=14)
+    res = op.bracket(cfg)
+    assert not res.budget_exhausted
     x = op.single_var_threshold(14)
     embedded = x + x**2 / 2 + x**3 / 2
     assert res.objective_float >= embedded - 1e-9

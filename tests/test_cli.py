@@ -361,6 +361,19 @@ class TestOptimize:
         assert 0 <= doc["upper_float"] - doc["objective_float"] <= 1e-9
         assert doc["evaluations"] <= 200 and doc["budget_exhausted"] is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--u-max", "1", "--k", "8"], ["--u-max", "2", "--k", "6"], ["--u-max", "3", "--k", "11", "--budget", "1000"]],
+    )
+    def test_seed_changes_only_its_echo(self, capsys, argv):
+        # the search draws nothing; the report still echoes --seed
+        docs = []
+        for seed in (0, 7):
+            code, doc = run_json(capsys, "optimize", *argv, "--seed", str(seed))
+            assert code in (0, 1) and doc["config"]["options"].pop("seed") == seed
+            docs.append((code, doc))
+        assert docs[0] == docs[1]
+
     def test_bound_failure_exit1(self, capsys):
         # epsilon=0 demands objective <= 1/2; x_4 ~ 0.578 exceeds it
         code = cli.main(["optimize", "--u-max", "1", "--k", "4", "--epsilon", "0"])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import operator
 import random
@@ -26,8 +28,6 @@ def cat2():
 
 
 def config(catalog, k, **kw):
-    kw.setdefault("restarts", 4)
-    kw.setdefault("seed", 0)
     return op.OptimizerConfig(catalog=catalog, k=k, **kw)
 
 
@@ -54,6 +54,16 @@ class TestConfig:
             op.OptimizerConfig(catalog=cat3, k=4, y_cap=value)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             op.OptimizerConfig(catalog=cat3, k=4, tol=value)
+
+    def test_five_fields(self):
+        names = [f.name for f in dataclasses.fields(op.OptimizerConfig)]
+        assert names == ["catalog", "k", "budget", "tol", "y_cap"]
+
+    @pytest.mark.parametrize("name", ["restarts", "seed"])
+    def test_no_restarts_or_seed(self, cat1, name):
+        # the search draws nothing and starts once
+        with pytest.raises(TypeError, match=name):
+            op.OptimizerConfig(catalog=cat1, k=4, **{name: 0})
 
 
 class TestSingleVarThreshold:
@@ -226,28 +236,25 @@ class TestProjectScale:
 
 
 class TestScaleToCapAgainstOracle:
-    # every layer vector projected by a seeded search, through the
-    # Newton-bracketed projection, the Horner bisection of [0, 1] (the
+    # the layers of every corner the box search evaluates above the cap,
+    # through the projection, the oracle's Horner bisection of [0, 1] (the
     # same float) and the first (numpy) projection
-    @pytest.mark.parametrize("k,kw", [(11, {"budget": 1000}), (14, {"restarts": 4})])
-    def test_within_two_ulps_and_under_cap(self, monkeypatch, k, kw):
-        seen = []
-        projection = op._scale_to_cap
+    def test_within_two_ulps_and_under_cap(self, monkeypatch):
+        seen, cap = [], op.DEFAULT_CAP
+        evaluate = wt.TruncatedSeriesEvaluator.evaluate
 
-        def record(layers, cap):
-            seen.append(layers.copy())
-            return projection(layers, cap)
+        def record(self, zvec):
+            om, layers = evaluate(self, zvec)
+            if op._left_sum(layers) > cap:
+                seen.append(layers.copy())
+            return om, layers
 
-        monkeypatch.setattr(op, "_scale_to_cap", record)
-        # without the settle memo every evaluation projects, as the search
-        # did before it had one
-        monkeypatch.setattr(op, "cache", lambda fn: fn)
-        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=k, seed=0, **kw)
-        op.maximize(cfg)
+        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", record)
+        for u_max, k in [(3, 11), (3, 14), (4, 14)]:  # 117, 106 and 392 corners
+            op.bracket(op.OptimizerConfig(catalog=tk.Catalog.standard(1, u_max), k=k))
         assert len(seen) > 400
-        cap = cfg.y_cap
         for layers in seen:
-            lam = projection(layers, cap)
+            lam = op._scale_to_cap(layers, cap)
             assert lam == oracles.scale_to_cap_bisect(layers, cap)
             ref = oracles.scale_to_cap(layers, cap)
             assert abs(lam - ref) <= 2 * math.ulp(ref)
@@ -304,181 +311,32 @@ class TestScaleToCapAgainstOracle:
         assert Fraction(3, 2) - Fraction(cfg.tol) <= y <= Fraction(3, 2)
 
 
-class TestMaximize:
-    @pytest.mark.parametrize("k", [4, 6, 10])
-    def test_single_var_recovers_threshold(self, cat1, k):
-        res = op.maximize(config(cat1, k))
-        assert abs(res.objective_float - op.single_var_threshold(k)) < 1e-8
-
-    def test_returned_point_exactly_feasible(self, cat1):
-        cfg = config(cat1, 8)
-        res = op.maximize(cfg)
-        assert res.point.z.exact and res.point.closed
-        recheck = op.feasibility(res.point.z, cfg)
-        assert recheck.feasible and not recheck.violations
-
-    def test_deterministic(self, cat2):
-        a = op.maximize(config(cat2, 6))
-        b = op.maximize(config(cat2, 6))
-        assert a.point.z.entries == b.point.z.entries
-        assert a.objective_float == b.objective_float
-
-    def test_richer_u0_does_not_hurt(self, cat1, cat2):
-        # {single vertex} inside unrooted<=2 inside unrooted<=3, warm-started
-        # along the chain: the objective never drops
-        cat3 = tk.Catalog.standard(1, 3)
-        small = op.maximize(config(cat1, 8))
-        mid = op.maximize(
-            config(cat2, 8), warm_starts=[[float(small.point.z["()"]), 0.0]]
-        )
-        big = op.maximize(
-            config(cat3, 8),
-            warm_starts=[[float(v) for _, v in mid.point.z.entries] + [0.0]],
-        )
-        assert mid.objective_float >= small.objective_float - 1e-12
-        assert big.objective_float >= mid.objective_float - 1e-12
-
-    def test_monotone_non_increasing_in_k(self, cat2):
-        results = {}
-        warm = []
-        for k in (12, 10, 8, 6, 4, 2):
-            res = op.maximize(config(cat2, k), warm_starts=warm)
-            results[k] = res.objective_float
-            warm = [res.point.z]
-        ks = sorted(results)
-        assert all(results[a] >= results[b] - 1e-12 for a, b in zip(ks, ks[1:]))
-
-    def test_per_size_contributions_reported(self, cat2):
-        res = op.maximize(config(cat2, 6))
-        total = sum(res.y_per_size.values())
-        assert abs(float(total) - float(res.point.y_value)) < 1e-12
-        assert set(res.y_per_size) == set(range(1, 7))
-
-    def test_trace_records_improvements(self, cat2):
-        res = op.maximize(config(cat2, 6))
-        assert res.trace
-        objs = [t["objective"] for t in res.trace]
-        assert objs == sorted(objs)
-
-    def test_budget_flag(self, cat2):
-        res = op.maximize(config(cat2, 6, budget=3))
-        assert res.budget_exhausted and res.point is not None
-
-    def test_evaluations_never_exceed_the_budget(self):
-        # the second sign of a coordinate step must not run past the budget
-        # (1001 evaluations at six of these seeds before it was checked)
-        cat = tk.Catalog.standard(1, 3)
-        for seed in range(10):
-            res = op.maximize(op.OptimizerConfig(catalog=cat, k=11, budget=1000, seed=seed))
-            assert res.evaluations <= 1000 and res.budget_exhausted, seed
-
-    def test_budget_flag_clear_with_budget_left(self, cat1):
-        res = op.maximize(config(cat1, 6, budget=10_000))
-        assert res.evaluations < 10_000
-        assert res.budget_exhausted is False
-
-    @pytest.mark.parametrize(
-        "start, problem",
-        [
-            ([0.1], "has 1 entries, not 3"),
-            ([0.1, 0.2, 0.3, 0.4], "has 4 entries, not 3"),
-            ([-1.0, 0.1, 0.1], "not >= 0"),
-            ([math.nan] * 3, "not >= 0"),
-        ],
-    )
-    def test_warm_starts_are_checked(self, start, problem):
-        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=4, budget=2000)
-        with pytest.raises(ValueError, match=problem) as info:
-            op.maximize(cfg, warm_starts=[[0.1, 0.1, 0.1], start])
-        assert str(info.value).startswith(f"warm start {start}")
-
-    def test_warm_start_weight_vector_over_another_catalog(self, cat2):
-        z = wt.WeightVector.over(cat2, {"()": 0.2})
-        with pytest.raises(ValueError, match="has 2 entries, not 3"):
-            op.maximize(op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=4), warm_starts=[z])
-
-    @pytest.mark.parametrize("k", [8, 11])
-    def test_settle_memo_changes_nothing(self, monkeypatch, k):
-        # a repeated vector is closed and projected once; bypassing the
-        # memo gives the same run, one evaluator call per evaluation
-        calls = []
-        evaluate = wt.TruncatedSeriesEvaluator.evaluate
-
-        def counted(self, zvec):
-            calls.append(zvec)
-            return evaluate(self, zvec)
-
-        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", counted)
-        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=k, seed=0)
-        memo = op.maximize(cfg)
-        memo_calls = len(calls)
-        monkeypatch.setattr(op, "cache", lambda fn: fn)
-        calls.clear()
-        bare = op.maximize(cfg)
-        assert len(calls) == bare.evaluations
-        assert memo_calls == len(set(calls)) < bare.evaluations
-        assert (memo.evaluations, memo.restarts_used, memo.budget_exhausted, memo.trace) == (
-            bare.evaluations, bare.restarts_used, bare.budget_exhausted, bare.trace
-        )
-        assert memo.point == bare.point and memo.y_per_size == bare.y_per_size
-
-    def test_embedded_start_kept_at_the_largest_cap(self, cat2):
-        # the threshold's last midpoint rounds up to a bracket end whose
-        # series overflows, so the threshold is the end below it: the
-        # embedded start settles, and certifies a closed point near cap/2
-        # before the budget ends
-        cfg = config(cat2, 2, budget=20, restarts=2, y_cap=1.7976931348623157e308)
-        assert op.single_var_threshold(2, cap=cfg.y_cap) == math.nextafter(2.0**512, 0.0)
-        res = op.maximize(cfg)
-        assert res.point.closed and [t["start"] for t in res.trace] == [0]
-        assert res.point.y_value <= Fraction(cfg.y_cap)
-        assert 8.9e307 < res.objective_float < 9e307
-        assert not op.bound_check(res.point, 0.1).ok
-
-    def test_no_finite_start_raises(self, cat2, monkeypatch):
-        # every max weight NaN: none of the three starts settles to a finite
-        # objective, and a NaN iterate takes no coordinate step
-        evaluate = wt.TruncatedSeriesEvaluator.evaluate
-
-        def nan_weights(self, zvec):
-            om, layers = evaluate(self, zvec)
-            return [math.nan] * len(om), layers
-
-        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", nan_weights)
-        with pytest.raises(ValueError, match="no start settled to a finite objective in 3 evaluations"):
-            op.maximize(config(cat2, 2, budget=20, restarts=2))
-
-    def test_certificate_rounds_as_the_float_product_did(self, cat1):
-        # each weight is rounded to a multiple of 2^-40 exactly; wherever
-        # v * 2^40 is a finite float that product was exact, so the exact
-        # rounding gives what rounding the product gave
-        cfg = config(cat1, 1, y_cap=1.7976931348623157e308)
-        rng = random.Random(0)
-        values = [rng.uniform(1.0, 2.0) * 2.0**e for e in range(-1074, 984, 7)]
-        values += [(2 * m + 1) * 2.0**-41 for m in [*range(64), *range(2**51, 2**51 + 64)]]
-        values += [math.nextafter(2.0**984, 0.0), 0.0]
-        for v in values:
-            assert math.isfinite(v * 2**40)
-            point, _ = op._certify((v,), cfg)
-            assert point.z["()"] == Fraction(round(v * 2**40), 2**40), v
-        # past 2^984 the float product overflows; the exact one does not
-        assert op._certify((1e300,), cfg)[0].z["()"] == Fraction(1e300)
-
-
-# the configurations bracket is compared with maximize at: (u_max, k,
-# maximize's keywords)
-_MAXIMIZE_CONFIGS = (
-    [(3, 11, {"budget": 1000, "seed": seed}) for seed in range(10)]
-    + [(3, 14, {"restarts": 4, "seed": seed}) for seed in range(4)]
-    + [(3, 14, {}), (3, 8, {}), (3, 16, {}), (3, 18, {}), (1, 11, {}), (2, 11, {})]
-    + [(4, 12, {}), (4, 14, {}), (2, 14, {"seed": 3})]
+# what the multistart coordinate ascent that the box search replaced
+# certified at 23 configurations, in its last version: (u_max, k, its
+# other arguments, the budget, sha256 of str(objective), float(objective),
+# evaluations).  Its seeds and restarts changed its evaluations only.
+_ASCENT = "6bab13cc4d329eed08aa0971d25fd698961f42557ddb5128096ad8cdb1b7c5c1", 0.5918870282653527
+_K14 = "c219d75ad6d68d84b169df807ad3988f4423f80a60ca79aeb56adce2069e5e54", 0.565309703969364
+_MULTISTART_ASCENT = (
+    [(3, 11, f"seed={seed}", 1000, *_ASCENT, 1000) for seed in range(10)]
+    + [(3, 14, f"restarts=4,seed={seed}", 10_000, *_K14, n) for seed, n in enumerate((1534, 1366, 1539, 1538))]
+    + [
+        (3, 14, "", 10_000, *_K14, 9899),
+        (3, 8, "", 10_000, "a74d8b32d97785a463921f5bb730940aec04b7e0055302ae9559be900242373e", 0.6398864708564247, 9904),
+        (3, 16, "", 10_000, "a09302f7655ee96bfece1f4ae3fdc6fa79cf8d73048fb416c894f9c3bc8b7f4c", 0.5532529822896451, 9899),
+        (3, 18, "", 10_000, "9ba101311381dff60b5c29fcc6b5971cc41c7b0be11fff45169d070b5b696191", 0.5438983525686951, 9899),
+        (1, 11, "", 10_000, "f74155475b6623dc532048d27c858b5d2e55659fd2e9ca9c7d2099c65601c579", 0.44718616458612814, 2881),
+        (2, 11, "", 10_000, "61f76ad1172848657391b238481c4c666696d601ae8323259a39268a52da669a", 0.547173897484754, 6310),
+        (4, 12, "", 10_000, "71c8b79cd0a19f1763dfcba1d17e60cfad7fca8ed311711c79b51e556d9d57f4", 0.6067592038466764, 10_000),
+        (4, 14, "", 10_000, "55f5331257756c3259292422b62e5dbc10e190754447eba356d6b343a346e296", 0.588489418022879, 10_000),
+        (2, 14, "seed=3", 10_000, "d36d7d637200423bc54915c2a9e4e74e7f8a3da133c0bed41a7547497ea3edca", 0.5250500994629753, 6432),
+    ]
 )
 
 
 @pytest.fixture(scope="module")
 def brackets():
-    """bracket's result per (u_max, k, budget); it draws nothing, so a seed
-    or a restart count does not change it."""
+    """bracket's result per (u_max, k, budget)."""
     found = {}
 
     def get(u_max, k, budget=10_000):
@@ -492,26 +350,45 @@ def brackets():
 
 
 class TestBracket:
-    @pytest.mark.parametrize("u_max, k, kw", _MAXIMIZE_CONFIGS)
-    def test_at_least_the_multistart_ascent(self, brackets, u_max, k, kw):
-        # the certified lower end is never below maximize's, and maximize's
-        # point is never above the search's upper end
-        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, u_max), k=k, **kw)
-        ascent = op.maximize(cfg)
-        res = brackets(u_max, k, cfg.budget)
+    @pytest.mark.parametrize(
+        "u_max, k, ascent_args, budget, digest, objective, evaluations",
+        _MULTISTART_ASCENT,
+        ids=[f"{u_max}-{k}-{args or 'defaults'}" for u_max, k, args, *_ in _MULTISTART_ASCENT],
+    )
+    def test_at_least_the_multistart_ascent(self, brackets, u_max, k, ascent_args, budget, digest, objective, evaluations):
+        # the same certified rational as the ascent, from fewer evaluations,
+        # and never above the search's upper end
+        res = brackets(u_max, k, budget)
         assert res.point.closed and res.point.y_value <= Fraction(3, 2)
-        assert res.point.objective >= ascent.point.objective
-        assert ascent.point.objective <= Fraction(res.upper_float)
-        assert not res.budget_exhausted and res.evaluations < ascent.evaluations
-        assert res.upper_float - res.objective_float <= cfg.tol
+        assert hashlib.sha256(str(res.point.objective).encode()).hexdigest() == digest
+        assert res.objective_float == objective
+        assert res.point.objective <= Fraction(res.upper_float)
+        assert not res.budget_exhausted and res.evaluations < evaluations
+        assert res.upper_float - res.objective_float <= 1e-9
 
-    def test_certified_point_is_exactly_feasible(self, brackets):
-        res = brackets(3, 11, 1000)
-        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, 3), k=11)
+    @pytest.mark.parametrize("u_max, k, budget", [(3, 11, 1000), (1, 8, 10_000), (2, 6, 10_000)])
+    def test_certified_point_is_exactly_feasible(self, brackets, u_max, k, budget):
+        res = brackets(u_max, k, budget)
+        cfg = op.OptimizerConfig(catalog=tk.Catalog.standard(1, u_max), k=k)
         recheck = op.feasibility(res.point.z, cfg)
+        assert res.point.z.exact and res.point.closed
         assert recheck.feasible and recheck.point.objective == res.point.objective
+        assert set(res.y_per_size) == set(range(1, k + 1))
         assert sum(res.y_per_size.values()) == res.point.y_value
         assert res.evaluations <= 200
+
+    def test_deterministic(self, cat2):
+        a, b = (op.bracket(config(cat2, 6)) for _ in range(2))
+        assert a == b
+
+    def test_richer_u0_does_not_hurt(self, brackets):
+        # {single vertex} inside unrooted<=2 inside unrooted<=3 at k = 8
+        small, mid, big = (brackets(u_max, 8) for u_max in (1, 2, 3))
+        assert small.point.objective <= mid.point.objective <= big.point.objective
+
+    def test_monotone_non_increasing_in_k(self, brackets):
+        objectives = [brackets(2, k).point.objective for k in range(2, 13)]
+        assert objectives == sorted(objectives, reverse=True)
 
     @pytest.mark.parametrize("u_max", [1, 2, 3])
     def test_knapsack_cut_holds_exactly(self, u_max):
@@ -561,11 +438,12 @@ class TestBracket:
         assert best <= Fraction(res.upper_float)
         assert res.objective_float >= float(best) - 1e-9
 
-    @pytest.mark.parametrize("k", [1, 2, 6, 12])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 10, 12])
     def test_single_variable_bracket_holds_the_threshold(self, cat1, k):
         res = op.bracket(config(cat1, k))
         x = op.single_var_threshold(k)
         assert res.objective_float - 1e-12 <= x <= res.upper_float + 1e-12
+        assert abs(res.objective_float - x) < 1e-8
 
     @pytest.mark.parametrize("u_max, k", [(2, 6), (3, 11), (4, 8)])
     def test_boxes_reach_the_maximum_without_the_embedded_start(self, brackets, monkeypatch, u_max, k):
@@ -578,10 +456,13 @@ class TestBracket:
         assert abs(res.objective_float - best.objective_float) <= 1e-9
         assert best.objective_float <= res.upper_float
 
-    def test_budget_of_one_certifies_the_embedded_point(self):
+    @pytest.mark.parametrize("budget", [1, 2, 50, 183])
+    def test_short_budgets_certify_the_embedded_point(self, budget):
+        # the search closes its gap in 184 evaluations here
         cat = tk.Catalog.standard(1, 3)
-        res = op.bracket(op.OptimizerConfig(catalog=cat, k=11, budget=1))
-        assert res.evaluations == 1 and res.budget_exhausted
+        res = op.bracket(op.OptimizerConfig(catalog=cat, k=11, budget=budget))
+        assert res.evaluations <= budget and res.budget_exhausted
+        assert budget > 1 or res.evaluations == 1
         x = Fraction(op.single_var_threshold(11))
         embedded = x + x**2 / 2 + x**3 / 2  # the closed embedded point's objective
         assert res.point.objective >= embedded * (1 - Fraction(1, 10**9))
@@ -601,14 +482,67 @@ class TestBracket:
         assert res.point.objective == 0 and res.point.closed
         assert res.evaluations == 2 and not res.budget_exhausted
 
+    def test_budget_flag_clear_with_budget_left(self, cat1):
+        res = op.bracket(config(cat1, 6, budget=10_000))
+        assert res.evaluations < 10_000
+        assert res.budget_exhausted is False
+
+    @pytest.mark.parametrize("u_max, k, budget", [(2, 6, 10_000), (3, 11, 10_000), (4, 8, 10_000), (3, 11, 50)])
+    def test_evaluations_count_every_evaluator_call(self, monkeypatch, u_max, k, budget):
+        # one evaluator call per evaluation, and no corner evaluated twice
+        calls = []
+        evaluate = wt.TruncatedSeriesEvaluator.evaluate
+
+        def counted(self, zvec):
+            calls.append(tuple(zvec))
+            return evaluate(self, zvec)
+
+        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", counted)
+        res = op.bracket(op.OptimizerConfig(catalog=tk.Catalog.standard(1, u_max), k=k, budget=budget))
+        assert len(calls) == res.evaluations == len(set(calls)) <= budget
+
+    def test_nan_max_weights_certify_the_zero_point(self, cat2, monkeypatch):
+        # every max weight NaN: no NaN corner is offered or kept as a box,
+        # so the search ends at once with the zero vector, closed and feasible
+        evaluate = wt.TruncatedSeriesEvaluator.evaluate
+
+        def nan_weights(self, zvec):
+            om, layers = evaluate(self, zvec)
+            return [math.nan] * len(om), layers
+
+        monkeypatch.setattr(wt.TruncatedSeriesEvaluator, "evaluate", nan_weights)
+        res = op.bracket(config(cat2, 2, budget=20))
+        assert res.evaluations == 2 and not res.budget_exhausted
+        assert res.point.closed and res.point.objective == 0 == res.upper_float
+        assert all(v == 0 for _, v in res.point.z.entries)
+
     def test_largest_float_cap(self, cat2):
         # the box splits past lo + hi = the largest float, and the embedded
-        # start is the best point a budget of 20 finds
+        # start is the best point a budget of 20 finds.  The threshold's
+        # last midpoint rounds up to a bracket end whose series overflows,
+        # so the threshold is the end below it
         cfg = config(cat2, 2, budget=20, y_cap=1.7976931348623157e308)
+        assert op.single_var_threshold(2, cap=cfg.y_cap) == math.nextafter(2.0**512, 0.0)
         res = op.bracket(cfg)
         assert res.point.closed and res.point.y_value <= Fraction(cfg.y_cap)
         assert 8.9e307 < res.objective_float <= res.upper_float < 1.8e308
         assert not op.bound_check(res.point, 0.1).ok
+
+    def test_certificate_rounds_as_the_float_product_did(self, cat1):
+        # each weight is rounded to a multiple of 2^-40 exactly; wherever
+        # v * 2^40 is a finite float that product was exact, so the exact
+        # rounding gives what rounding the product gave
+        cfg = config(cat1, 1, y_cap=1.7976931348623157e308)
+        rng = random.Random(0)
+        values = [rng.uniform(1.0, 2.0) * 2.0**e for e in range(-1074, 984, 7)]
+        values += [(2 * m + 1) * 2.0**-41 for m in [*range(64), *range(2**51, 2**51 + 64)]]
+        values += [math.nextafter(2.0**984, 0.0), 0.0]
+        for v in values:
+            assert math.isfinite(v * 2**40)
+            point, _ = op._certify((v,), cfg)
+            assert point.z["()"] == Fraction(round(v * 2**40), 2**40), v
+        # past 2^984 the float product overflows; the exact one does not
+        assert op._certify((1e300,), cfg)[0].z["()"] == Fraction(1e300)
 
 
 class TestBoundCheck:
@@ -619,12 +553,12 @@ class TestBoundCheck:
         assert op.bound_check(point, 0.0).ok
 
     def test_single_var_passes_at_zero_epsilon(self, cat1):
-        res = op.maximize(config(cat1, 10))
+        res = op.bracket(config(cat1, 10))
         chk = op.bound_check(res.point, 0.0)
         assert chk.ok  # x_10 < 0.5
 
     def test_limit_value(self, cat1):
-        res = op.maximize(config(cat1, 6))
+        res = op.bracket(config(cat1, 6))
         chk = op.bound_check(res.point, 0.1)
         assert chk.limit == Fraction(11, 20)
 
