@@ -38,14 +38,14 @@ def _emit(payload, output):
 
 
 def _config(args, command):
-    from .serialize import RunConfig
-
+    """The run configuration every report embeds; every run is serial, and
+    `threads` keeps the reports unchanged."""
     options = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "command") and v is not None
     }
-    return RunConfig(command=command, options=options)
+    return {"command": command, "options": options, "threads": 1, "version": __version__}
 
 
 class _UsageError(Exception):
@@ -167,6 +167,8 @@ def _cmd_forests(args) -> int:
     if args.format == "csv" and not args.n_range:
         raise _UsageError("argument --format: csv is only for a --conn-prob or --ratio "
                           "sweep over --n-range")
+    if args.format == "csv" and not args.output:
+        raise _UsageError("argument --output: a csv sweep needs --output")
     from . import forests
 
     config = _config(args, "forests")
@@ -194,10 +196,9 @@ def _cmd_forests(args) -> int:
         if args.conn_prob:
             flag, key, low = "--conn-prob", "probability", 1
             value = partial(forests.connectivity_prob, mode=mode)
-            write = partial(forests.write_connectivity_sweep, mode=mode)
         else:
             flag, key, low = "--ratio", "ratio", 2
-            value, write = forests.two_component_ratio, forests.write_ratio_sweep
+            value = forests.two_component_ratio
         if args.n_range:
             argument, ns = "--n-range", _parse_range(args.n_range)
         elif args.n is None:
@@ -206,15 +207,22 @@ def _cmd_forests(args) -> int:
             argument, ns = "--n", [args.n]
         if ns[0] < low:
             raise _UsageError(f"argument {argument}: {flag} needs n >= {low}")
+        # every value before any file is opened, so a failing one writes nothing
+        sweep = [(n, value(n)) for n in ns]
         if args.format == "csv":
-            if not args.output:
-                raise _UsageError("argument --output: a csv sweep needs --output")
-            write(args.output, ns)
+            import csv
+
+            exact = mode == "exact"  # exact values also get their numerator and denominator
+            with open(args.output, "w", newline="") as fh:
+                out = csv.writer(fh)
+                out.writerow(["n", key, "num", "den"] if exact else ["n", key])
+                out.writerows([n, float(x), x.numerator, x.denominator] if exact else [n, x]
+                              for n, x in sweep)
             return 0
         if args.n_range:
-            payload = {"config": config, "sweep": [{"n": n, key: value(n)} for n in ns]}
+            payload = {"config": config, "sweep": [{"n": n, key: x} for n, x in sweep]}
         else:
-            payload = {"config": config, "n": args.n, key: value(args.n)}
+            payload = {"config": config, "n": args.n, key: sweep[0][1]}
         _emit(payload, args.output)
         return 0
     if args.n is None:
@@ -227,7 +235,7 @@ def _cmd_forests(args) -> int:
     # writes nothing.  Nothing else draws from rng, so the draws are the
     # same as drawing them all first.
     def draw():
-        return sorted(forests.sample_forest(args.n, rng=rng).edges)
+        return forests.sample_forest(args.n, rng=rng).edges  # the writer sorts a set
 
     drawn = [draw()]
     samples = (drawn.pop() if drawn else draw() for _ in range(args.num_samples))

@@ -1,8 +1,8 @@
 """Bridge-addable classes of labeled forests at desk scale: pendant-tree
 statistics, and exhaustive verification of the counting inequalities that
 relate connected and two-component members of a class.  Single forests,
-their exact counts, the uniform sampler and the CSV sweeps are in
-`forests`, and are re-exported here.
+their exact counts and the uniform sampler are in `forests`, and are
+re-exported here.
 
 Conventions, applied literally everywhere:
 
@@ -53,9 +53,9 @@ from functools import cache, cached_property
 from math import comb, factorial
 
 from . import CapacityError, labeled_tree_count, treekit
-from .forests import (  # single forests, counts, sampler and sweeps, re-exported
+from .forests import (  # single forests, counts and sampler, re-exported
     LabeledForest, _check_n, _is_int, connectivity_prob, forest_count, forest_total,
-    sample_component_sizes, sample_forest, two_component_ratio, write_connectivity_sweep, write_ratio_sweep,
+    sample_component_sizes, sample_forest, two_component_ratio,
 )
 from .treekit import Catalog
 
@@ -82,8 +82,6 @@ __all__ = [
     "verify_weight_sum_bound",
     "boxing_search",
     "load_class",
-    "write_connectivity_sweep",
-    "write_ratio_sweep",
 ]
 
 # Exhaustive forest enumeration stops here.  The class of all forests is

@@ -1,22 +1,21 @@
-"""Single labeled forests, their exact counts, the exactly uniform sampler
-and the CSV sweeps: everything the `forests` command runs, without treekit.
+"""Single labeled forests, their exact counts and the exactly uniform
+sampler: everything the `forests` command computes, without treekit.
 `forestlab` re-exports these names next to its class-level statistics.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import ceil, comb, log, perm
 
 from . import CapacityError, labeled_tree_count
 
 __all__ = [
     "LabeledForest", "forest_count", "forest_total", "connectivity_prob", "two_component_ratio",
-    "sample_forest", "sample_component_sizes", "write_connectivity_sweep", "write_ratio_sweep",
+    "sample_forest", "sample_component_sizes",
 ]
 
 # Exact probabilities are reported as digit strings, and Python refuses
@@ -317,29 +316,3 @@ def sample_forest(n: int, rng=None, seed=None) -> LabeledForest:
         remaining = rest
     return LabeledForest(n=n, edges=frozenset(edges))
 
-
-# ---------------------------------------------------------------------------
-# CSV sweeps
-
-
-def _write_sweep(path, column, n_values, value, exact: bool = True) -> None:
-    """CSV of value(n) over a range of n; exact values also get their
-    numerator and denominator.  Every row is computed before the file is
-    opened, so a failing value leaves no file behind."""
-    rows = [["n", column, "num", "den"] if exact else ["n", column]]
-    for n in n_values:
-        x = value(n)
-        rows.append([n, float(x), x.numerator, x.denominator] if exact else [n, x])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def write_connectivity_sweep(path, n_values, mode: str = "exact") -> None:
-    """CSV of connectivity probabilities over a range of n."""
-    value = partial(connectivity_prob, mode=mode)
-    _write_sweep(path, "probability", n_values, value, exact=mode == "exact")
-
-
-def write_ratio_sweep(path, n_values) -> None:
-    """CSV of two-component/connected ratios over a range of n."""
-    _write_sweep(path, "ratio", n_values, two_component_ratio)

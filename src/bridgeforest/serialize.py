@@ -14,10 +14,6 @@ It writes the text as it is produced: it walks the outer object and any
 generator among its values, and writes the text of each element as soon
 as that element exists.  A report whose long list is a generator is never
 held whole in memory.
-
-`RunConfig` is the run configuration every CLI report embeds.  It is
-defined here rather than in `cli`, so that parsing, `--version` and
-`--help` never import dataclasses.
 """
 
 from __future__ import annotations
@@ -27,16 +23,6 @@ import json
 from fractions import Fraction
 from itertools import chain
 from types import GeneratorType
-
-from . import __version__
-
-
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    options: dict
-    threads: int = 1  # every run is serial; the field keeps reports unchanged
-    version: str = __version__
 
 
 def dump(obj, fh) -> None:

@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bridgeforest import cli, forestlab
-from bridgeforest.serialize import RunConfig
+from bridgeforest import __version__, cli, forestlab
 
 import oracles
 
@@ -110,7 +109,8 @@ class TestForests:
         rng = random.Random(seed)
         samples = [sorted(forestlab.sample_forest(300, rng=rng).edges) for _ in range(30)]
         for text in (out, written):
-            config = RunConfig(command="forests", options=json.loads(text)["config"]["options"])
+            options = json.loads(text)["config"]["options"]
+            config = {"command": "forests", "options": options, "threads": 1, "version": __version__}
             payload = {"config": config, "n": 300, "seed": seed, "samples": samples}
             assert text == oracles.report_dumps(payload) + "\n"
         output_line = f'      "output": {json.dumps(str(path))},\n'
@@ -143,15 +143,24 @@ class TestForests:
         peaks = json.loads(proc.stdout)
         assert peaks["2000"] - peaks["100"] < 5 * 1024, peaks
 
-    def test_csv_sweep(self, capsys, tmp_path):
+    # sha256 of each sweep's file: exact rows carry the float and the reduced
+    # numerator and denominator, --logfloat rows only the float
+    @pytest.mark.parametrize("sweep, header, digest", [
+        ("--conn-prob --n-range 1:40", "n,probability,num,den",
+         "8196e73514fe68f3150d12b5270fbe47f11fecc0c62a87427f649bd203684acb"),
+        ("--conn-prob --logfloat --n-range 1:40", "n,probability",
+         "3666569e6f04620a721db56f20b8f3846f6d78361a2e9c0c343fc10cd196da9e"),
+        ("--ratio --n-range 2:30", "n,ratio,num,den",
+         "dc1d733da4dbf1eac692d5f572b90abf51fe607f755267d4590fc80e66eee205"),
+    ], ids=["conn-prob", "conn-prob-logfloat", "ratio"])
+    def test_csv_sweep(self, capsys, tmp_path, sweep, header, digest):
         out = tmp_path / "sweep.csv"
-        code, _ = run(
-            capsys, "forests", "--conn-prob", "--n-range", "2:6",
-            "--format", "csv", "--output", str(out),
-        )
+        code, _ = run(capsys, "forests", *sweep.split(), "--format", "csv", "--output", str(out))
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,probability,num,den" and len(lines) == 6
+        ns = cli._parse_range(sweep.split()[-1])
+        assert lines[0] == header and [line.split(",")[0] for line in lines[1:]] == list(map(str, ns))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_failed_csv_sweep_writes_nothing(self, capsys, tmp_path):
         # the rows for 999 and 1000 are computed before n = 1001 fails
@@ -717,8 +726,8 @@ def test_report_bytes_are_pinned(capsys, name):
 
 
 # Run in a fresh interpreter: the package modules a command leaves in
-# sys.modules (cli itself aside) and numpy if it was
-# imported, after its exit code.
+# sys.modules (cli itself aside), then numpy, csv and dataclasses if they
+# were imported, after its exit code.
 _LOADED = """if True:
     import contextlib, io, sys
     from bridgeforest import cli
@@ -729,10 +738,12 @@ _LOADED = """if True:
         except SystemExit as exc:
             code = exc.code
     names = sorted(m.split(".")[1] for m in sys.modules if m.startswith("bridgeforest."))
-    print(code, *[m for m in names if m != "cli"], *["numpy"] * ("numpy" in sys.modules))
+    print(code, *[m for m in names if m != "cli"],
+          *[m for m in ("numpy", "csv", "dataclasses") if m in sys.modules])
 """
-_FORESTS = ["forests", "serialize"]
-_CLASSES = ["forestlab", "forests", "serialize", "treekit"]
+# every module but cli defines dataclasses, so every command that runs one loads it
+_FORESTS = ["forests", "serialize", "dataclasses"]
+_CLASSES = ["forestlab", "forests", "serialize", "treekit", "dataclasses"]
 
 
 @pytest.mark.parametrize(
@@ -743,18 +754,23 @@ _CLASSES = ["forestlab", "forests", "serialize", "treekit"]
         (["forests", "--n", "0"], 2, []),
         (["forests", "--sample", "--n", "5"], 0, _FORESTS),
         (["forests", "--count", "--n", "6", "--k", "2"], 0, _FORESTS),
-        (["trees", "--max-size", "4"], 0, ["serialize", "treekit"]),
+        (["trees", "--max-size", "4"], 0, ["serialize", "treekit", "dataclasses"]),
         (["verify", "--suite", "local-double-counting", "--n", "4"], 0, _CLASSES),
         (["verify", "--suite", "simple-counting", "--n", "4"], 0, _CLASSES),
         (["verify", "--suite", "boxing", "--n", "5"], 0, _CLASSES),
-        (["verify", "--suite", "sum-bound", "--n", "4"], 0, [*_CLASSES, "weights"]),
-        (["verify", "--suite", "aut-identity", "--max-size", "4"], 0, ["serialize", "treekit"]),
+        (["verify", "--suite", "sum-bound", "--n", "4"], 0,
+         ["forestlab", "forests", "serialize", "treekit", "weights", "dataclasses"]),
+        (["verify", "--suite", "aut-identity", "--max-size", "4"], 0,
+         ["serialize", "treekit", "dataclasses"]),
         (["verify", "--suite", "dissymmetry", "--k", "4", "--samples", "1"], 0,
-         ["serialize", "treekit", "weights"]),
+         ["serialize", "treekit", "weights", "dataclasses"]),
         (["optimize", "--u-max", "1", "--k", "4"], 0,
-         ["optimizer", "serialize", "treekit", "weights"]),
+         ["optimizer", "serialize", "treekit", "weights", "dataclasses"]),
         (["forests", "--conn-prob", "--n-range", "1:5"], 0, _FORESTS),
         (["forests", "--ratio", "--n", "5"], 0, _FORESTS),
+        (["forests", "--ratio", "--n-range", "2:4", "--format", "csv", "--output", os.devnull], 0,
+         ["forests", "csv", "dataclasses"]),
+        (["forests", "--ratio", "--n-range", "2:4", "--format", "csv"], 2, []),
     ],
 )
 def test_each_command_loads_only_its_modules(argv, code, modules):

@@ -738,18 +738,3 @@ class TestBoxingSearch:
         assert (cat21.q_star, len(cat21.t0), len(cat21.u0)) == (1, 2, 1)
         assert self.search(monkeypatch, cat21, 15, {}, w=4, epsilon=0.84).guarantee_applies
         assert not self.search(monkeypatch, cat21, 15, {}, w=4, epsilon=0.83).guarantee_applies
-
-
-class TestSweepWriters:
-    def test_connectivity_csv(self, tmp_path):
-        path = tmp_path / "conn.csv"
-        fl.write_connectivity_sweep(path, range(2, 6))
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "n,probability,num,den"
-        assert len(rows) == 5
-
-    def test_ratio_csv(self, tmp_path):
-        path = tmp_path / "ratio.csv"
-        fl.write_ratio_sweep(path, range(3, 6))
-        rows = path.read_text().strip().splitlines()
-        assert rows[1].startswith("3,")

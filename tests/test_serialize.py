@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from bridgeforest import cli, serialize
-from bridgeforest.serialize import RunConfig
 
 import oracles
 
@@ -25,6 +25,14 @@ ROOT = Path(__file__).resolve().parent.parent
 class Color(IntEnum):
     RED = 1
     BLUE = -7
+
+
+@dataclass
+class Config:  # a dataclass value, shaped like a report's run configuration
+    command: str
+    options: dict
+    threads: int = 1
+    version: str = "0.1.0"
 
 
 def run_python(code, **env):
@@ -61,7 +69,7 @@ def dumped(value) -> str:
         {"1": "b", 1: "a"},
         {None: 0, True: 1, False: 2, 0.5: 3, -0.0: 4, math.nan: 5, math.inf: 6},
         [[], (), {}, set(), frozenset(), "", [[]], {"a": {}}],
-        RunConfig(command="forests", options={"n": 3, "seed": None, "range": "2:4"}),
+        Config(command="forests", options={"n": 3, "seed": None, "range": "2:4"}),
         {"samples": [[(0, 1), (1, 2)], []], "n": 3, "ok": True, "x": None},
         7,
         -0.0,
@@ -110,7 +118,7 @@ def test_writer_matches_reference_on_generated_values():
             st.lists(children, max_size=4)
             | st.tuples(children, children)
             | st.dictionaries(keys, children, max_size=4)
-            | st.builds(RunConfig, command=st.text(max_size=5),
+            | st.builds(Config, command=st.text(max_size=5),
                         options=st.dictionaries(st.text(max_size=3), children, max_size=3))
         ),
         max_leaves=20,
@@ -133,7 +141,7 @@ def test_writer_matches_reference_on_generated_values():
         lambda seq: seq([1, (2, 3), "x"]),
         lambda seq: {"samples": seq([]), "n": 3},
         lambda seq: {"samples": seq([[(1, 2), (2, 3)], [], [(4, 5)]]), "seed": 0, "n": 5,
-                     "config": RunConfig(command="forests", options={"sample": True})},
+                     "config": Config(command="forests", options={"sample": True})},
         lambda seq: {"a": [seq([1, seq([2])])], "b": seq([{"c": seq([])}, seq([seq([])])])},
         lambda seq: [seq([Fraction(1, 3)]), seq([]), {"d": seq([None])}],
     ],
@@ -163,7 +171,7 @@ def test_stream_matches_reference_on_reports(monkeypatch, argv):
     assert dumped(payload) == oracles.report_dumps(payload)
 
 
-@pytest.mark.parametrize("value", [object(), [1, 2j], {"a": b"bytes"}, RunConfig])
+@pytest.mark.parametrize("value", [object(), [1, 2j], {"a": b"bytes"}, Config])
 def test_unsupported_types_raise(value):
     with pytest.raises(TypeError):
         dumped(value)
