@@ -39,7 +39,7 @@ from operator import mul
 
 from . import treekit, weights
 from .treekit import Catalog
-from .weights import TruncatedSeriesEvaluator, WeightVector
+from .weights import WeightVector
 
 __all__ = [
     "OptimizerConfig",
@@ -283,7 +283,7 @@ def bracket(config: OptimizerConfig) -> BracketResult:
     or the boxes run out.  The upper end is a float computation, not a
     proof."""
     cat, k, cap = config.catalog, config.k, config.y_cap
-    ev = TruncatedSeriesEvaluator(cat, k)
+    ev = weights._profiles(cat.u0, k)
     d = len(cat.u0)
     sizes = [u.size for u in cat.u0]
     lin = [1.0 / u.aut_u for u in cat.u0]

@@ -19,10 +19,11 @@ Partition functions:
 
 The series run over unrooted trees only, up to treekit.FREE_TREE_MAX_SIZE
 vertices (a tree's rootings contribute sum 1/aut_r = size/aut_u), grouped
-into profile classes that share one max weight.  One walk over a table of
-the classes' distinct piece-count vectors gives every max weight: in ints
-over a common denominator for a vector of Fractions (WeightVector.exact),
-in floats for a float one, where a power or sum past the largest float is inf.
+into profile classes that share one max weight.  One walk over the table
+of the classes' distinct piece-count vectors, one TruncatedSeriesEvaluator
+per (u0, k) that layers and the optimizer share, gives every max weight:
+in ints over a common denominator for an exact WeightVector, in floats
+for a float one, where a power or sum past the largest float is inf.
 """
 
 from __future__ import annotations
@@ -426,13 +427,17 @@ def _power(x: float, e: int) -> float:
         return inf
 
 
-class _Profiles:
+class TruncatedSeriesEvaluator:
     """The trees with 1..k vertices grouped by (size, profile).
 
     Class c holds the trees of sizes[c] vertices whose decompositions reach
     exactly the piece-count vectors counts[c] (tuples over u0), and
     coeff[c] is the exact sum of size/aut_u over them, i.e. the sum of
-    1/aut_r over their rootings.  Classes are ordered by (size, profile).
+    1/aut_r over their rootings.  Classes are ordered by (size, profile);
+    index(code) is a tree's class, u0_positions those of u0's pieces of at
+    most k vertices.  evaluate(zvec), zvec over u0, returns (om, y) as float
+    lists: om[c] is class c's max weight and y[s] the size-s term of
+    rooted_series; a power past the largest float is inf.
     """
 
     def __init__(self, u0: tuple, k: int):
@@ -468,6 +473,9 @@ class _Profiles:
         self._columns = [itemgetter(*column) for column in zip(*self.vectors, (0,) * len(u0))]
         self._exponents = [range(radix) for radix in states.radices]
         self._classes = _BitSets().positions  # the classes of a mask, ascending
+        self.u0_positions = tuple(self.index(u.code) for u in u0 if u.size <= k)
+        # perfbench/traced_run.py reads passes to count the entries
+        self.passes = [(self.vectors, self.masks, self.every)]
 
     def index(self, code: str) -> int:
         """Class of the unrooted tree with this code (at most k vertices), by
@@ -482,7 +490,7 @@ class _Profiles:
             state[parent[v]] = states.attach(state[parent[v]], state[v])
         return self._class[(len(parent), states.profile(state[0]))]
 
-    def max_weights(self, values, coeff) -> tuple:
+    def _max_weights(self, values, coeff) -> tuple:
         """(om, y) at the weights `values` over u0, all ints or all floats:
         om[c] is the largest monomial prod_j values[j]**vec[j] over class
         c's count vectors (NaN if any is NaN; a monomial with a positive
@@ -539,11 +547,14 @@ class _Profiles:
             y[size] += c * value
         return om, y
 
+    def evaluate(self, zvec):
+        return self._max_weights(zvec, self.float_coeff)
+
 
 @cache
-def _profiles(u0: tuple, k: int) -> _Profiles:
+def _profiles(u0: tuple, k: int) -> TruncatedSeriesEvaluator:
     """Profile classes over u0 up to k; catalogs sharing u0 share one build."""
-    return _Profiles(u0, k)
+    return TruncatedSeriesEvaluator(u0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +577,10 @@ def layers(z: WeightVector, k: int, catalog: Catalog) -> list:
     _check_domain(z, catalog)
     table = _profiles(catalog.u0, k)
     if not z.exact:
-        return table.max_weights(z.to_floats(), table.float_coeff)[1]
+        return table._max_weights(z.to_floats(), table.float_coeff)[1]
     den = lcm(*(Fraction(value).denominator for _, value in z.entries))
     ints = [int(value * den) * den ** (u.size - 1) for (_, value), u in zip(z.entries, catalog.u0)]
-    return [Fraction(t, den**s) for s, t in enumerate(table.max_weights(ints, table.coeff)[1])]
+    return [Fraction(t, den**s) for s, t in enumerate(table._max_weights(ints, table.coeff)[1])]
 
 
 def _total(terms):
@@ -687,27 +698,3 @@ def single_variable_layers(x, k: int) -> list:
     x = Fraction(x) if isinstance(x, (int, Fraction)) else float(x)
     return [0 * x] + [Fraction(n ** (n - 1), factorial(n)) * x**n for n in range(1, k + 1)]
 
-
-# ---------------------------------------------------------------------------
-# float evaluation (optimizer inner loop)
-
-
-class TruncatedSeriesEvaluator:
-    """Float max weights and size-layered rooted sums for all trees up to k
-    vertices, from the walk that layers takes (_Profiles.max_weights).
-
-    evaluate(zvec) returns (om, y) where om[c] is the max weight of the
-    trees in class c (index(code) is a tree's class) and y[s] the
-    contribution of size-s rooted trees to rooted_series, as lists.  zvec
-    is ordered like catalog.u0; a power past the largest float is inf.
-    """
-
-    def __init__(self, catalog: Catalog, k: int):
-        self._profiles = _profiles(catalog.u0, k)
-        self.index = self._profiles.index
-        self.u0_positions = tuple(self.index(u.code) for u in catalog.u0 if u.size <= k)
-        # perfbench/traced_run.py reads passes to count the entries
-        self.passes = [(self._profiles.vectors, self._profiles.masks, self._profiles.every)]
-
-    def evaluate(self, zvec):
-        return self._profiles.max_weights(zvec, self._profiles.float_coeff)

@@ -95,7 +95,7 @@ def test_capacity():
     with pytest.raises(tk.CapacityError):
         tk.fold_unrooted(tk.FREE_TREE_MAX_SIZE + 1, None, lambda node, child: None)
     with pytest.raises(tk.CapacityError):
-        wt.TruncatedSeriesEvaluator(tk.Catalog.standard(1, 1), tk.FREE_TREE_MAX_SIZE + 1)
+        wt._profiles(tk.Catalog.standard(1, 1).u0, tk.FREE_TREE_MAX_SIZE + 1)
 
 
 def test_exact_layers_match_rooted_path(case):
@@ -118,7 +118,7 @@ def test_evaluator_matches_rooted_path(case):
     for z, ref in samples:
         table = wt.MaxWeightTable(catalog, z)
         for k in range(catalog.u_max, K_MAX + 1):
-            ev = wt.TruncatedSeriesEvaluator(catalog, k)
+            ev = wt._profiles(catalog.u0, k)
             om, y = ev.evaluate(z.to_floats())
             assert len(y) == k + 1
             for s in range(1, k + 1):

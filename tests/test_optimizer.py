@@ -177,7 +177,7 @@ class TestFloatFeasibilityAgainstOracle:
     def test_same_verdicts_and_values(self, u_max, k):
         cat = tk.Catalog.standard(1, u_max)
         cfg = config(cat, k)
-        ev = wt.TruncatedSeriesEvaluator(cat, k)
+        ev = wt._profiles(cat.u0, k)
         verdicts, seen = set(), set()
         for z in float_points(cat, k, cfg):
             res = op.feasibility(z, cfg)
@@ -381,6 +381,13 @@ class TestBracket:
         a, b = (op.bracket(config(cat2, 6)) for _ in range(2))
         assert a == b
 
+    def test_one_profile_table_per_search(self):
+        # the certificate's exact layers reads the table the search built
+        wt._profiles.cache_clear()
+        op.bracket(config(tk.Catalog.standard(1, 3), 11, budget=50))
+        info = wt._profiles.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+
     def test_richer_u0_does_not_hurt(self, brackets):
         # {single vertex} inside unrooted<=2 inside unrooted<=3 at k = 8
         small, mid, big = (brackets(u_max, 8) for u_max in (1, 2, 3))
@@ -410,7 +417,7 @@ class TestBracket:
         # a feasible z >= a closed corner c stays in the box the cut leaves,
         # and its objective stays under the cut's bound
         cat, k, cap = tk.Catalog.standard(1, u_max), 8, 1.5
-        ev = wt.TruncatedSeriesEvaluator(cat, k)
+        ev = wt._profiles(cat.u0, k)
         cost = [u.size / u.aut_u for u in cat.u0]
         lin = [1 / u.aut_u for u in cat.u0]
         greedy = sorted(range(len(cat.u0)), key=lambda j: cat.u0[j].size)

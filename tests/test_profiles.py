@@ -1,10 +1,10 @@
 """Differential test of the profile classes against the first build.
 
-weights._Profiles keeps each set of piece-count vectors as a set of
-mixed-radix positions: a bit set while the catalog's positions are few, a
-frozenset beyond that.  oracles.ProfilesReference keeps the first build,
-Python sets of vectors packed 16 bits to a piece.  The two must give the
-same classes in the same order, with the same sizes, coefficients and
+weights.TruncatedSeriesEvaluator keeps each set of piece-count vectors as a
+set of mixed-radix positions: a bit set while the catalog's positions are
+few, a frozenset beyond that.  oracles.ProfilesReference keeps the first
+build, Python sets of vectors packed 16 bits to a piece.  The two must give
+the same classes in the same order, with the same sizes, coefficients and
 count vectors, and put every tree in the same class: the evaluator sums
 the classes in that order, so a different order changes its floats.
 """
@@ -41,7 +41,7 @@ def width(u0, k):
 def test_profiles_match_reference(catalog, ks):
     u0 = tk.Catalog.standard(*catalog).u0
     for k in ks:
-        new = wt._Profiles(u0, k)
+        new = wt.TruncatedSeriesEvaluator(u0, k)
         ref = oracles.ProfilesReference(u0, k)
         assert new.sizes == ref.sizes, k
         assert new.coeff == ref.coeff, k

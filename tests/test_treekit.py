@@ -434,7 +434,7 @@ def test_code_with_two_top_level_blocks_is_refused(code):
     with pytest.raises(ValueError, match="unbalanced code"):
         weights.max_weight(code, weights.WeightVector.zero(catalog), catalog)
     with pytest.raises(ValueError, match="unbalanced code"):
-        weights.TruncatedSeriesEvaluator(catalog, 4).index(code)
+        weights._profiles(catalog.u0, 4).index(code)
 
 
 def _one_block(s):

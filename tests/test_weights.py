@@ -361,14 +361,14 @@ class TestEvaluator:
         before = wt._profiles.cache_info()
         for cat in (cat2, other):
             wt.layers(wt.WeightVector.over(cat, {"()": Fraction(1, 3)}), 7, cat)
-            wt.TruncatedSeriesEvaluator(cat, 7)
+            wt._profiles(cat.u0, 7)
         after = wt._profiles.cache_info()
         assert after.misses - before.misses <= 1
         assert after.hits - before.hits >= 3
         assert wt._profiles(cat2.u0, 7) is wt._profiles(other.u0, 7)
 
     def test_matches_exact_series(self, cat3):
-        ev = wt.TruncatedSeriesEvaluator(cat3, 9)
+        ev = wt._profiles(cat3.u0, 9)
         rng = random.Random(31)
         for _ in range(5):
             z = random_rational_weights(cat3, rng)
@@ -378,7 +378,7 @@ class TestEvaluator:
                 assert abs(layers[k] - exact) <= 1e-9 * (1 + exact)
 
     def test_omega_matches_table(self, cat3):
-        ev = wt.TruncatedSeriesEvaluator(cat3, 8)
+        ev = wt._profiles(cat3.u0, 8)
         rng = random.Random(32)
         z = random_rational_weights(cat3, rng)
         table = wt.MaxWeightTable(cat3, z)
@@ -421,7 +421,7 @@ def test_evaluator_matches_numpy_reference(u_max, k):
     # the walk over distinct count vectors against the first evaluator, a
     # numpy scan of every (class, count vector) row
     catalog = tk.Catalog.standard(1, u_max)
-    ev = wt.TruncatedSeriesEvaluator(catalog, k)
+    ev = wt._profiles(catalog.u0, k)
     ref = oracles.TruncatedSeriesEvaluatorReference(catalog, k)
     assert len(ev.passes[0][0]) <= ref.rows
     kinds = set()
@@ -440,7 +440,7 @@ def test_evaluator_matches_numpy_reference(u_max, k):
 
 
 def test_evaluator_refuses_a_vector_of_another_length():
-    ev = wt.TruncatedSeriesEvaluator(tk.Catalog.standard(1, 3), 5)
+    ev = wt._profiles(tk.Catalog.standard(1, 3).u0, 5)
     with pytest.raises(ValueError, match="2 weights for 3 pieces"):
         ev.evaluate([0.1, 0.2])
 
@@ -513,5 +513,5 @@ def test_zero_weight_times_an_overflowed_power_is_zero():
     # what stays NaN: an underflowed power times an overflowed one
     # ((1e-200)**2 * (1e200)**2 at size 6), and a NaN weight
     assert math.isnan(wt.layers(vector(1e-200, 1e200, 1e200), 6, cat)[6])
-    om, y = wt.TruncatedSeriesEvaluator(cat, 5).evaluate([math.nan, 0.0, 1e200])
+    om, y = wt._profiles(cat.u0, 5).evaluate([math.nan, 0.0, 1e200])
     assert all(map(math.isnan, y[1:]))
